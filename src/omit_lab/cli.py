@@ -53,7 +53,7 @@ from .presets import figure_presets, run_figure_preset, standard_setup
 from .sidebands import compute_spectrum
 from .sweep import (
     SweepSpec,
-    _json_safe,
+    json_safe,
     resolve_jobs,
     run_sweep,
     spectrum_to_dict,
@@ -116,7 +116,7 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit_text(json.dumps(_json_safe(payload), indent=1, allow_nan=False)
+    _emit_text(json.dumps(json_safe(payload), indent=1, allow_nan=False)
                + "\n", out)
 
 

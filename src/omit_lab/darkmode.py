@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .model import SteadyState, SystemConfig
-from .sidebands import Spectrum
+from .sidebands import Spectrum, _require_two_modes, _uniform_step
 
 __all__ = [
     "HybridModeReport",
@@ -140,13 +140,6 @@ def linearized_couplings(config: SystemConfig,
     """Linearised optomechanical couplings ``G_l = g_l * |alpha|``."""
     _, _, g = config.mode_arrays()
     return g * abs(steady.alpha)
-
-
-def _require_two_modes(config: SystemConfig, what: str) -> None:
-    if config.n_modes != 2:
-        raise UnsupportedTopologyError(
-            f"{what} is defined for the two-mode layout, "
-            f"got {config.n_modes} modes")
 
 
 def hybridize_two_mode(config: SystemConfig,
@@ -378,9 +371,8 @@ def fit_linewidth(spectrum: Spectrum,
     w = spectrum.omega
     if len(w) < 5:
         raise InvalidParameterError("spectrum too short to fit windows")
-    steps = np.diff(w)
-    h = steps[0]
-    if not (h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+    h = _uniform_step(w)
+    if h is None:
         raise InvalidParameterError("linewidth fitting requires a uniform grid")
     power = spectrum.transmission
     swing = float(np.max(power) - np.min(power))

@@ -35,8 +35,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
-from scipy.constants import hbar as _HBAR
 
 from .errors import InvalidParameterError, NonConvergentError
 
@@ -60,6 +58,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Exact SI values (2019 redefinition) of the speed of light and of hbar.
+_C_LIGHT = 299792458.0
+_HBAR = 6.62607015e-34 / (2 * math.pi)
 
 # Probe drives beyond this fraction of the pump invalidate the perturbative
 # sideband expansion outright; between WARN and HARD we only warn.

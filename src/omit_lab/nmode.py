@@ -30,7 +30,7 @@ import numpy as np
 from .darkmode import fit_linewidth
 from .errors import InvalidParameterError, UnsupportedTopologyError
 from .model import SteadyState, SystemConfig, probe_amplitude
-from .sidebands import Spectrum, compute_spectrum
+from .sidebands import Spectrum, _sideband_response, compute_spectrum
 
 __all__ = [
     "NormalModeBasis",
@@ -176,45 +176,23 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
                                   omega: np.ndarray) -> np.ndarray:
     """Probe transmission computed in the normal-mode (star) basis.
 
-    Builds the first-order sideband system for a cavity coupled to the
-    ``N`` independent normal modes with their rotated couplings, instead
-    of the site-basis chain.  The result must match the transmission from
+    Solves the first-order sideband response of a cavity coupled to the
+    ``N`` independent normal modes with their rotated couplings (a chain
+    operator with no hopping), instead of the site-basis chain.  Both bases
+    go through the same Schur-complement response solve, so the result
+    must match the transmission from
     :func:`omit_lab.sidebands.solve_first_order` to rounding error; any
     systematic gap means the basis transform is wrong.
     """
     basis = build_normal_modes(config, steady)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    n = basis.n
-    m = 2 * n + 2
     kap = config.cavity.kappa
-    delta = steady.delta_eff
-    # The rotated couplings c_k already carry the linearised magnitude
-    # g*|alpha|; the matrix entries only need the pump's unit phase on top,
-    # or the optomechanical strength would be counted twice.
-    phase = steady.alpha / abs(steady.alpha)
-    pc = np.conj(phase)
     eps_p = probe_amplitude(config)
-
-    # Coefficient of the normal-mode annihilation operator in the
-    # interaction is conj(c_k).
-    cbar = np.conj(basis.couplings)
-    mat = np.zeros((len(w), m, m), dtype=complex)
-    mat[:, 0, 0] = kap + 1j * (delta - w)
-    mat[:, 1, 1] = kap - 1j * (delta + w)
-    for idx in range(n):
-        rm, rp = 2 + 2 * idx, 3 + 2 * idx
-        ck = cbar[idx]
-        mat[:, 0, rm] = 1j * phase * ck
-        mat[:, 0, rp] = 1j * phase * np.conj(ck)
-        mat[:, 1, rm] = -1j * pc * ck
-        mat[:, 1, rp] = -1j * pc * np.conj(ck)
-        mat[:, rm, rm] = basis.damping[idx] + 1j * (basis.frequencies[idx] - w)
-        mat[:, rm, 0] = 1j * np.conj(ck) * pc
-        mat[:, rm, 1] = 1j * np.conj(ck) * phase
-        mat[:, rp, rp] = basis.damping[idx] - 1j * (basis.frequencies[idx] + w)
-        mat[:, rp, 0] = -1j * ck * pc
-        mat[:, rp, 1] = -1j * ck * phase
-    rhs = np.zeros((len(w), m), dtype=complex)
-    rhs[:, 0] = eps_p
-    sol = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    return 1.0 - (kap / eps_p) * sol[:, 0]
+    # The rotated couplings c_k already carry the linearised magnitude
+    # g*|alpha|; the solve only needs the pump's unit phase on top, or
+    # the optomechanical strength would be counted twice.
+    a_minus = _sideband_response(
+        kap, steady.delta_eff, basis.damping, basis.frequencies,
+        np.zeros(basis.n - 1), basis.couplings,
+        steady.alpha / abs(steady.alpha), w, 1, (eps_p, 0.0))[0]
+    return 1.0 - (kap / eps_p) * a_minus

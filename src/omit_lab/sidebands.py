@@ -7,10 +7,14 @@ Omega``, every field develops sidebands at ``omega_L +/- n*Omega``.  Writing
 by order in the probe turns the nonlinear mean-field equations into a
 hierarchy of linear systems:
 
-* order 1: a ``(2n+2) x (2n+2)`` complex system in ``A1m``, ``conj(A1p)``
-  and the mechanical pairs, driven by the probe amplitude;
-* order 2: the same matrix evaluated at ``2*Omega``, driven by quadratic
-  combinations of the first-order amplitudes.
+* order 1: a linear system in ``A1m``, ``conj(A1p)`` and the mechanical
+  pairs, driven by the probe amplitude.  Each mechanical sideband is a
+  tridiagonal chain that sees the cavity through one scalar, so one
+  Thomas sweep per chain eliminates the mechanics (``O(n)`` per
+  frequency), leaving a 2x2 cavity solve and a back-substitution;
+* order 2: the same operator evaluated at ``2*Omega``, driven by
+  quadratic combinations of the first-order amplitudes, on the cavity and
+  on the mechanics.
 
 Two observables summarise the response:
 
@@ -22,7 +26,7 @@ Two observables summarise the response:
 For the two-mode system the linear hierarchy also admits closed-form
 solutions built from a small set of polynomial coefficients; these are
 implemented here as an independent route and cross-checked against the
-direct matrix solves (the ``route_discrepancy`` column of a spectrum).
+chain-elimination solves (the ``route_discrepancy`` column of a spectrum).
 Both routes are exact to rounding; a disagreement indicates a bug, not an
 approximation error.
 
@@ -174,8 +178,8 @@ class Spectrum:
         Second-order sideband efficiency in percent; NaN when the second
         order was not computed (e.g. more than two modes).
     route_discrepancy : numpy.ndarray
-        Pointwise relative disagreement between the matrix solve and the
-        closed-form route; NaN when no closed form exists for the layout.
+        Pointwise relative disagreement between the chain-elimination
+        solve and the closed-form route; NaN when no closed form exists for the layout.
     metadata : dict
         Steady-state numbers and solver facts for the run.
     """
@@ -237,106 +241,153 @@ def _as_grid(omega: float | np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, np.ndim(omega) == 0
 
 
+def _uniform_step(w: np.ndarray) -> float | None:
+    """Step of an increasing uniform grid (``len(w) >= 2``), else None."""
+    steps = np.diff(w)
+    h = steps[0]
+    if h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        return float(h)
+    return None
+
+
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), _TINY)
     return np.abs(a - b) / scale
 
 
 # ---------------------------------------------------------------------------
-# Direct matrix route (any number of modes)
+# Response solve (any number of modes, any mechanical basis)
 
 
-def _sideband_matrix(view: _View, w: np.ndarray, order: int) -> np.ndarray:
-    """Linear response matrix at ``order * w`` for each grid frequency.
+def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Thomas sweep for one tridiagonal chain per grid point.
 
-    Unknown layout: ``[A-, conj(A+), B0-, conj(B0+), B1-, conj(B1+), ...]``.
+    ``diag`` is ``(N, K)``; the chains share the off-diagonals ``upper``
+    and ``lower`` (length ``N - 1``); ``rhs`` is ``(N, K, R)``.  Every
+    chain is ``gamma*I + i*(Hermitian)``, so each pivot has a real part of
+    at least ``min(gamma) > 0``: the sweep needs no pivoting and no
+    singularity check.
     """
-    n = len(view.omega)
-    m = 2 * n + 2
-    k = len(w)
-    ww = order * w
-    mat = np.zeros((k, m, m), dtype=complex)
-    mat[:, 0, 0] = view.kappa + 1j * (view.delta - ww)
-    mat[:, 1, 1] = view.kappa - 1j * (view.delta + ww)
-    a = view.alpha
-    ac = np.conj(a)
-    for l in range(n):
-        rm, rp = 2 + 2 * l, 3 + 2 * l
-        gl = view.g[l]
-        mat[:, 0, rm] = 1j * gl * a
-        mat[:, 0, rp] = 1j * gl * a
-        mat[:, 1, rm] = -1j * gl * ac
-        mat[:, 1, rp] = -1j * gl * ac
-        mat[:, rm, rm] = view.gamma[l] + 1j * (view.omega[l] - ww)
-        mat[:, rm, 0] = 1j * gl * ac
-        mat[:, rm, 1] = 1j * gl * a
-        mat[:, rp, rp] = view.gamma[l] - 1j * (view.omega[l] + ww)
-        mat[:, rp, 0] = -1j * gl * ac
-        mat[:, rp, 1] = -1j * gl * a
-        if l + 1 < n:
-            hop = view.eta[l] * np.exp(1j * view.theta[l])
-            mat[:, rm, rm + 2] = 1j * hop
-            mat[:, rp, rp + 2] = -1j * np.conj(hop)
-        if l - 1 >= 0:
-            hop = view.eta[l - 1] * np.exp(1j * view.theta[l - 1])
-            mat[:, rm, rm - 2] = 1j * np.conj(hop)
-            mat[:, rp, rp - 2] = -1j * hop
-    return mat
+    x = rhs.copy()
+    ratio = np.empty((len(upper),) + diag.shape[1:], dtype=complex)
+    pivot = diag[0]
+    x[0] /= pivot[:, None]
+    for l in range(1, len(diag)):
+        ratio[l - 1] = upper[l - 1] / pivot
+        pivot = diag[l] - lower[l - 1] * ratio[l - 1]
+        x[l] -= lower[l - 1] * x[l - 1]
+        x[l] /= pivot[:, None]
+    for l in range(len(diag) - 2, -1, -1):
+        x[l] -= ratio[l][:, None] * x[l + 1]
+    return x
 
 
-def _solve_batched(mat: np.ndarray, rhs: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
-    """Batched linear solve with a per-frequency singularity diagnosis."""
-    try:
-        return np.linalg.solve(mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Identify which grid point is singular for a useful message.
-        bad = [w[i] for i in range(len(w))
-               if not np.all(np.isfinite(np.linalg.cond(mat[i])))
-               or np.linalg.cond(mat[i]) > 1e15]
-        where = f" near omega = {bad[0]:.6e} rad/s" if bad else ""
+def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
+                       frequencies: np.ndarray, hop: np.ndarray,
+                       coupling: np.ndarray, phase: complex, w: np.ndarray,
+                       order: int, cavity_rhs: tuple,
+                       mech_rhs: tuple[np.ndarray, np.ndarray] | None = None,
+                       ) -> tuple[np.ndarray, ...]:
+    """Solve one order of the sideband hierarchy at ``v = order * w``.
+
+    The mechanics see the cavity only through ``X = conj(p) A- + p
+    conj(A+)``, with ``p`` the pump phase, weighted by the coupling vector
+    ``u`` (``g_l |alpha|`` on the sites, the complex ``c_k`` in the
+    normal-mode star basis).  The mechanical sidebands obey the chains ::
+
+        M- B- = s - i u X,               M- = gamma + i(H - v)
+        M+ conj(B+) = sc + i conj(u) X,  M+ = gamma - i(conj(H) + v)
+
+    where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
+    ``hop`` above it).  One Thomas sweep per chain gives the self-energy
+    ``sigma = u^T M+^-1 conj(u) - u^H M-^-1 u``, which leaves a 2x2 cavity
+    system per grid point; the mechanical amplitudes follow by
+    back-substitution.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and
+    ``mech_rhs = (s, sc)``, each ``(N, K)``, the two chains.
+
+    Returns ``(A-, conj(A+), B-, conj(B+))``, the last two ``(K, N)``.
+
+    Raises
+    ------
+    SingularSystemError
+        The cavity determinant vanishes or the solution is not finite at
+        some grid point.
+    """
+    v = order * w
+    shape = (len(frequencies), len(w), 1 if mech_rhs is None else 2)
+    rhs_m = np.empty(shape, dtype=complex)
+    rhs_p = np.empty(shape, dtype=complex)
+    rhs_m[:, :, 0] = coupling[:, None]
+    rhs_p[:, :, 0] = np.conj(coupling)[:, None]
+    if mech_rhs is not None:
+        rhs_m[:, :, 1], rhs_p[:, :, 1] = mech_rhs
+    d0 = kappa + 1j * (delta - v)
+    d1 = kappa - 1j * (delta + v)
+    # Overflow and a zero cavity determinant both end in non-finite
+    # amplitudes, reported once below.
+    with np.errstate(all="ignore"):
+        sol_m = _chain_solve(
+            damping[:, None] + 1j * (frequencies[:, None] - v),
+            1j * hop, 1j * np.conj(hop), rhs_m)
+        sol_p = _chain_solve(
+            damping[:, None] - 1j * (frequencies[:, None] + v),
+            -1j * np.conj(hop), -1j * hop, rhs_p)
+        # y: response to the cavity coupling; z: to the mechanical drive
+        # (zero when there is none).
+        y_m, z_m = sol_m[:, :, 0], sol_m[:, :, 1:].sum(axis=2)
+        y_p, z_p = sol_p[:, :, 0], sol_p[:, :, 1:].sum(axis=2)
+        sigma = coupling @ y_p - np.conj(coupling) @ y_m
+        s0 = np.conj(coupling) @ z_m + coupling @ z_p
+        f0 = cavity_rhs[0] - 1j * phase * s0
+        f1 = cavity_rhs[1] + 1j * np.conj(phase) * s0
+        det = d0 * d1 + 2j * delta * sigma
+        a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
+        a_plus_conj = ((d0 - sigma) * f1
+                       - sigma * np.conj(phase) ** 2 * f0) / det
+        x = np.conj(phase) * a_minus + phase * a_plus_conj
+        b_minus = z_m - 1j * x * y_m
+        b_plus_conj = z_p + 1j * x * y_p
+        bad = ~np.isfinite(a_minus + a_plus_conj
+                           + (b_minus + b_plus_conj).sum(axis=0))
+    if np.any(bad):
         raise SingularSystemError(
-            f"sideband response matrix is singular{where}") from None
+            "sideband response matrix is singular near omega = "
+            f"{w[np.argmax(bad)]:.6e} rad/s")
+    return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
 
 
-def _first_order_raw(view: _View, w: np.ndarray) -> np.ndarray:
-    mat = _sideband_matrix(view, w, order=1)
-    rhs = np.zeros((len(w), mat.shape[1]), dtype=complex)
-    rhs[:, 0] = view.eps_p
-    return _solve_batched(mat, rhs, w)
+def _site_response(view: _View, w: np.ndarray, order: int,
+                   cavity_rhs: tuple, mech_rhs=None) -> tuple[np.ndarray, ...]:
+    """:func:`_sideband_response` for the site-basis chain of ``view``."""
+    size = abs(view.alpha)
+    phase = view.alpha / size if size > 0.0 else 1.0
+    return _sideband_response(
+        view.kappa, view.delta, view.gamma, view.omega,
+        view.eta * np.exp(1j * view.theta), view.g * size, phase, w, order,
+        cavity_rhs, mech_rhs)
+
+
+def _first_order_raw(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    return _site_response(view, w, 1, (view.eps_p, 0.0))
 
 
 def _second_order_raw(view: _View, w: np.ndarray,
-                      x1: np.ndarray) -> np.ndarray:
-    n = len(view.omega)
-    a1m = x1[:, 0]
-    a1pc = x1[:, 1]
+                      x1: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    a1m, a1pc, b1m, b1pc = x1
     # Mechanical back-action sum S1 = sum_l g_l (B_l- + conj(B_l+)).
-    s1 = np.zeros(len(w), dtype=complex)
-    for l in range(n):
-        s1 += view.g[l] * (x1[:, 2 + 2 * l] + x1[:, 3 + 2 * l])
-    mat = _sideband_matrix(view, w, order=2)
-    rhs = np.zeros((len(w), 2 * n + 2), dtype=complex)
-    rhs[:, 0] = -1j * a1m * s1
-    rhs[:, 1] = 1j * a1pc * s1
-    for l in range(n):
-        rhs[:, 2 + 2 * l] = -1j * view.g[l] * a1pc * a1m
-        rhs[:, 3 + 2 * l] = 1j * view.g[l] * a1pc * a1m
-    return _solve_batched(mat, rhs, w)
+    s1 = (b1m + b1pc) @ view.g
+    drive = 1j * np.outer(view.g, a1pc * a1m)
+    return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1),
+                          (-drive, drive))
 
 
-def _pack_amplitudes(x: np.ndarray, n: int, scalar: bool, cls):
-    a_minus = x[:, 0]
-    a_plus_conj = x[:, 1]
-    b_minus = x[:, 2::2]
-    b_plus_conj = x[:, 3::2]
-    if scalar:
-        return cls(a_minus=complex(a_minus[0]),
-                   a_plus_conj=complex(a_plus_conj[0]),
-                   b_minus=b_minus[0].copy(),
-                   b_plus_conj=b_plus_conj[0].copy())
-    return cls(a_minus=a_minus, a_plus_conj=a_plus_conj,
-               b_minus=b_minus, b_plus_conj=b_plus_conj)
+def _amplitudes(cls, parts: tuple[np.ndarray, ...], scalar: bool):
+    if not scalar:
+        return cls(*parts)
+    a_minus, a_plus_conj, b_minus, b_plus_conj = parts
+    return cls(complex(a_minus[0]), complex(a_plus_conj[0]),
+               b_minus[0].copy(), b_plus_conj[0].copy())
 
 
 def solve_first_order(config: SystemConfig, steady: SteadyState,
@@ -356,9 +407,8 @@ def solve_first_order(config: SystemConfig, steady: SteadyState,
     FirstOrderAmplitudes
     """
     w, scalar = _as_grid(omega)
-    view = _view(config, steady)
-    x1 = _first_order_raw(view, w)
-    return _pack_amplitudes(x1, config.n_modes, scalar, FirstOrderAmplitudes)
+    return _amplitudes(FirstOrderAmplitudes,
+                       _first_order_raw(_view(config, steady), w), scalar)
 
 
 def solve_second_order(config: SystemConfig, steady: SteadyState,
@@ -385,27 +435,13 @@ def solve_second_order(config: SystemConfig, steady: SteadyState,
     if first is None:
         x1 = _first_order_raw(view, w)
     else:
-        x1 = _stack_amplitudes(first, len(w))
-    x2 = _second_order_raw(view, w, x1)
-    return _pack_amplitudes(x2, 2, scalar, SecondOrderAmplitudes)
-
-
-def _stack_amplitudes(first: FirstOrderAmplitudes, k: int) -> np.ndarray:
-    """Rebuild the raw solution matrix from a FirstOrderAmplitudes."""
-    a_minus = np.atleast_1d(np.asarray(first.a_minus, dtype=complex))
-    a_plus_conj = np.atleast_1d(np.asarray(first.a_plus_conj, dtype=complex))
-    b_minus = np.atleast_2d(np.asarray(first.b_minus, dtype=complex))
-    b_plus_conj = np.atleast_2d(np.asarray(first.b_plus_conj, dtype=complex))
-    if len(a_minus) != k:
-        raise InvalidParameterError(
-            "first-order amplitudes were computed on a different grid")
-    n = b_minus.shape[1]
-    x1 = np.zeros((k, 2 * n + 2), dtype=complex)
-    x1[:, 0] = a_minus
-    x1[:, 1] = a_plus_conj
-    x1[:, 2::2] = b_minus
-    x1[:, 3::2] = b_plus_conj
-    return x1
+        x1 = (*np.atleast_1d(first.a_minus, first.a_plus_conj),
+              *np.atleast_2d(first.b_minus, first.b_plus_conj))
+        if len(x1[0]) != len(w):
+            raise InvalidParameterError(
+                "first-order amplitudes were computed on a different grid")
+    return _amplitudes(SecondOrderAmplitudes, _second_order_raw(view, w, x1),
+                       scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +455,19 @@ def _require_two_modes(config: SystemConfig, what: str) -> None:
             f"got {config.n_modes} modes")
 
 
+def _t_polys(omega_m: np.ndarray, gamma: np.ndarray, eta: float,
+             w: float | np.ndarray) -> tuple:
+    """T1, T2, T3_1, T3_2 of the mechanical pair at ``w``."""
+    o1, o2 = omega_m
+    g1v, g2v = gamma
+    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w) * (g2v - 1j * w)
+    t2 = ((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
+          * (eta ** 2 + (g1v - 1j * (o1 + w)) * (g2v - 1j * (o2 + w))))
+    t3_1 = (g1v ** 2 + o1 ** 2 - w ** 2 - 2j * g1v * w) * o2 - o1 * eta ** 2
+    t3_2 = (g2v ** 2 + o2 ** 2 - w ** 2 - 2j * g2v * w) * o1 - o2 * eta ** 2
+    return t1, t2, t3_1, t3_2
+
+
 def chain_polynomials(config: SystemConfig,
                       omega: float | np.ndarray) -> TCoefficients:
     """Chain response polynomials T1, T2, T3_1, T3_2 at ``omega``.
@@ -428,17 +477,33 @@ def chain_polynomials(config: SystemConfig,
     """
     _require_two_modes(config, "the chain polynomial set")
     w = np.asarray(omega, dtype=float)
-    (o1, o2), (g1v, g2v), _ = config.mode_arrays()
-    eta = config.couplings[0].eta
-    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w) * (g2v - 1j * w)
-    t2 = ((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
-          * (eta ** 2 + (g1v - 1j * (o1 + w)) * (g2v - 1j * (o2 + w))))
-    t3_1 = (g1v ** 2 + o1 ** 2 - w ** 2 - 2j * g1v * w) * o2 - o1 * eta ** 2
-    t3_2 = (g2v ** 2 + o2 ** 2 - w ** 2 - 2j * g2v * w) * o1 - o2 * eta ** 2
+    omega_m, gamma, _ = config.mode_arrays()
+    t = _t_polys(omega_m, gamma, config.couplings[0].eta, w)
     if w.ndim == 0:
-        return TCoefficients(complex(t1), complex(t2), complex(t3_1),
-                             complex(t3_2))
-    return TCoefficients(t1, t2, t3_1, t3_2)
+        return TCoefficients(*(complex(x) for x in t))
+    return TCoefficients(*t)
+
+
+def _closed_terms(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """T2 and the mechanical and loop sums the T-polynomials feed at ``w``."""
+    eta, theta = view.eta[0], view.theta[0]
+    t1, t2, t3_1, t3_2 = _t_polys(view.omega, view.gamma, eta, w)
+    gg1, gg2 = view.g
+    mech = gg2 ** 2 * t3_1 + gg1 ** 2 * t3_2
+    loop = gg1 * gg2 * eta * t1 * math.cos(theta)
+    return t2, mech, loop
+
+
+def _v_factors(view: _View, w: float | np.ndarray) -> tuple:
+    """V1, V2, V3 of the closed-form mechanical amplitudes at ``w``."""
+    o1, o2 = view.omega
+    g1v, g2v = view.gamma
+    eta = view.eta[0]
+    cav = view.kappa - 1j * (view.delta + w)
+    v1 = (-eta ** 2 + (1j * g1v + o1 + w) * (1j * g2v + o2 + w)) * cav ** 2
+    v2 = (eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w)) * cav ** 2
+    v3 = (-eta ** 2 + (1j * g1v - o1 + w) * (1j * g2v - o2 + w)) * cav
+    return v1, v2, v3
 
 
 def _closed_first_arrays(view: _View, w: np.ndarray
@@ -450,21 +515,12 @@ def _closed_first_arrays(view: _View, w: np.ndarray
     o1, o2 = view.omega
     g1v, g2v = view.gamma
     gg1, gg2 = view.g
-    eta = view.eta[0] if len(view.eta) else 0.0
-    theta = view.theta[0] if len(view.theta) else 0.0
+    eta, theta = view.eta[0], view.theta[0]
     kap, delta, eps_p = view.kappa, view.delta, view.eps_p
     asq = abs(view.alpha) ** 2
     ac = np.conj(view.alpha)
-    ct = math.cos(theta)
 
-    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w) * (g2v - 1j * w)
-    t2 = ((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
-          * (eta ** 2 + (g1v - 1j * (o1 + w)) * (g2v - 1j * (o2 + w))))
-    t3_1 = (g1v ** 2 + o1 ** 2 - w ** 2 - 2j * g1v * w) * o2 - o1 * eta ** 2
-    t3_2 = (g2v ** 2 + o2 ** 2 - w ** 2 - 2j * g2v * w) * o1 - o2 * eta ** 2
-
-    mech = gg2 ** 2 * t3_1 + gg1 ** 2 * t3_2
-    loop = gg1 * gg2 * eta * t1 * ct
+    t2, mech, loop = _closed_terms(view, w)
     denom = (-t2 * (delta ** 2 + (kap - 1j * w) ** 2)
              + 4.0 * asq * delta * mech + 8.0 * loop * asq * delta)
     a1m = (t2 * (-kap + 1j * (delta + w)) - 2j * asq * mech
@@ -473,13 +529,7 @@ def _closed_first_arrays(view: _View, w: np.ndarray
     a1pc = (-2.0 * ac ** 2 * (kap - 1j * (delta + w))
             * (2.0 * loop + mech)) / shared * eps_p
 
-    v1 = ((-eta ** 2 + (1j * g1v + o1 + w) * (1j * g2v + o2 + w))
-          * (kap - 1j * (delta + w)) ** 2)
-    v2 = ((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
-          * (kap - 1j * (delta + w)) ** 2)
-    v3 = ((-eta ** 2 + (1j * g1v - o1 + w) * (1j * g2v - o2 + w))
-          * (kap - 1j * (delta + w)))
-
+    v1, v2, v3 = _v_factors(view, w)
     b1m = (gg1 * ac * v1 * (g2v + 1j * (o2 - w))
            - 1j * gg2 * ac * v1 * eta * np.exp(1j * theta)) / shared * eps_p
     b2m = (gg2 * ac * v1 * (g1v + 1j * (o1 - w))
@@ -504,39 +554,25 @@ def first_order_closed_form(config: SystemConfig, steady: SteadyState,
     """
     _require_two_modes(config, "the closed-form first-order solution")
     w, scalar = _as_grid(omega)
-    view = _view(config, steady)
-    a1m, a1pc, b1m, b2m, b1pc, b2pc = _closed_first_arrays(view, w)
-    b_minus = np.stack([b1m, b2m], axis=-1)
-    b_plus_conj = np.stack([b1pc, b2pc], axis=-1)
-    if scalar:
-        return FirstOrderAmplitudes(complex(a1m[0]), complex(a1pc[0]),
-                                    b_minus[0], b_plus_conj[0])
-    return FirstOrderAmplitudes(a1m, a1pc, b_minus, b_plus_conj)
+    a1m, a1pc, b1m, b2m, b1pc, b2pc = _closed_first_arrays(
+        _view(config, steady), w)
+    return _amplitudes(FirstOrderAmplitudes,
+                       (a1m, a1pc, np.stack([b1m, b2m], axis=-1),
+                        np.stack([b1pc, b2pc], axis=-1)), scalar)
 
 
-def _closed_second_arrays(view: _View, w: np.ndarray,
-                          fo: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Closed-form second-order cavity amplitude A2m on a grid."""
-    o1, o2 = view.omega
-    g1v, g2v = view.gamma
-    gg1, gg2 = view.g
-    eta = view.eta[0] if len(view.eta) else 0.0
-    theta = view.theta[0] if len(view.theta) else 0.0
-    kap, delta = view.kappa, view.delta
-    alpha = view.alpha
+def _chi_pair(view: _View, w: np.ndarray, fo: tuple[np.ndarray, ...]
+              ) -> tuple[np.ndarray, ...]:
+    """chi1, chi2 at the doubled detuning, and the back-action sum S1.
+
+    ``fo`` is the closed-form first order at ``w``.
+    """
+    kap, delta, alpha = view.kappa, view.delta, view.alpha
     asq = abs(alpha) ** 2
-    ct = math.cos(theta)
-    a1m, a1pc, b1m, b2m, b1pc, b2pc = fo
-
+    gg1, gg2 = view.g
+    a1m, _, b1m, b2m, b1pc, b2pc = fo
     w2 = 2.0 * w
-    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w2) * (g2v - 1j * w2)
-    t2 = ((eta ** 2 + (-1j * g1v + o1 - w2) * (1j * g2v - o2 + w2))
-          * (eta ** 2 + (g1v - 1j * (o1 + w2)) * (g2v - 1j * (o2 + w2))))
-    t3_1 = (g1v ** 2 + o1 ** 2 - w2 ** 2 - 2j * g1v * w2) * o2 - o1 * eta ** 2
-    t3_2 = (g2v ** 2 + o2 ** 2 - w2 ** 2 - 2j * g2v * w2) * o1 - o2 * eta ** 2
-    mech = gg1 ** 2 * t3_2 + gg2 ** 2 * t3_1
-    loop = gg1 * gg2 * eta * t1 * ct
-
+    t2, mech, loop = _closed_terms(view, w2)
     s_comb = gg1 * (b1m + b1pc) + gg2 * (b2m + b2pc)
     chi1 = (2j * alpha * (alpha * s_comb - a1m * (1j * kap + delta + w2))
             * (2.0 * loop + mech)
@@ -544,7 +580,15 @@ def _closed_second_arrays(view: _View, w: np.ndarray,
                - 4.0 * loop * asq))
     chi2 = 1.0 / (1.0 / (kap - 1j * (delta + w2))
                   - 1j * t2 / (2.0 * asq * (mech + 2.0 * loop)))
-    return (chi1 * a1pc + 1j * s_comb * a1m) / (chi2 - (kap + 1j * (delta - w2)))
+    return chi1, chi2, s_comb
+
+
+def _closed_second_arrays(view: _View, w: np.ndarray,
+                          fo: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Closed-form second-order cavity amplitude A2m on a grid."""
+    chi1, chi2, s_comb = _chi_pair(view, w, fo)
+    return ((chi1 * fo[1] + 1j * s_comb * fo[0])
+            / (chi2 - (view.kappa + 1j * (view.delta - 2.0 * w))))
 
 
 def second_order_closed_form(config: SystemConfig, steady: SteadyState,
@@ -558,8 +602,7 @@ def second_order_closed_form(config: SystemConfig, steady: SteadyState,
     _require_two_modes(config, "the closed-form second-order solution")
     w, scalar = _as_grid(omega)
     view = _view(config, steady)
-    fo = _closed_first_arrays(view, w)
-    a2m = _closed_second_arrays(view, w, fo)
+    a2m = _closed_second_arrays(view, w, _closed_first_arrays(view, w))
     return complex(a2m[0]) if scalar else a2m
 
 
@@ -574,41 +617,14 @@ def auxiliary_coefficients(config: SystemConfig, steady: SteadyState,
     _require_two_modes(config, "the auxiliary coefficient set")
     w = float(omega)
     view = _view(config, steady)
-    t_probe = chain_polynomials(config, w)
-    t_double = chain_polynomials(config, 2.0 * w)
-    o1, o2 = view.omega
-    g1v, g2v = view.gamma
-    gg1, gg2 = view.g
-    eta = view.eta[0] if len(view.eta) else 0.0
-    theta = view.theta[0] if len(view.theta) else 0.0
-    kap, delta = view.kappa, view.delta
-    alpha = view.alpha
-    asq = abs(alpha) ** 2
-    ct = math.cos(theta)
-
-    v1 = complex((-eta ** 2 + (1j * g1v + o1 + w) * (1j * g2v + o2 + w))
-                 * (kap - 1j * (delta + w)) ** 2)
-    v2 = complex((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
-                 * (kap - 1j * (delta + w)) ** 2)
-    v3 = complex((-eta ** 2 + (1j * g1v - o1 + w) * (1j * g2v - o2 + w))
-                 * (kap - 1j * (delta + w)))
-
     warr = np.array([w])
-    fo = _closed_first_arrays(view, warr)
-    a1m, a1pc, b1m, b2m, b1pc, b2pc = (x[0] for x in fo)
-    w2 = 2.0 * w
-    mech = gg1 ** 2 * t_double.t3_2 + gg2 ** 2 * t_double.t3_1
-    loop = gg1 * gg2 * eta * t_double.t1 * ct
-    s_comb = gg1 * (b1m + b1pc) + gg2 * (b2m + b2pc)
-    chi1 = (2j * alpha * (alpha * s_comb - a1m * (1j * kap + delta + w2))
-            * (2.0 * loop + mech)
-            / ((1j * kap + delta + w2) * t_double.t2 - 2.0 * asq * mech
-               - 4.0 * loop * asq))
-    chi2 = 1.0 / (1.0 / (kap - 1j * (delta + w2))
-                  - 1j * t_double.t2 / (2.0 * asq * (mech + 2.0 * loop)))
-    return AuxiliaryCoefficients(t_probe=t_probe, t_double=t_double,
-                                 v1=v1, v2=v2, v3=v3,
-                                 chi1=complex(chi1), chi2=complex(chi2))
+    chi1, chi2, _ = _chi_pair(view, warr, _closed_first_arrays(view, warr))
+    v1, v2, v3 = _v_factors(view, w)
+    return AuxiliaryCoefficients(t_probe=chain_polynomials(config, w),
+                                 t_double=chain_polynomials(config, 2.0 * w),
+                                 v1=complex(v1), v2=complex(v2),
+                                 v3=complex(v3), chi1=complex(chi1[0]),
+                                 chi2=complex(chi2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +664,11 @@ def _phase_and_delay(w: np.ndarray, t_p: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Unwrapped phase and five-point stencil group delay (NaN at edges)."""
     phase = np.unwrap(np.angle(t_p))
-    k = len(w)
-    delay = np.full(k, np.nan)
-    if k >= 5:
-        steps = np.diff(w)
-        h = steps[0]
-        if h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0):
-            delay[2:-2] = (8.0 * (phase[3:-1] - phase[1:-3])
-                           - (phase[4:] - phase[:-4])) / (12.0 * h)
+    delay = np.full(len(w), np.nan)
+    h = _uniform_step(w) if len(w) >= 5 else None
+    if h is not None:
+        delay[2:-2] = (8.0 * (phase[3:-1] - phase[1:-3])
+                       - (phase[4:] - phase[:-4])) / (12.0 * h)
     return phase, delay
 
 
@@ -721,21 +734,21 @@ def compute_spectrum(config: SystemConfig,
             "probe amplitude must be > 0 to compute a spectrum")
 
     x1 = _first_order_raw(view, w)
-    t_p, power = transmission(x1[:, 0], view.eps_p, view.kappa)
+    t_p, power = transmission(x1[0], view.eps_p, view.kappa)
     phase, delay = _phase_and_delay(w, t_p)
 
     discrepancy = np.full(len(w), np.nan)
     efficiency = np.full(len(w), np.nan)
     if config.n_modes == 2:
         fo_closed = _closed_first_arrays(view, w)
-        discrepancy = _relative_gap(x1[:, 0], fo_closed[0])
+        discrepancy = _relative_gap(x1[0], fo_closed[0])
         if want_second:
             x2 = _second_order_raw(view, w, x1)
             efficiency = 100.0 * second_order_efficiency(
-                x2[:, 0], view.eps_p, view.kappa)
+                x2[0], view.eps_p, view.kappa)
             a2_closed = _closed_second_arrays(view, w, fo_closed)
             discrepancy = np.maximum(
-                discrepancy, _relative_gap(x2[:, 0], a2_closed))
+                discrepancy, _relative_gap(x2[0], a2_closed))
 
     metadata: dict[str, Any] = {
         "n_modes": config.n_modes,
@@ -791,9 +804,8 @@ def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
     if k < 11:
         raise InvalidParameterError(
             "group delay needs a grid of at least 11 points")
-    steps = np.diff(w)
-    h = steps[0]
-    if not (h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+    h = _uniform_step(w)
+    if h is None:
         raise InvalidParameterError("group delay requires a uniform grid")
     idx = spectrum.nearest_index(at)
     if idx < 5 or idx > k - 6:
@@ -809,4 +821,4 @@ def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
     delay = (8.0 * (phase[idx + 1] - phase[idx - 1])
              - (phase[idx + 2] - phase[idx - 2])) / (12.0 * h)
     return GroupDelayEstimate(delay=float(delay), omega=float(w[idx]),
-                              index=idx, step=float(h))
+                              index=idx, step=h)

@@ -39,6 +39,7 @@ __all__ = [
     "apply_parameter",
     "run_sweep",
     "write_spectrum_csv",
+    "json_safe",
     "spectrum_to_dict",
     "write_bundle",
     "resolve_jobs",
@@ -238,28 +239,28 @@ def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
             fh.write(text)
 
 
-def _json_safe(value):
+def json_safe(value):
     """Make a value JSON-serialisable: complex -> re/im, NaN -> None."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, complex):
-        return {"re": _json_safe(value.real), "im": _json_safe(value.imag)}
+        return {"re": json_safe(value.real), "im": json_safe(value.imag)}
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, np.generic):
-        return _json_safe(value.item())
+        return json_safe(value.item())
     if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+        return [json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     return value
 
 
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
     """JSON-ready dict of a spectrum (columns as named arrays)."""
-    return _json_safe({
+    return json_safe({
         "metadata": spectrum.metadata,
         "columns": {
             "omega_over_omega_m": spectrum.omega_normalized,
@@ -308,13 +309,13 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
                                allow_nan=False) + "\n",
                     encoding="utf-8")
             entry["file"] = name
-            entry["metadata"] = _json_safe(spectrum.metadata)
+            entry["metadata"] = json_safe(spectrum.metadata)
             written.append(path)
         points.append(entry)
     index = {
         "parameter": bundle.spec.parameter,
         "index": bundle.spec.index,
-        "lock_delta": _json_safe(bundle.spec.lock_delta),
+        "lock_delta": json_safe(bundle.spec.lock_delta),
         "values": list(bundle.spec.values),
         "points": points,
     }

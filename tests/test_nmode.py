@@ -129,7 +129,7 @@ def test_site_and_normal_mode_bases_agree():
     # and from the rotated star system must agree pointwise.
     rng = np.random.default_rng(31)
     grid_frac = np.linspace(0.85, 1.15, 41)
-    for n in (2, 3, 4, 6):
+    for n in (2, 3, 4, 6, 16):
         cfg = _random_phase_chain(rng, n)
         st = ol.solve_steady_state(cfg)
         w = grid_frac * cfg.omega_ref

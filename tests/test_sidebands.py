@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import omit_lab as ol
+from omit_lab import sidebands as sb
 
 from conftest import (
     FROZEN_A1_MINUS,
@@ -263,3 +264,103 @@ def test_zero_detuning_point_is_regular():
     cfg, steady, _ = random_two_mode(np.random.default_rng(5))
     first = ol.solve_first_order(cfg, steady, np.array([0.0]))
     assert np.all(np.isfinite(first.a_minus))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for the chain-elimination solve
+
+
+def _sideband_matrix(view, w: np.ndarray, order: int) -> np.ndarray:
+    """Dense sideband matrix at ``order * w`` for each grid frequency.
+
+    Unknown layout: ``[A-, conj(A+), B0-, conj(B0+), B1-, conj(B1+), ...]``.
+    """
+    n = len(view.omega)
+    m = 2 * n + 2
+    ww = order * w
+    mat = np.zeros((len(w), m, m), dtype=complex)
+    mat[:, 0, 0] = view.kappa + 1j * (view.delta - ww)
+    mat[:, 1, 1] = view.kappa - 1j * (view.delta + ww)
+    a = view.alpha
+    ac = np.conj(a)
+    for l in range(n):
+        rm, rp = 2 + 2 * l, 3 + 2 * l
+        gl = view.g[l]
+        mat[:, 0, rm] = 1j * gl * a
+        mat[:, 0, rp] = 1j * gl * a
+        mat[:, 1, rm] = -1j * gl * ac
+        mat[:, 1, rp] = -1j * gl * ac
+        mat[:, rm, rm] = view.gamma[l] + 1j * (view.omega[l] - ww)
+        mat[:, rm, 0] = 1j * gl * ac
+        mat[:, rm, 1] = 1j * gl * a
+        mat[:, rp, rp] = view.gamma[l] - 1j * (view.omega[l] + ww)
+        mat[:, rp, 0] = -1j * gl * ac
+        mat[:, rp, 1] = -1j * gl * a
+        if l + 1 < n:
+            hop = view.eta[l] * np.exp(1j * view.theta[l])
+            mat[:, rm, rm + 2] = 1j * hop
+            mat[:, rp, rp + 2] = -1j * np.conj(hop)
+        if l - 1 >= 0:
+            hop = view.eta[l - 1] * np.exp(1j * view.theta[l - 1])
+            mat[:, rm, rm - 2] = 1j * np.conj(hop)
+            mat[:, rp, rp - 2] = -1j * hop
+    return mat
+
+
+def _dense_solve(view, w: np.ndarray, order: int, rhs: np.ndarray):
+    x = np.linalg.solve(_sideband_matrix(view, w, order), rhs[..., None])
+    x = x[..., 0]
+    return x[:, 0], x[:, 1], x[:, 2::2], x[:, 3::2]
+
+
+def _random_chain(rng: np.random.Generator, n: int):
+    """Random N-mode chain with a random phase on every link."""
+    om = 6e6 * float(rng.uniform(0.5, 2.0))
+    cfg = ol.SystemConfig(
+        cavity=ol.CavityParams(
+            kappa=om * 10 ** float(rng.uniform(-2.0, -0.2)),
+            delta_c=float(rng.uniform(-3.0, 3.0)) * om),
+        modes=tuple(
+            ol.MechanicalMode(omega=om * float(rng.uniform(0.9, 1.1)),
+                              gamma=om * 10 ** float(rng.uniform(-5, -2)),
+                              g=10 ** float(rng.uniform(0.0, 1.8)))
+            for _ in range(n)),
+        couplings=tuple(
+            ol.PhononCoupling(eta=float(rng.uniform(0.0, 0.15)) * om,
+                              theta=float(rng.uniform(0.0, TWO_PI)))
+            for _ in range(n - 1)),
+        drive=ol.DriveSpec(power_pump=1.5e-3, omega_pump=1.77e15),
+    )
+    alpha = 10 ** float(rng.uniform(2, 5)) * np.exp(
+        1j * float(rng.uniform(0.0, TWO_PI)))
+    steady = synthetic_steady(alpha, cfg.cavity.delta_c, n)
+    return cfg, steady, rng.uniform(-3.0, 3.0, 64) * om
+
+
+def test_chain_elimination_matches_dense_solve():
+    # The Schur-complement solve against a dense (2N+2)x(2N+2) solve of
+    # the same sideband system, for the first- and second-order
+    # right-hand sides; B arrays are compared per grid point against their
+    # largest mode amplitude.
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 3, 8, 16):
+        for _ in range(4):
+            cfg, steady, w = _random_chain(rng, n)
+            view = sb._view(cfg, steady)
+            first = sb._first_order_raw(view, w)
+            rhs = np.zeros((len(w), 2 * n + 2), dtype=complex)
+            rhs[:, 0] = view.eps_p
+            dense_first = _dense_solve(view, w, 1, rhs)
+            a1m, a1pc, b1m, b1pc = dense_first
+            s1 = (b1m + b1pc) @ view.g
+            rhs[:, 0] = -1j * a1m * s1
+            rhs[:, 1] = 1j * a1pc * s1
+            rhs[:, 2::2] = -1j * np.outer(a1pc * a1m, view.g)
+            rhs[:, 3::2] = 1j * np.outer(a1pc * a1m, view.g)
+            second = sb._second_order_raw(view, w, dense_first)
+            dense_second = _dense_solve(view, w, 2, rhs)
+            for got, want in zip(first + second, dense_first + dense_second):
+                got = got.reshape(len(w), -1)
+                want = want.reshape(len(w), -1)
+                scale = np.max(np.abs(want), axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-10 * scale), n
