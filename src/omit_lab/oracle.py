@@ -127,6 +127,48 @@ def _fastest_rate(config: SystemConfig, omega_probe: float | None) -> float:
     return max(rates)
 
 
+def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
+                    w_probe: float):
+    """Right-hand side of the mean-field equations on real coordinates.
+
+    ``y = (Re a, Im a, Re b_1, Im b_1, ...)``.  The linear part (decay,
+    detunings, hopping) is one real operator built here once; the returned
+    ``rhs(t, y)`` adds the radiation-pressure terms and the drives.
+    """
+    n = config.n_modes
+    omega, gamma, g = config.mode_arrays()
+    eta, theta = config.coupling_arrays()
+    # Complex generator on (a, b_1, ..., b_N), then its real 2x2 blocks.
+    gen = np.diag(np.concatenate((
+        [-(config.cavity.kappa + 1j * config.cavity.delta_c)],
+        -(gamma + 1j * omega))))
+    idx = np.arange(1, n)
+    gen[idx, idx + 1] = -1j * eta * np.exp(1j * theta)
+    gen[idx + 1, idx] = -1j * eta * np.exp(-1j * theta)
+    op = np.empty((2 * (n + 1), 2 * (n + 1)))
+    op[0::2, 0::2] = op[1::2, 1::2] = gen.real
+    op[0::2, 1::2] = -gen.imag
+    op[1::2, 0::2] = gen.imag
+    # x = 2 sum_l g_l Re b_l, and -g_l |a|^2 into each Im b_l.
+    gx = np.zeros(2 * (n + 1))
+    gx[2::2] = 2.0 * g
+    push = np.zeros(2 * (n + 1))
+    push[3::2] = -g
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        out = op @ y
+        ar, ai = y[:2].tolist()
+        x = gx.dot(y)
+        out += (ar * ar + ai * ai) * push
+        # -i a x + eps_L + eps_p exp(-i Omega t) on the cavity.
+        wt = w_probe * t
+        out[0] += ai * x + eps_l + eps_p * math.cos(wt)
+        out[1] -= ar * x + eps_p * math.sin(wt)
+        return out
+
+    return rhs
+
+
 def integrate_mean_field(config: SystemConfig, t_final: float, *,
                          omega_probe: float | None = None,
                          include_probe: bool = True,
@@ -186,10 +228,7 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
             "samples per period)")
 
     n = config.n_modes
-    omega, gamma, g = config.mode_arrays()
-    eta, theta = config.coupling_arrays()
     kappa = config.cavity.kappa
-    delta_c = config.cavity.delta_c
     w_probe = float(omega_probe) if omega_probe is not None else 0.0
 
     if isinstance(initial, str):
@@ -212,23 +251,8 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
             raise InvalidParameterError(
                 f"initial mechanical amplitudes must have shape ({n},)")
 
-    # Hopping coefficients feeding each mode from its neighbours.
-    hop_next = 1j * np.append(eta * np.exp(1j * theta), 0.0)
-    hop_prev = 1j * np.append(0.0, eta * np.exp(-1j * theta))
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a = y[0] + 1j * y[1]
-        b = y[2::2] + 1j * y[3::2]
-        da = (-(kappa + 1j * delta_c) * a
-              - 1j * a * np.dot(g, 2.0 * b.real) + eps_l)
-        if eps_p > 0.0:
-            da += eps_p * np.exp(-1j * w_probe * t)
-        db = -(gamma + 1j * omega) * b - 1j * g * (a.real ** 2 + a.imag ** 2)
-        db -= hop_next * np.append(b[1:], 0.0) + hop_prev * np.append(0.0, b[:-1])
-        out = np.empty(2 * (n + 1))
-        out[0], out[1] = da.real, da.imag
-        out[2::2], out[3::2] = db.real, db.imag
-        return out
+    # The linear part of the equations is a precomputed real operator.
+    rhs = _mean_field_rhs(config, eps_l, eps_p, w_probe)
 
     scale = max(abs(alpha0), eps_l / kappa, 1.0)
     limit_sq = (_OVERFLOW_FACTOR * scale) ** 2

@@ -208,11 +208,6 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
 # File output
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal form; NaN prints as 'nan'."""
-    return repr(float(value))
-
-
 def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
     """Write a spectrum as CSV with the standard column set.
 
@@ -230,7 +225,8 @@ def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
         spectrum.route_discrepancy,
     ])
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # repr of a Python float: shortest round-trip form, NaN as 'nan'.
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)

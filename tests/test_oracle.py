@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,87 @@ import omit_lab as ol
 from omit_lab import oracle as oracle_mod
 
 
-def test_unprobed_steady_state_is_stationary(split_config, split_steady):
+def _assert_stationary(config, steady):
     # Starting exactly on the fixed point with the probe off, nothing may
     # move beyond integration tolerance.
-    period = 2.0 * math.pi / split_config.omega_ref
+    period = 2.0 * math.pi / config.omega_ref
     tr = ol.integrate_mean_field(
-        split_config, 40 * period, include_probe=False,
-        initial=(split_steady.alpha, np.asarray(split_steady.betas)))
-    drift = np.max(np.abs(tr.cavity - split_steady.alpha))
-    assert drift <= 1e-6 * abs(split_steady.alpha)
+        config, 40 * period, include_probe=False,
+        initial=(steady.alpha, np.asarray(steady.betas)))
+    drift = np.max(np.abs(tr.cavity - steady.alpha))
+    assert drift <= 1e-6 * abs(steady.alpha)
+
+
+def test_unprobed_steady_state_is_stationary(split_config, split_steady):
+    _assert_stationary(split_config, split_steady)
+
+
+@pytest.mark.parametrize("n, chain", [
+    (1, {}),
+    (3, {"eta_frac": 0.05, "theta": 0.37 * math.pi}),
+], ids=["n1", "n3_broken"])
+def test_unprobed_steady_state_is_stationary_other_chains(n, chain):
+    config = ol.standard_setup(n, **chain)
+    _assert_stationary(config, ol.solve_steady_state(config))
+
+
+def _equations(config, eps_l, eps_p, w_probe, t, a, b):
+    """The module docstring's mean-field equations, term by term."""
+    omega, gamma, g = config.mode_arrays()
+    eta, theta = config.coupling_arrays()
+    kappa, delta_c = config.cavity.kappa, config.cavity.delta_c
+    n = config.n_modes
+    da = (-(kappa + 1j * delta_c) * a
+          - 1j * a * sum(g[l] * (b[l] + np.conj(b[l])) for l in range(n))
+          + eps_l + eps_p * np.exp(-1j * w_probe * t))
+    db = np.empty(n, dtype=complex)
+    for l in range(n):
+        db[l] = -(gamma[l] + 1j * omega[l]) * b[l] - 1j * g[l] * abs(a) ** 2
+        if l > 0:
+            db[l] -= 1j * eta[l - 1] * np.exp(-1j * theta[l - 1]) * b[l - 1]
+        if l < n - 1:
+            db[l] -= 1j * eta[l] * np.exp(1j * theta[l]) * b[l + 1]
+    return da, db
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_mean_field_rhs_matches_equations(n):
+    rng = np.random.default_rng(100 + n)
+    base = ol.standard_setup(n)
+    omega_m = base.omega_ref
+    for _ in range(4):
+        config = replace(
+            base,
+            cavity=replace(base.cavity,
+                           delta_c=rng.uniform(-2.0, 2.0) * omega_m),
+            modes=tuple(
+                replace(m, omega=m.omega * rng.uniform(0.8, 1.2),
+                        gamma=m.gamma * rng.uniform(0.5, 2.0),
+                        g=m.g * rng.uniform(0.5, 2.0))
+                for m in base.modes),
+            couplings=tuple(
+                ol.PhononCoupling(eta=rng.uniform(0.0, 0.1) * omega_m,
+                                  theta=rng.uniform(0.0, 2.0 * math.pi))
+                for _ in range(n - 1)))
+        eps_l = rng.uniform(1e9, 1e10)
+        w_probe = rng.uniform(0.5, 1.5) * omega_m
+        for eps_p in (0.0, rng.uniform(1e7, 1e8)):
+            rhs = oracle_mod._mean_field_rhs(config, eps_l, eps_p, w_probe)
+            for _ in range(5):
+                t = rng.uniform(0.0, 1e-3)
+                a = complex(*rng.normal(scale=1e3, size=2))
+                b = rng.normal(scale=1e2, size=n) \
+                    + 1j * rng.normal(scale=1e2, size=n)
+                y = np.empty(2 * (n + 1))
+                y[0], y[1] = a.real, a.imag
+                y[2::2], y[3::2] = b.real, b.imag
+                da, db = _equations(config, eps_l, eps_p, w_probe, t, a, b)
+                want = np.empty_like(y)
+                want[0], want[1] = da.real, da.imag
+                want[2::2], want[3::2] = db.real, db.imag
+                got = rhs(t, y)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want))
 
 
 def test_demodulate_recovers_synthetic_harmonics():

@@ -364,3 +364,15 @@ def test_chain_elimination_matches_dense_solve():
                 want = want.reshape(len(w), -1)
                 scale = np.max(np.abs(want), axis=1, keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), n
+
+
+def test_zero_cavity_determinant_raises_typed_error():
+    # kappa = 0 with the mechanics decoupled leaves det = d0 d1, which
+    # vanishes where the sideband frequency meets the detuning.
+    w = np.linspace(0.5, 1.5, 11)
+    with pytest.raises(ol.SingularSystemError,
+                       match=r"omega = 1\.000000e\+00"):
+        sb._sideband_response(
+            0.0, 1.0, np.array([0.01]), np.array([1.0]),
+            np.zeros(0, dtype=complex), np.zeros(1, dtype=complex), 1.0, w,
+            1, (np.ones_like(w), np.zeros_like(w)))
