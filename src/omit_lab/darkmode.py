@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import (
     InvalidParameterError,
@@ -350,20 +349,83 @@ def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
     return float(gamma[0] + total_opt)
 
 
+def _find_windows(power: np.ndarray, min_prominence: float
+                  ) -> list[tuple[int, float, float]]:
+    """``(peak index, width in samples, prominence)`` of each window.
+
+    The same algorithm, and the same floating-point operations, as
+    ``scipy.signal.find_peaks(power, prominence=min_prominence)`` followed
+    by ``peak_widths(power, peaks, rel_height=0.5)``:
+
+    * a peak is a strict rise, a run of equal samples and a strict fall;
+      it sits at the middle of the run, rounded down, so the first and
+      last samples are never peaks;
+    * on each side the base is the lowest sample before the first one
+      higher than the peak (or the edge), the one nearest the peak on
+      ties; the prominence is the peak minus the higher of the two bases;
+    * the width is taken at half prominence, walking out from the peak no
+      further than the bases and interpolating linearly between samples.
+    """
+    x = np.asarray(power, dtype=float)
+    change = np.flatnonzero(x[1:] != x[:-1])  # x[j] != x[j + 1]
+    rising = x[change + 1] > x[change]
+    tops = np.flatnonzero(rising[:-1] & ~rising[1:])  # rise, then fall
+    peaks = (change[tops] + 1 + change[tops + 1]) // 2
+    last = len(x) - 1
+    windows = []
+    for p in peaks.tolist():
+        top = x[p]
+        higher = x > top  # False at p, so argmax 0 means "none"
+        d = int(higher[p::-1].argmax())
+        lo = p - d + 1 if d else 0
+        d = int(higher[p:].argmax())
+        hi = p + d - 1 if d else last
+        left = p - int(x[lo:p + 1][::-1].argmin())
+        right = p + int(x[p:hi + 1].argmin())
+        prominence = top - max(x[left], x[right])
+        if not min_prominence <= prominence:
+            continue
+        height = top - prominence * 0.5
+        below = np.flatnonzero(x[left + 1:p + 1] <= height)
+        i = left + 1 + int(below[-1]) if len(below) else left
+        left_ip = float(i)
+        if x[i] < height:
+            left_ip += (height - x[i]) / (x[i + 1] - x[i])
+        below = np.flatnonzero(x[p:right] <= height)
+        i = p + int(below[0]) if len(below) else right
+        right_ip = float(i)
+        if x[i] < height:
+            right_ip -= (height - x[i]) / (x[i - 1] - x[i])
+        windows.append((p, right_ip - left_ip, float(prominence)))
+    return windows
+
+
 def fit_linewidth(spectrum: Spectrum,
                   rel_prominence: float = 0.05) -> list[LinewidthFit]:
     """Locate transparency windows and measure their widths.
 
     Peaks of ``|t_p|^2`` with prominence at least ``rel_prominence`` times
-    the full swing of the spectrum are fitted; the width is taken at half
-    prominence (the usual FWHM convention for peaks on a baseline).
-    Requires a uniform grid.
+    the full swing of the spectrum are fitted (the threshold is
+    inclusive); the width is taken at half prominence (the usual FWHM
+    convention for peaks on a baseline), interpolated linearly between
+    grid points.  A peak is a rise, a run of equal samples and a fall;
+    on a flat top the centre is the middle sample of the run, rounded
+    down.  A window whose top lies at either end of the grid is not
+    reported.  The algorithm is that of ``scipy.signal.find_peaks`` and
+    ``peak_widths`` and gives bit-identical results.  Requires a uniform
+    grid.
 
     Returns
     -------
     list of LinewidthFit
         One entry per window, ordered by increasing centre frequency;
         empty when the spectrum is featureless.
+
+    Raises
+    ------
+    InvalidParameterError
+        ``rel_prominence`` outside (0, 1), fewer than 5 grid points, a
+        non-uniform grid, or a non-finite transmission value.
     """
     if not 0.0 < rel_prominence < 1.0:
         raise InvalidParameterError(
@@ -375,16 +437,16 @@ def fit_linewidth(spectrum: Spectrum,
     if h is None:
         raise InvalidParameterError("linewidth fitting requires a uniform grid")
     power = spectrum.transmission
+    bad = np.flatnonzero(~np.isfinite(power))
+    if len(bad):
+        raise InvalidParameterError(
+            f"transmission has {len(bad)} non-finite point(s), the first "
+            f"at omega = {w[bad[0]]:.6e}")
     swing = float(np.max(power) - np.min(power))
     if swing <= 0.0:
         return []
-    peaks, props = find_peaks(power, prominence=rel_prominence * swing)
-    if len(peaks) == 0:
-        return []
-    widths = peak_widths(power, peaks, rel_height=0.5)[0]
     return [
         LinewidthFit(center=float(w[p]), fwhm=float(width * h),
-                     height=float(power[p]),
-                     prominence=float(prom))
-        for p, width, prom in zip(peaks, widths, props["prominences"])
+                     height=float(power[p]), prominence=prom)
+        for p, width, prom in _find_windows(power, rel_prominence * swing)
     ]

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omit_lab as ol
+from omit_lab.darkmode import _find_windows
 
 from conftest import (
     FROZEN_FWHM_ONE,
@@ -194,6 +201,94 @@ def test_fit_linewidth_featureless_spectrum(split_config):
         efficiency_percent=sp.efficiency_percent,
         route_discrepancy=sp.route_discrepancy, metadata=dict(sp.metadata))
     assert ol.fit_linewidth(flat) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_linewidth_rejects_non_finite_transmission(split_config, bad):
+    # Two windows are really present; one bad point must not make them
+    # vanish (NaN) or add a zero-width window of infinite prominence (inf).
+    sp = ol.compute_spectrum(split_config, points=401,
+                             include_second_order=False)
+    assert len(ol.fit_linewidth(sp)) == 2
+    power = sp.transmission.copy()
+    power[123] = bad
+    corrupted = dataclasses.replace(sp, transmission=power)
+    with pytest.raises(ol.InvalidParameterError, match="non-finite"):
+        ol.fit_linewidth(corrupted)
+
+
+def _scipy_windows(x, min_prominence):
+    """The reference: scipy.signal's peak search, imported only here."""
+    from scipy.signal import find_peaks, peak_widths
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-width / zero-prominence notes
+        peaks, props = find_peaks(x, prominence=min_prominence)
+        widths = peak_widths(x, peaks, rel_height=0.5)[0]
+    return list(zip(peaks.tolist(), widths.tolist(),
+                    props["prominences"].tolist()))
+
+
+def _assert_matches_scipy(x, min_prominence):
+    # Exact equality: indices, widths and prominences to the bit.
+    assert _find_windows(x, min_prominence) == _scipy_windows(
+        x, min_prominence), (x.tolist(), min_prominence)
+
+
+@pytest.mark.parametrize("n_modes, broken", [
+    (1, False), (2, False), (2, True), (4, True), (8, True)])
+def test_find_windows_matches_scipy_on_spectra(n_modes, broken):
+    cfg = (ol.standard_setup(n_modes, eta_frac=0.05, theta=math.pi / 2)
+           if broken else ol.standard_setup(n_modes))
+    x = ol.compute_spectrum(cfg, points=4001,
+                            include_second_order=False).transmission
+    swing = float(np.max(x) - np.min(x))
+    for rel in (0.0, 0.05, 0.5):
+        _assert_matches_scipy(x, rel * swing)
+    assert len(_find_windows(x, 0.05 * swing)) == (n_modes if broken else 1)
+
+
+def test_find_windows_matches_scipy_on_random_arrays():
+    rng = np.random.default_rng(20260)
+    for k in range(1200):
+        n = int(rng.integers(5, 200))
+        if k % 2:
+            x = np.cumsum(rng.standard_normal(n))
+        else:
+            # Few distinct values: plateaus at tops, bases and edges.
+            x = rng.integers(0, 4, n) * float(rng.choice([1.0, 0.1, 3e-7]))
+        swing = float(np.max(x) - np.min(x))
+        _assert_matches_scipy(x, float(rng.choice([0.0, 0.05, 0.3])) * swing)
+
+
+def test_find_windows_matches_scipy_on_edge_cases():
+    ramp = np.linspace(0.0, 1.0, 50)
+    cases = [
+        ramp, ramp[::-1].copy(), np.full(50, 0.7),
+        np.array([0.0, 1.0, 0.0, 1.0, 0.0]),
+        np.array([0.0, 1.0, 1.0, 1.0, 0.0]),
+        np.array([1.0, 0.0, 2.0, 0.0, 1.0]),
+        np.array([3.0, 1.0, 2.0, 0.5, 4.0]),   # maxima at 0 and K-1
+        np.array([2.0, 2.0, 1.0, 2.0, 2.0]),   # plateaus touching the ends
+    ]
+    for x in cases:
+        for min_prominence in (0.0, 0.5, 1.0):
+            _assert_matches_scipy(x, min_prominence)
+    # Ends are never peaks, even as global maxima.
+    assert [p for p, _, _ in _find_windows(cases[6], 0.0)] == [2]
+    # The threshold is inclusive: a prominence exactly at it is kept.
+    assert len(_find_windows(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 1.0)) == 1
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # fit_linewidth carries its own peak search so that importing the
+    # package does not pay for loading scipy.signal.
+    src = str(Path(ol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, omit_lab; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_fitted_linewidths_frozen(plain_config):
