@@ -56,6 +56,7 @@ from .model import (
     pump_amplitude,
     pump_frequency,
     solve_steady_state,
+    stability_margin,
     steady_state_residual,
 )
 from .nmode import (
@@ -124,7 +125,7 @@ __all__ = [
     "SystemConfig", "SteadyState", "drive_amplitude",
     "derive_single_photon_coupling", "pump_frequency", "pump_amplitude",
     "probe_amplitude", "effective_detuning", "solve_steady_state",
-    "steady_state_residual", "lock_effective_detuning",
+    "stability_margin", "steady_state_residual", "lock_effective_detuning",
     # sidebands
     "TCoefficients", "FirstOrderAmplitudes", "SecondOrderAmplitudes",
     "GroupDelayEstimate",

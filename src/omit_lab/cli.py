@@ -186,6 +186,10 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
             "photon_number": steady.photon_number,
             "delta_eff_rad_s": steady.delta_eff,
             "multistable": steady.multistable,
+            "branches_omega_m": [d / config.omega_ref
+                                 for d in steady.branches],
+            "branch_index": steady.branch_index,
+            "stability_margin_per_s": steady.margin,
         },
         "hybrid": asdict(report),
         "dark_mode_broken": broken,

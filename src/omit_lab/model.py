@@ -23,9 +23,9 @@ displacements through the effective detuning
 
     Delta = Delta_c + sum_l g_l (beta_l + beta_l*),
 
-so ``solve_steady_state`` iterates the fixed point with damping and checks
-for multistability by running the iteration from two different starting
-points.
+and the displacements are linear in the photon number ``|alpha|^2``.  So
+``solve_steady_state`` reduces the fixed point to a real cubic in
+``Delta``, takes every real root, and checks each root's linear stability.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "effective_detuning",
     "solve_mechanical_displacements",
     "solve_steady_state",
+    "stability_margin",
     "steady_state_residual",
     "lock_effective_detuning",
 ]
@@ -67,6 +68,12 @@ _HBAR = 6.62607015e-34 / (2 * math.pi)
 # sideband expansion outright; between WARN and HARD we only warn.
 _PROBE_RATIO_WARN = 0.05
 _PROBE_RATIO_HARD = 0.10
+
+# Steady state: a cubic root is real when |Im| < _REAL_ROOT_TOL |root|, and
+# _NEWTON_STEPS Newton steps must bring its residual below _RESIDUAL_TOL.
+_REAL_ROOT_TOL = 1e-6
+_NEWTON_STEPS = 4
+_RESIDUAL_TOL = 1e-12
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -260,35 +267,29 @@ class SystemConfig:
 class SteadyState:
     """Classical steady state of the pump-only problem.
 
-    Attributes
-    ----------
-    alpha : complex
-        Cavity amplitude.
-    betas : tuple of complex
-        Static mechanical amplitudes.
-    delta_eff : float
-        Effective cavity detuning including the static mechanical shift.
-    converged : bool
-        Whether the fixed-point iteration met its tolerance.
-    iterations : int
-        Iterations used by the primary run.
-    residual : float
-        Final relative residual of the primary run.
-    multistable : bool
-        True when iterations from independent starting points landed on
-        distinct fixed points (optical bistability).
-    alt_delta : float
-        Effective detuning found from the alternative start (diagnostic).
+    ``branches`` holds the effective detuning of every fixed point,
+    ascending.  The operating point is the first stable one in order of
+    distance from the bare detuning, or the nearest one when none is
+    stable (see :func:`solve_steady_state`).  ``margin`` is its stability
+    margin (:func:`stability_margin`), negative when it is unstable.
     """
 
-    alpha: complex
-    betas: tuple[complex, ...]
-    delta_eff: float
-    converged: bool
-    iterations: int
-    residual: float
-    multistable: bool
-    alt_delta: float
+    alpha: complex                # cavity amplitude
+    betas: tuple[complex, ...]    # static mechanical amplitudes
+    delta_eff: float              # effective detuning (rad/s)
+    converged: bool               # residual below tolerance
+    iterations: int               # Newton steps on the chosen root
+    residual: float               # its relative fixed-point residual
+    multistable: bool             # two or more fixed points are stable
+    alt_delta: float              # nearest other stable point or delta_eff
+    branches: tuple[float, ...] = ()   # empty if not from the solver
+    margin: float = math.nan           # 1/s; NaN if not from the solver
+
+    @property
+    def branch_index(self) -> int | None:
+        """Position of the operating point in ``branches`` (None if empty)."""
+        gaps = [abs(d - self.delta_eff) for d in self.branches]
+        return gaps.index(min(gaps)) if gaps else None
 
     @property
     def photon_number(self) -> float:
@@ -373,6 +374,18 @@ def effective_detuning(config: SystemConfig, betas: np.ndarray) -> float:
     return float(config.cavity.delta_c + np.dot(g, 2.0 * betas.real))
 
 
+def _chain_matrix(config: SystemConfig) -> np.ndarray:
+    """``gamma_l + i omega_l`` on the diagonal, ``i eta_l e^{+-i theta_l}``
+    beside it: the mechanical chain's static linear operator."""
+    omega, gamma, _ = config.mode_arrays()
+    eta, theta = config.coupling_arrays()
+    mat = np.diag(gamma + 1j * omega)
+    j = np.arange(config.n_modes - 1)
+    mat[j, j + 1] = 1j * eta * np.exp(1j * theta)    # beta_{j+1} feeding j
+    mat[j + 1, j] = 1j * eta * np.exp(-1j * theta)   # beta_j feeding j+1
+    return mat
+
+
 def solve_mechanical_displacements(config: SystemConfig,
                                    photon_number: float) -> np.ndarray:
     """Static mechanical amplitudes for a given intracavity photon number.
@@ -388,133 +401,119 @@ def solve_mechanical_displacements(config: SystemConfig,
     numpy.ndarray
         Complex array of length ``n_modes``.
     """
+    _, _, g = config.mode_arrays()
+    return np.linalg.solve(_chain_matrix(config), -1j * g * photon_number)
+
+
+def _drift_matrix(config: SystemConfig, delta: float) -> np.ndarray:
+    """Real Jacobian of the mean-field equations at the fixed point with
+    effective detuning ``delta`` on ``(Re a, Im a, Re b_1, Im b_1, ...)``,
+    the sideband matrix at zero probe detuning: ``dz/dt = L z + C z*`` on
+    ``z = (da, db)`` with ``da' = -(kappa + i Delta) da - i alpha g.(db +
+    db*)`` and ``db' = -(chain operator) db - i g (alpha* da + alpha da*)``."""
     n = config.n_modes
-    omega, gamma, g = config.mode_arrays()
-    eta, theta = config.coupling_arrays()
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(n), np.arange(n)] = gamma + 1j * omega
-    for j in range(n - 1):
-        hop = eta[j] * np.exp(1j * theta[j])
-        mat[j, j + 1] = 1j * hop            # beta_{j+1} feeding mode j
-        mat[j + 1, j] = 1j * np.conj(hop)   # beta_j feeding mode j+1
-    rhs = -1j * g * photon_number
-    return np.linalg.solve(mat, rhs)
+    _, _, g = config.mode_arrays()
+    alpha = pump_amplitude(config) / (config.cavity.kappa + 1j * delta)
+    lin = np.zeros((n + 1, n + 1), dtype=complex)
+    con = np.zeros_like(lin)
+    lin[0, 0] = -(config.cavity.kappa + 1j * delta)
+    lin[1:, 1:] = -_chain_matrix(config)
+    lin[0, 1:] = con[0, 1:] = con[1:, 0] = -1j * alpha * g
+    lin[1:, 0] = -1j * np.conj(alpha) * g
+    # z = x + iy: L z + C z* = (L + C) x + i (L - C) y.
+    plus, minus = lin + con, lin - con
+    drift = np.empty((2 * (n + 1), 2 * (n + 1)))
+    drift[0::2, 0::2], drift[1::2, 0::2] = plus.real, plus.imag
+    drift[0::2, 1::2], drift[1::2, 1::2] = -minus.imag, minus.real
+    return drift
 
 
-def _iterate_steady_state(config: SystemConfig, delta0: float, *,
-                          tol: float, max_iterations: int,
-                          damping: float) -> tuple[float, int, float]:
-    """Damped fixed-point iteration on the effective detuning.
-
-    Returns (delta, iterations, residual); convergence is judged on the
-    relative change of delta between substitutions.
-    """
-    eps_l = pump_amplitude(config)
-    kappa = config.cavity.kappa
-    delta = float(delta0)
-    residual = math.inf
-    for it in range(1, max_iterations + 1):
-        alpha = eps_l / (kappa + 1j * delta)
-        betas = solve_mechanical_displacements(config, abs(alpha) ** 2)
-        delta_new = effective_detuning(config, betas)
-        residual = abs(delta_new - delta) / max(abs(delta_new), 1.0)
-        delta = (1.0 - damping) * delta + damping * delta_new
-        if residual < tol:
-            return delta, it, residual
-    return delta, max_iterations, residual
+def stability_margin(config: SystemConfig, delta: float) -> float:
+    """Stability margin (1/s) of the fixed point with effective detuning
+    ``delta``: minus the largest real part of its drift-matrix eigenvalues
+    (Routh-Hurwitz).  Positive is stable; negative is the growth rate of
+    small deviations."""
+    eig = np.linalg.eigvals(_drift_matrix(config, delta))
+    return float(-np.max(eig.real))
 
 
-def solve_steady_state(config: SystemConfig, *, tol: float = 1e-12,
-                       max_iterations: int = 10000,
-                       damping: float = 0.5) -> SteadyState:
+def _polish(delta: float, delta_c: float, kappa: float,
+            load: float) -> tuple[float, int, float]:
+    """Newton on ``f(D) = D - Delta_c - load / (kappa^2 + D^2)`` until
+    ``f`` is zero or ``_NEWTON_STEPS`` are taken; returns (root, steps,
+    ``|f|`` relative to the largest detuning in it)."""
+    for steps in range(_NEWTON_STEPS + 1):
+        den = kappa * kappa + delta * delta
+        f = delta - delta_c - load / den
+        if f == 0.0 or steps == _NEWTON_STEPS:
+            break
+        delta -= f / (1.0 + 2.0 * load * delta / (den * den))
+    return float(delta), steps, abs(f) / max(abs(delta), abs(delta_c), 1.0)
+
+
+def _select_branch(branches, margins, delta_c: float) -> int:
+    """The first stable branch (margin > 0) in order of distance from the
+    bare detuning; the nearest branch when none is stable."""
+    order = np.argsort(np.abs(np.subtract(branches, delta_c)), kind="stable")
+    return int(next((i for i in order if margins[i] > 0.0), order[0]))
+
+
+def solve_steady_state(config: SystemConfig) -> SteadyState:
     """Solve the coupled classical steady state of cavity and mechanics.
 
-    The cavity amplitude depends on the effective detuning, which in turn
-    depends on the static mechanical displacements driven by the photon
-    number: a scalar fixed-point problem in ``Delta``.  A damped iteration
-    (default damping 0.5) is run from two starting points -- the bare
-    detuning and the detuning implied by the bare-cavity amplitude -- and
-    the results are compared to detect bistability.
-
-    Parameters
-    ----------
-    config : SystemConfig
-    tol : float
-        Relative tolerance on successive detuning updates.
-    max_iterations : int
-        Iteration cap per starting point.
-    damping : float
-        Fixed-point damping factor in (0, 1].
-
-    Returns
-    -------
-    SteadyState
-
-    Raises
-    ------
-    NonConvergentError
-        If the primary iteration does not reach ``tol``; the exception
-        carries the best residual achieved.
+    One chain solve at unit photon number gives the detuning shift per
+    photon ``s = 2 sum_l g_l Re beta_l(1)``, so the fixed points are the
+    real roots of ``(Delta - Delta_c) (kappa^2 + Delta^2) = s eps_L^2``,
+    taken with ``numpy.roots``, Newton-polished and kept when their
+    relative residual is below 1e-12.  Each gets a stability margin
+    (:func:`stability_margin`).  Selection rule: walk the roots in order
+    of ``|Delta - Delta_c|`` and take the first stable one; when none is
+    stable, take the nearest, whose negative margin reports it.  An
+    unstable point is returned, never raised; `NonConvergentError` is
+    raised when the cubic overflows or a real root misses the tolerance.
     """
-    if not 0.0 < damping <= 1.0:
-        raise InvalidParameterError(f"damping must be in (0, 1], got {damping}")
-    if max_iterations < 1:
-        raise InvalidParameterError("max_iterations must be >= 1")
     eps_l = pump_amplitude(config)
-    kappa = config.cavity.kappa
-    delta_c = config.cavity.delta_c
+    kappa, delta_c = config.cavity.kappa, config.cavity.delta_c
+    _, _, g = config.mode_arrays()
+    unit = solve_mechanical_displacements(config, 1.0)
+    load = float(np.dot(g, 2.0 * unit.real)) * eps_l * eps_l
 
-    delta_a, iters, residual = _iterate_steady_state(
-        config, delta_c, tol=tol, max_iterations=max_iterations,
-        damping=damping)
-    if residual >= tol:
+    # In units of kappa: x^3 - xc x^2 + x - (xc + load / kappa^3) = 0.
+    xc = delta_c / kappa
+    coeffs = np.array([1.0, -xc, 1.0, -xc - load / kappa ** 3])
+    if not np.all(np.isfinite(coeffs)):
         raise NonConvergentError(
-            f"steady state did not converge after {iters} iterations "
-            f"(residual {residual:.3e} >= tol {tol:.3e})",
-            residual=residual, iterations=iters)
+            f"steady-state cubic overflows (pump amplitude {eps_l:.3e})",
+            residual=math.inf, iterations=0)
+    found = sorted(_polish(kappa * r.real, delta_c, kappa, load)
+                   for r in np.roots(coeffs)
+                   if abs(r.imag) <= _REAL_ROOT_TOL * max(abs(r), 1.0))
+    worst = max((p[2] for p in found), default=math.inf)
+    if not worst < _RESIDUAL_TOL:
+        raise NonConvergentError(
+            f"a root of the steady-state cubic kept residual {worst:.3e} "
+            f">= {_RESIDUAL_TOL:.0e} after {_NEWTON_STEPS} Newton steps",
+            residual=worst, iterations=_NEWTON_STEPS)
 
-    # Undamped polish: the damped loop stops on step size, which leaves a
-    # fixed-point defect of order tol.  Near the solution the map is a mild
-    # contraction, so plain re-substitution shrinks the defect to rounding
-    # noise; stop as soon as it fails to improve.
-    prev_step = residual
-    for _ in range(30):
-        alpha = eps_l / (kappa + 1j * delta_a)
-        betas = solve_mechanical_displacements(config, abs(alpha) ** 2)
-        delta_new = effective_detuning(config, betas)
-        step = abs(delta_new - delta_a) / max(abs(delta_new), 1.0)
-        if not step < prev_step:
-            break
-        delta_a, prev_step = delta_new, step
-        if step < 1e-16:
-            break
-    residual = min(residual, prev_step)
-
-    # Second start: assume the bare-cavity amplitude first, then take the
-    # implied (shifted) detuning as the seed.
-    alpha0 = eps_l / (kappa + 1j * delta_c)
-    betas0 = solve_mechanical_displacements(config, abs(alpha0) ** 2)
-    seed_b = effective_detuning(config, betas0)
-    delta_b, _, residual_b = _iterate_steady_state(
-        config, seed_b, tol=tol, max_iterations=max_iterations,
-        damping=damping)
-    multistable = (residual_b < tol and
-                   abs(delta_b - delta_a) > 1e-6 * max(abs(delta_a), 1.0))
-
-    # Re-substitute once at the converged detuning so alpha, betas, and
-    # delta_eff reported together are mutually consistent.
-    alpha = eps_l / (kappa + 1j * delta_a)
-    betas = solve_mechanical_displacements(config, abs(alpha) ** 2)
+    branches = [p[0] for p in found]
+    margins = [stability_margin(config, d) for d in branches]
+    pick = _select_branch(branches, margins, delta_c)
+    stable = [d for d, m in zip(branches, margins) if m > 0.0]
+    alpha = eps_l / (kappa + 1j * branches[pick])
+    betas = abs(alpha) ** 2 * unit
     delta_eff = effective_detuning(config, betas)
     return SteadyState(
         alpha=complex(alpha),
         betas=tuple(complex(b) for b in betas),
-        delta_eff=float(delta_eff),
+        delta_eff=delta_eff,
         converged=True,
-        iterations=iters,
-        residual=float(residual),
-        multistable=bool(multistable),
-        alt_delta=float(delta_b),
+        iterations=found[pick][1],
+        residual=found[pick][2],
+        multistable=len(stable) >= 2,
+        alt_delta=min((d for d in stable if d != branches[pick]),
+                      key=lambda d: abs(d - delta_c), default=delta_eff),
+        branches=tuple(branches),
+        margin=margins[pick],
     )
 
 

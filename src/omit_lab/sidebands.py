@@ -245,7 +245,8 @@ def _uniform_step(w: np.ndarray) -> float | None:
     """Step of an increasing uniform grid (``len(w) >= 2``), else None."""
     steps = np.diff(w)
     h = steps[0]
-    if h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    # NaN anywhere makes the comparison False.
+    if h > 0 and np.abs(steps - h).max() <= 1e-9 * h:
         return float(h)
     return None
 

@@ -80,6 +80,17 @@ def test_darkmode_report(config_file, capsys):
     assert data["prediction_skipped"]
 
 
+def test_darkmode_report_steady_branches(config_file, split_config, capsys):
+    assert cli.main(["darkmode", "--config", config_file]) == 0
+    steady = json.loads(capsys.readouterr().out)["steady"]
+    solved = ol.solve_steady_state(split_config)
+    assert steady["branches_omega_m"] == pytest.approx([1.0], rel=1e-12)
+    assert steady["branch_index"] == 0
+    assert steady["stability_margin_per_s"] == pytest.approx(solved.margin,
+                                                             rel=1e-12)
+    assert steady["stability_margin_per_s"] > 0.0
+
+
 def test_darkmode_three_modes_exits_4(tmp_path, capsys):
     path = tmp_path / "chain3.cfg"
     ol.save_config(ol.standard_setup(3, eta_frac=0.05), path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy.constants import c as speed_of_light
 from scipy.constants import hbar
 
 import omit_lab as ol
+from omit_lab import model
 from omit_lab.model import solve_mechanical_displacements
+from omit_lab.oracle import _mean_field_rhs
 
 from conftest import (
     FROZEN_ALPHA_SPLIT,
@@ -187,12 +190,152 @@ def test_lock_effective_detuning_is_exact(plain_config):
         FROZEN_DELTA_C_PLAIN, rel=1e-14)
 
 
-def test_nonconvergence_reports_residual():
-    cfg = ol.standard_setup(2, eta_frac=0.05, theta=1.0)
+def test_overflowing_drive_raises_nonconvergent():
+    # A pump whose amplitude overflows leaves the cubic without finite
+    # coefficients: a typed failure carrying the residual, not a LinAlgError.
+    cfg = ol.standard_setup(2, eta_frac=0.05, theta=1.0, power_w=1e300,
+                            lock_delta_frac=None)
     with pytest.raises(ol.NonConvergentError) as err:
-        ol.solve_steady_state(cfg, max_iterations=2)
-    assert err.value.iterations == 2
-    assert err.value.residual > 0.0
+        ol.solve_steady_state(cfg)
+    assert err.value.iterations == 0
+    assert err.value.residual == math.inf
+
+
+def test_unpolished_root_is_refused(monkeypatch):
+    # Root estimates 1e-4 off with a single Newton step allowed cannot reach
+    # the residual tolerance; the solver raises instead of returning them.
+    cfg = ol.standard_setup(2, eta_frac=0.05, theta=1.0)
+    exact = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: exact(c) * (1.0 + 1e-4))
+    monkeypatch.setattr(model, "_NEWTON_STEPS", 1)
+    with pytest.raises(ol.NonConvergentError) as err:
+        ol.solve_steady_state(cfg)
+    assert err.value.iterations == 1
+    assert err.value.residual > 1e-12
+
+
+def _random_chain(rng, n):
+    om = float(rng.uniform(4e6, 8e6))
+    modes = tuple(
+        ol.MechanicalMode(omega=om * float(rng.uniform(0.95, 1.05)),
+                          gamma=om / float(rng.uniform(3e3, 1e4)),
+                          g=float(rng.uniform(5, 25)))
+        for _ in range(n))
+    couplings = tuple(
+        ol.PhononCoupling(eta=float(rng.uniform(0, 0.08)) * om,
+                          theta=float(rng.uniform(0, TWO_PI)))
+        for _ in range(n - 1))
+    return ol.SystemConfig(
+        cavity=ol.CavityParams(kappa=om * float(rng.uniform(0.15, 0.35)),
+                               delta_c=om * float(rng.uniform(0.9, 1.6))),
+        modes=modes, couplings=couplings,
+        drive=ol.DriveSpec(power_pump=float(rng.uniform(1e-4, 3e-3)),
+                           omega_pump=1.77e15))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
+def test_every_branch_is_a_fixed_point(n):
+    # Each reported branch, re-substituted through a fresh chain solve at
+    # its own photon number, reproduces its detuning.
+    rng = np.random.default_rng(700 + n)
+    for _ in range(4):
+        cfg = _random_chain(rng, n)
+        st = ol.solve_steady_state(cfg)
+        assert st.branches == tuple(sorted(st.branches))
+        assert st.delta_eff == pytest.approx(st.branches[st.branch_index],
+                                             rel=1e-12)
+        eps_l, kappa = ol.pump_amplitude(cfg), cfg.cavity.kappa
+        for delta in st.branches:
+            photons = abs(eps_l / (kappa + 1j * delta)) ** 2
+            betas = solve_mechanical_displacements(cfg, photons)
+            shifted = ol.effective_detuning(cfg, betas)
+            assert abs(shifted - delta) / max(abs(delta), 1.0) < 1e-12
+
+
+def test_six_mode_chain_has_three_branches_one_stable():
+    cfg = ol.standard_setup(6, eta_frac=0.05, theta=math.pi / 2)
+    st = ol.solve_steady_state(cfg)
+    om = cfg.omega_ref
+    assert [round(d / om, 3) for d in st.branches] == [-0.050, 0.107, 1.000]
+    margins = [ol.stability_margin(cfg, d) for d in st.branches]
+    assert margins[0] < 0.0 and margins[1] < 0.0
+    assert st.branch_index == 2
+    assert st.delta_eff == pytest.approx(om, rel=1e-12)
+    assert st.margin == margins[2]
+    assert st.margin == pytest.approx(3.874e3, rel=1e-3)
+    assert not st.multistable and st.alt_delta == st.delta_eff
+
+
+def test_long_chain_leaves_unstable_locked_point():
+    # The config is locked to Delta = omega_m, but at N = 64 that fixed
+    # point is unstable; the solver reports it and takes 1.0847 omega_m.
+    cfg = ol.standard_setup(64, eta_frac=0.05, theta=math.pi / 2)
+    st = ol.solve_steady_state(cfg)
+    om = cfg.omega_ref
+    assert len(st.branches) == 3
+    locked = st.branches[1]
+    assert locked == pytest.approx(om, rel=1e-12)
+    assert ol.stability_margin(cfg, locked) == pytest.approx(-9.73e5,
+                                                             rel=1e-3)
+    assert st.branch_index == 2
+    assert st.delta_eff / om == pytest.approx(1.0847, abs=1e-4)
+    assert st.margin > 0.0
+    assert ol.steady_state_residual(cfg, st) < 1e-12
+
+
+def test_bistable_drive_reports_both_stable_branches():
+    # One mode, Delta_c = 3 kappa, 4.9 mW: optical bistability with stable
+    # branches near 0.04 and 2.62 kappa around an unstable middle one.
+    base = ol.standard_setup(1, lock_delta_frac=None)
+    kappa = base.cavity.kappa
+    cfg = replace(base, cavity=replace(base.cavity, delta_c=3.0 * kappa),
+                  drive=replace(base.drive, power_pump=4.9e-3))
+    st = ol.solve_steady_state(cfg)
+    assert len(st.branches) == 3
+    margins = [ol.stability_margin(cfg, d) for d in st.branches]
+    assert margins[0] > 0.0 > margins[1] and margins[2] > 0.0
+    assert st.multistable
+    assert st.branch_index == 2  # the stable branch nearest Delta_c
+    assert st.alt_delta == st.branches[0]
+    assert st.alt_delta / kappa == pytest.approx(0.0422, abs=1e-4)
+
+
+def test_selection_rule_first_stable_branch_nearest_bare_detuning():
+    select = model._select_branch
+    # Nearest to Delta_c = 1.0 is 1.2, but it is unstable: take 0.5.
+    assert select([-1.0, 0.5, 1.2], [1.0, 2.0, -3.0], 1.0) == 1
+    # Both outer branches stable (bistable): the nearer one wins.
+    assert select([-1.0, 0.1, 1.2], [1.0, -2.0, 3.0], -0.8) == 0
+    assert select([-1.0, 0.1, 1.2], [1.0, -2.0, 3.0], 0.9) == 2
+    # Nothing stable: the nearest branch, unstable margin and all.
+    assert select([-1.0, 0.1, 1.2], [-1.0, -2.0, -3.0], 0.3) == 1
+    # A zero margin is not stable.
+    assert select([0.0, 2.0], [0.0, 5.0], 0.1) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_drift_matrix_is_jacobian_of_mean_field_rhs(n):
+    # Independent route: central differences of the time-domain oracle's
+    # right-hand side.  The equations are quadratic in the fields, so the
+    # difference quotient is exact up to rounding.
+    cfg = ol.standard_setup(n, eta_frac=0.05, theta=0.3 * math.pi)
+    st = ol.solve_steady_state(cfg)
+    eps_l = ol.pump_amplitude(cfg)
+    rhs = _mean_field_rhs(cfg, eps_l, 0.0, 0.0)
+    y0 = np.empty(2 * (n + 1))
+    y0[0], y0[1] = st.alpha.real, st.alpha.imag
+    betas = np.asarray(st.betas)
+    y0[2::2], y0[3::2] = betas.real, betas.imag
+    jac = np.empty((len(y0), len(y0)))
+    for j in range(len(y0)):
+        h = 1e-3 * max(abs(y0[j]), 1.0)
+        step = np.zeros_like(y0)
+        step[j] = h
+        jac[:, j] = (rhs(0.0, y0 + step) - rhs(0.0, y0 - step)) / (2.0 * h)
+    drift = model._drift_matrix(cfg, st.delta_eff)
+    assert np.max(np.abs(jac - drift)) <= 1e-9 * np.max(np.abs(drift))
+    margin_fd = -np.max(np.linalg.eigvals(jac).real)
+    assert margin_fd == pytest.approx(st.margin, rel=1e-6)
 
 
 def test_quality_factor_property():

@@ -11,6 +11,7 @@ import pytest
 
 import omit_lab as ol
 from omit_lab import oracle as oracle_mod
+from omit_lab.model import solve_mechanical_displacements
 
 
 def _assert_stationary(config, steady):
@@ -35,6 +36,28 @@ def test_unprobed_steady_state_is_stationary(split_config, split_steady):
 def test_unprobed_steady_state_is_stationary_other_chains(n, chain):
     config = ol.standard_setup(n, **chain)
     _assert_stationary(config, ol.solve_steady_state(config))
+
+
+def test_unstable_branch_is_left_and_chosen_branch_kept():
+    # At N = 64 the locked fixed point Delta = omega_m is unstable.  Kicked
+    # by 1e-6, the pump-only dynamics leave it within 20 growth times, while
+    # the branch the solver chose absorbs the same kick.
+    config = ol.standard_setup(64, eta_frac=0.05, theta=math.pi / 2)
+    steady = ol.solve_steady_state(config)
+    unstable = steady.branches[1]
+    rate = -ol.stability_margin(config, unstable)
+    assert rate > 0.0 and steady.margin > 0.0
+    eps_l, kappa = ol.pump_amplitude(config), config.cavity.kappa
+    for delta, leaves in ((unstable, True), (steady.delta_eff, False)):
+        alpha = eps_l / (kappa + 1j * delta)
+        betas = solve_mechanical_displacements(config, abs(alpha) ** 2)
+        tr = ol.integrate_mean_field(config, 20.0 / rate, include_probe=False,
+                                     initial=(alpha * (1.0 + 1e-6), betas))
+        drift = np.abs(tr.cavity - alpha) / abs(alpha)
+        if leaves:
+            assert drift[-1] > 1e-2
+        else:
+            assert np.max(drift) <= 2e-6 and drift[-1] < 1e-6
 
 
 def _equations(config, eps_l, eps_p, w_probe, t, a, b):

@@ -226,6 +226,23 @@ def test_spectrum_grid_validation(split_config):
         ol.compute_spectrum(split_config, span=(1.2, 0.8))
 
 
+def test_uniform_step_detection():
+    h = 0.25
+    exact = np.arange(11) * h  # every step is exactly h
+    assert sb._uniform_step(exact) == h
+    for off, uniform in ((2e-9, False), (0.5e-9, True)):
+        grid = exact.copy()
+        grid[6:] += off * h  # one step of h * (1 + off)
+        assert (sb._uniform_step(grid) is not None) == uniform
+        # Same meaning as an elementwise relative tolerance of 1e-9.
+        steps = np.diff(grid)
+        assert uniform == np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+    with_nan = exact.copy()
+    with_nan[4] = np.nan
+    assert sb._uniform_step(with_nan) is None
+    assert sb._uniform_step(exact[::-1]) is None
+
+
 def test_spectrum_edge_delay_is_nan(split_config):
     sp = ol.compute_spectrum(split_config, points=51, span=(0.9, 1.1))
     assert np.all(np.isnan(sp.group_delay[:2]))
