@@ -44,7 +44,7 @@ def main() -> None:
         print(f"  theta = {value:4.2f} pi   |t(0.95)|^2 = {left:.3f}   "
               f"|t(1.05)|^2 = {right:.3f}")
     print(f"\nmanifest covers {len(index['points'])} points; "
-          "re-running reproduces identical bytes (any worker count).")
+          "re-running reproduces identical bytes.")
 
     print("\navailable figure presets:")
     for name, description in sorted(ol.figure_presets().items()):

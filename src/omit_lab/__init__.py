@@ -104,7 +104,6 @@ from .sweep import (
     ResultBundle,
     SweepSpec,
     apply_parameter,
-    resolve_jobs,
     run_sweep,
     spectrum_to_dict,
     write_bundle,
@@ -147,7 +146,7 @@ __all__ = [
     # config / sweep / presets
     "load_config", "loads_config", "save_config", "emit_config",
     "SweepSpec", "ResultBundle", "apply_parameter", "run_sweep",
-    "resolve_jobs", "write_spectrum_csv", "write_bundle", "spectrum_to_dict",
+    "write_spectrum_csv", "write_bundle", "spectrum_to_dict",
     "CSV_COLUMNS",
     "reference_cavity", "reference_mode", "standard_setup",
     "figure_presets", "run_figure_preset",

@@ -13,9 +13,6 @@ Subcommands::
 Exit codes: 0 success; 2 configuration or argument problems; 3 numerical
 failures (non-convergence, instability, singular systems); 4 requests
 outside a method's domain (unsupported layout, regime, degenerate point).
-
-Worker count for sweeps comes from ``--jobs`` or the ``OMIT_LAB_JOBS``
-environment variable; outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from .sidebands import compute_spectrum
 from .sweep import (
     SweepSpec,
     json_safe,
-    resolve_jobs,
     run_sweep,
     spectrum_to_dict,
     write_bundle,
@@ -164,8 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lo, hi, count = _parse_grid(args.omega_grid)
         kwargs = {"span": (lo, hi), "points": count}
     include = False if args.no_second_order else None
-    bundle = run_sweep(config, spec, include_second_order=include,
-                       jobs=args.jobs, **kwargs)
+    bundle = run_sweep(config, spec, include_second_order=include, **kwargs)
     written = write_bundle(bundle, args.out_dir, fmt=args.format)
     for path in written:
         print(path)
@@ -258,7 +253,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     out_dir = args.out_dir if args.out_dir is not None else f"{args.name}_data"
-    written = run_figure_preset(args.name, out_dir, jobs=args.jobs)
+    written = run_figure_preset(args.name, out_dir)
     for path in written:
         print(path)
     return 0
@@ -303,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "at each point")
     sw.add_argument("--omega-grid", metavar="LO:HI:COUNT")
     sw.add_argument("--no-second-order", action="store_true")
-    sw.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: OMIT_LAB_JOBS or 1)")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.add_argument("--out-dir", required=True)
     sw.set_defaults(handler=_cmd_sweep)
@@ -355,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="preset name")
     fg.add_argument("--out-dir", default=None,
                     help="output directory (default: <name>_data)")
-    fg.add_argument("--jobs", type=int, default=None)
     fg.set_defaults(handler=_cmd_figure)
     return parser
 
@@ -363,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "jobs"):
-        # Validate early so a bad OMIT_LAB_JOBS fails before any work.
-        args.jobs = resolve_jobs(args.jobs)
     try:
         return args.handler(args)
     except (ConfigError, InvalidParameterError) as exc:

@@ -161,7 +161,7 @@ def _omega_m() -> float:
     return TWO_PI * REFERENCE["omega_m_hz"]
 
 
-def _fig2(out: Path, jobs: int | None) -> list[Path]:
+def _fig2(out: Path) -> list[Path]:
     """Dark mode present: linewidth vs power, spectra single vs two-mode.
 
     The ``fwhm_*`` columns are fitted full widths; the ``predicted_*``
@@ -195,7 +195,7 @@ def _fig2(out: Path, jobs: int | None) -> list[Path]:
     return written
 
 
-def _fig3(out: Path, jobs: int | None) -> list[Path]:
+def _fig3(out: Path) -> list[Path]:
     """Breaking the dark mode: single window splits in two."""
     written = []
     for label, eta_frac, theta in (("unbroken", 0.0, 0.0),
@@ -208,7 +208,7 @@ def _fig3(out: Path, jobs: int | None) -> list[Path]:
     return written
 
 
-def _fig4(out: Path, jobs: int | None) -> list[Path]:
+def _fig4(out: Path) -> list[Path]:
     """Window switching with the modulation phase."""
     written = []
     omega_m = _omega_m()
@@ -227,7 +227,7 @@ def _fig4(out: Path, jobs: int | None) -> list[Path]:
         base,
         SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
         omega=np.array([0.95 * omega_m, 1.05 * omega_m]),
-        include_second_order=False, jobs=jobs)
+        include_second_order=False)
     _require_ok(bundle)
     rows = []
     for theta, spec in zip(thetas, bundle.spectra):
@@ -239,7 +239,7 @@ def _fig4(out: Path, jobs: int | None) -> list[Path]:
     return written
 
 
-def _fig5(out: Path, jobs: int | None) -> list[Path]:
+def _fig5(out: Path) -> list[Path]:
     """Second-order sideband enhancement at strong hopping."""
     written = []
     omega_m = _omega_m()
@@ -255,7 +255,7 @@ def _fig5(out: Path, jobs: int | None) -> list[Path]:
     base = standard_setup(2, eta_frac=0.2, lock_delta_frac=None)
     bundle = run_sweep(
         base, SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
-        span=(0.6, 1.4), points=2001, jobs=jobs)
+        span=(0.6, 1.4), points=2001)
     _require_ok(bundle)
     rows = [(theta, float(np.nanmax(spec.efficiency_percent)))
             for theta, spec in zip(thetas, bundle.spectra)]
@@ -265,7 +265,7 @@ def _fig5(out: Path, jobs: int | None) -> list[Path]:
     return written
 
 
-def _fig6(out: Path, jobs: int | None) -> list[Path]:
+def _fig6(out: Path) -> list[Path]:
     """Group delay enhancement at the split windows."""
     written = []
     omega_m = _omega_m()
@@ -284,7 +284,7 @@ def _fig6(out: Path, jobs: int | None) -> list[Path]:
                             (target + 0.002) * omega_m, 41)
         bundle = run_sweep(
             base, SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
-            omega=local, include_second_order=False, jobs=jobs)
+            omega=local, include_second_order=False)
         _require_ok(bundle)
         for theta, sp in zip(thetas, bundle.spectra):
             est = group_delay(sp, target * omega_m)
@@ -296,7 +296,7 @@ def _fig6(out: Path, jobs: int | None) -> list[Path]:
     return written
 
 
-def _fig7(out: Path, jobs: int | None) -> list[Path]:
+def _fig7(out: Path) -> list[Path]:
     """N-mode chains: one window when dark, N windows when broken.
 
     In the summary table ``fwhm_unbroken_rad_s`` is a fitted full width and
@@ -354,12 +354,11 @@ def figure_presets() -> dict[str, str]:
     return {name: desc for name, (_, desc) in _FIGURES.items()}
 
 
-def run_figure_preset(name: str, out_dir, *,
-                      jobs: int | None = None) -> list[Path]:
+def run_figure_preset(name: str, out_dir) -> list[Path]:
     """Regenerate the data files behind one standard figure.
 
     Returns the list of files written (deterministic bytes for a given
-    package version, whatever the worker count).
+    package version).
     """
     try:
         builder, _ = _FIGURES[name]
@@ -369,4 +368,4 @@ def run_figure_preset(name: str, out_dir, *,
             f"{', '.join(sorted(_FIGURES))}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return builder(out, jobs)
+    return builder(out)

@@ -11,9 +11,8 @@ string works in a config file, in :func:`apply_parameter`, and on the
 command line; ``_hz`` values are plain frequencies (multiplied by 2*pi
 internally), angles are radians or units of pi, powers are watts.
 
-Outputs are deterministic: no timestamps, floats written with ``repr``
-(shortest round-trip form), and the same bytes regardless of the worker
-count used to produce them.
+Outputs are deterministic: no timestamps and floats written with ``repr``
+(shortest round-trip form), so a repeated run writes the same bytes.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,15 +39,12 @@ __all__ = [
     "json_safe",
     "spectrum_to_dict",
     "write_bundle",
-    "resolve_jobs",
 ]
 
 CSV_COLUMNS = ("omega_over_omega_m", "transmission", "efficiency_percent",
                "phase_rad", "group_delay_s", "route_discrepancy")
 
 TWO_PI = 2.0 * math.pi
-
-JOBS_ENV_VAR = "OMIT_LAB_JOBS"
 
 
 def _set_mode(config: SystemConfig, index: int, **changes) -> SystemConfig:
@@ -72,20 +66,27 @@ def _set_coupling(config: SystemConfig, index: int, **changes) -> SystemConfig:
     return replace(config, couplings=tuple(couplings))
 
 
+def _set_drive(config: SystemConfig, index: int, **changes) -> SystemConfig:
+    return replace(config, drive=replace(config.drive, **changes))
+
+
+def _set_cavity(config: SystemConfig, index: int, **changes) -> SystemConfig:
+    return replace(config, cavity=replace(config.cavity, **changes))
+
+
+# Key -> (setter, value -> field changes).  A setter called without changes
+# only checks ``index``, which is how run_sweep rejects a bad one up front.
 SWEEPABLE_PARAMETERS = {
-    "power_pump_w": lambda cfg, v, i: replace(
-        cfg, drive=replace(cfg.drive, power_pump=v)),
-    "probe_ratio": lambda cfg, v, i: replace(
-        cfg, drive=replace(cfg.drive, probe_ratio=v, power_probe=None)),
-    "delta_c_hz": lambda cfg, v, i: replace(
-        cfg, cavity=replace(cfg.cavity, delta_c=TWO_PI * v)),
-    "omega_hz": lambda cfg, v, i: _set_mode(cfg, i, omega=TWO_PI * v),
-    "gamma_hz": lambda cfg, v, i: _set_mode(cfg, i, gamma=TWO_PI * v),
-    "g_hz": lambda cfg, v, i: _set_mode(cfg, i, g=TWO_PI * v, mass=None),
-    "eta_hz": lambda cfg, v, i: _set_coupling(cfg, i, eta=TWO_PI * v),
-    "theta_rad": lambda cfg, v, i: _set_coupling(cfg, i, theta=v),
-    "theta_pi_units": lambda cfg, v, i: _set_coupling(
-        cfg, i, theta=v * math.pi),
+    "power_pump_w": (_set_drive, lambda v: {"power_pump": v}),
+    "probe_ratio": (_set_drive,
+                    lambda v: {"probe_ratio": v, "power_probe": None}),
+    "delta_c_hz": (_set_cavity, lambda v: {"delta_c": TWO_PI * v}),
+    "omega_hz": (_set_mode, lambda v: {"omega": TWO_PI * v}),
+    "gamma_hz": (_set_mode, lambda v: {"gamma": TWO_PI * v}),
+    "g_hz": (_set_mode, lambda v: {"g": TWO_PI * v, "mass": None}),
+    "eta_hz": (_set_coupling, lambda v: {"eta": TWO_PI * v}),
+    "theta_rad": (_set_coupling, lambda v: {"theta": v}),
+    "theta_pi_units": (_set_coupling, lambda v: {"theta": v * math.pi}),
 }
 
 
@@ -98,12 +99,12 @@ def apply_parameter(config: SystemConfig, parameter: str, value: float,
     for per-element keys and is ignored by the global ones.
     """
     try:
-        setter = SWEEPABLE_PARAMETERS[parameter]
+        setter, changes = SWEEPABLE_PARAMETERS[parameter]
     except KeyError:
         raise InvalidParameterError(
             f"unknown sweep parameter {parameter!r}; choose from "
             f"{', '.join(sorted(SWEEPABLE_PARAMETERS))}") from None
-    return setter(config, float(value), index)
+    return setter(config, index, **changes(float(value)))
 
 
 @dataclass(frozen=True)
@@ -147,61 +148,39 @@ class ResultBundle:
         return sum(e is not None for e in self.errors)
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: explicit argument, else the OMIT_LAB_JOBS variable, else 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _sweep_point(args) -> tuple[Spectrum | None, str | None]:
-    (config, spec, value, omega, span, points, include_second_order) = args
-    try:
-        point_cfg = apply_parameter(config, spec.parameter, value, spec.index)
-        if spec.lock_delta is not None:
-            point_cfg = lock_effective_detuning(point_cfg, spec.lock_delta)
-        spectrum = compute_spectrum(
-            point_cfg, omega, span=span, points=points,
-            include_second_order=include_second_order)
-        return spectrum, None
-    except OmitLabError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def run_sweep(config: SystemConfig, spec: SweepSpec, *,
               omega: np.ndarray | None = None,
               span: tuple[float, float] = (0.8, 1.2),
               points: int = 4001,
-              include_second_order: bool | None = None,
-              jobs: int | None = None) -> ResultBundle:
-    """Compute a spectrum per sweep value.
+              include_second_order: bool | None = None) -> ResultBundle:
+    """Compute a spectrum per sweep value, one value after another.
 
     Failures at individual points (non-convergent steady state, singular
     response, ...) are recorded and do not abort the rest of the sweep.
-    With ``jobs > 1`` points are computed in separate processes; results
-    and any output files are identical to the serial run.
+    A mode or coupling index out of range for ``config`` would fail every
+    point, so it raises :class:`InvalidParameterError` before any point is
+    computed.
     """
-    jobs = resolve_jobs(jobs)
-    tasks = [(config, spec, v, omega, span, points, include_second_order)
-             for v in spec.values]
-    if jobs == 1 or len(tasks) == 1:
-        outcomes = [_sweep_point(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_sweep_point, tasks))
-    spectra = tuple(s for s, _ in outcomes)
-    errors = tuple(e for _, e in outcomes)
-    return ResultBundle(spec=spec, spectra=spectra, errors=errors)
+    setter, _ = SWEEPABLE_PARAMETERS[spec.parameter]
+    setter(config, spec.index)
+    spectra: list[Spectrum | None] = []
+    errors: list[str | None] = []
+    for value in spec.values:
+        try:
+            point_cfg = apply_parameter(config, spec.parameter, value,
+                                        spec.index)
+            if spec.lock_delta is not None:
+                point_cfg = lock_effective_detuning(point_cfg,
+                                                    spec.lock_delta)
+            spectra.append(compute_spectrum(
+                point_cfg, omega, span=span, points=points,
+                include_second_order=include_second_order))
+            errors.append(None)
+        except OmitLabError as exc:
+            spectra.append(None)
+            errors.append(f"{type(exc).__name__}: {exc}")
+    return ResultBundle(spec=spec, spectra=tuple(spectra),
+                        errors=tuple(errors))
 
 
 # ---------------------------------------------------------------------------

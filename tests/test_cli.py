@@ -138,6 +138,15 @@ def test_sweep_values_range_exclusive(config_file, tmp_path):
                      "--out-dir", str(tmp_path / "x")]) == 2
 
 
+def test_sweep_out_of_range_index_exits_2(config_file, tmp_path, capsys):
+    out_dir = tmp_path / "bad_index"
+    assert cli.main(["sweep", "--config", config_file,
+                     "--param", "theta_rad", "--values", "0,1,2",
+                     "--index", "5", "--out-dir", str(out_dir)]) == 2
+    assert "coupling index 5 out of range" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_oracle_cli(config_file, tmp_path):
     out = tmp_path / "closure.json"
     assert cli.main(["oracle", "--config", config_file,
@@ -156,3 +165,14 @@ def test_figure_preset_cli(tmp_path, capsys):
     for line in printed:
         assert Path(line).exists()
     assert (out_dir / "fig4_windows_vs_theta.csv").exists()
+
+
+def test_figure_has_no_worker_setting(tmp_path, monkeypatch):
+    # Sweeps are serial: the former worker-count variable is ignored and
+    # the former flag is an unknown argument.
+    monkeypatch.setenv("OMIT_LAB_JOBS", "many")
+    assert cli.main(["figure", "fig3", "--out-dir", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "fig3", "--jobs", "2",
+                  "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import omit_lab as ol
-from omit_lab.sweep import CSV_COLUMNS, JOBS_ENV_VAR
+from omit_lab.sweep import CSV_COLUMNS
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,20 +62,6 @@ def test_sweep_spec_validation():
     assert spec.values == (1.0, 2.0)
 
 
-def test_resolve_jobs(monkeypatch):
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    assert ol.resolve_jobs(None) == 1
-    assert ol.resolve_jobs(4) == 4
-    monkeypatch.setenv(JOBS_ENV_VAR, "3")
-    assert ol.resolve_jobs(None) == 3
-    assert ol.resolve_jobs(2) == 2  # explicit argument wins
-    monkeypatch.setenv(JOBS_ENV_VAR, "many")
-    with pytest.raises(ol.InvalidParameterError):
-        ol.resolve_jobs(None)
-    with pytest.raises(ol.InvalidParameterError):
-        ol.resolve_jobs(0)
-
-
 def test_run_sweep_records_failures(split_config):
     spec = ol.SweepSpec(parameter="power_pump_w",
                         values=(5e-4, -1e-3, 1.5e-3))
@@ -88,21 +74,33 @@ def test_run_sweep_records_failures(split_config):
     assert bundle.errors[0] is None and bundle.errors[2] is None
 
 
-def test_parallel_sweep_matches_serial(split_config, tmp_path):
+def test_run_sweep_rejects_out_of_range_index(split_config):
+    # An index past the chain would fail every point alike, so the sweep
+    # raises before computing any point instead of returning a dead bundle.
+    for parameter, index in (("theta_rad", 1), ("eta_hz", 5),
+                             ("omega_hz", 2), ("gamma_hz", -1)):
+        spec = ol.SweepSpec(parameter=parameter, values=(0.0, 1.0),
+                            index=index)
+        with pytest.raises(ol.InvalidParameterError, match="out of range"):
+            ol.run_sweep(split_config, spec, points=11)
+    # Global keys ignore the index, as apply_parameter does.
+    spec = ol.SweepSpec(parameter="probe_ratio", values=(0.01,), index=7)
+    bundle = ol.run_sweep(split_config, spec, span=(0.95, 1.05), points=11,
+                          include_second_order=False)
+    assert bundle.n_failed == 0
+
+
+def test_repeat_sweep_writes_identical_bundle(split_config, tmp_path):
     spec = ol.SweepSpec(parameter="theta_pi_units", values=(0.0, 0.5, 1.0),
                         lock_delta=split_config.omega_ref)
     kw = dict(span=(0.9, 1.1), points=151, include_second_order=False)
-    serial = ol.run_sweep(split_config, spec, jobs=1, **kw)
-    parallel = ol.run_sweep(split_config, spec, jobs=2, **kw)
-    assert serial.errors == parallel.errors
-    for a, b in zip(serial.spectra, parallel.spectra):
-        assert np.array_equal(a.amplitude, b.amplitude)
-    dir_a = tmp_path / "serial"
-    dir_b = tmp_path / "parallel"
-    ol.write_bundle(serial, dir_a)
-    ol.write_bundle(parallel, dir_b)
+    dir_a = tmp_path / "first"
+    dir_b = tmp_path / "second"
+    ol.write_bundle(ol.run_sweep(split_config, spec, **kw), dir_a)
+    ol.write_bundle(ol.run_sweep(split_config, spec, **kw), dir_b)
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == sorted(p.name for p in dir_b.iterdir())
+    assert "point_002.csv" in names
     for name in names:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
