@@ -312,11 +312,21 @@ def drive_amplitude(power: float, kappa: float, omega: float) -> float:
         Cavity decay rate (rad/s).
     omega : float
         Laser angular frequency (rad/s).
+
+    Raises
+    ------
+    InvalidParameterError
+        An input is out of range, or the amplitude overflows.
     """
     power = _require_nonnegative("power", power)
     kappa = _require_positive("kappa", kappa)
     omega = _require_positive("omega", omega)
-    return math.sqrt(2.0 * kappa * power / (_HBAR * omega))
+    amplitude = math.sqrt(2.0 * kappa * power / (_HBAR * omega))
+    if not math.isfinite(amplitude):
+        raise InvalidParameterError(
+            f"drive amplitude overflows for power {power!r} W, kappa "
+            f"{kappa!r} rad/s, omega {omega!r} rad/s")
+    return amplitude
 
 
 def derive_single_photon_coupling(wavelength: float, cavity_length: float,

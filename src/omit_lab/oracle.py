@@ -10,10 +10,11 @@ mean-field equations ::
               - i eta_{l-1} e^{-i theta_{l-1}} b_{l-1}
               - i eta_l e^{+i theta_l} b_{l+1}
 
-with an explicit high-order Runge-Kutta scheme, waits for the driven
-steady oscillation, and reads the sideband amplitudes back out by
-least-squares demodulation of the cavity trace at ``+-Omega`` and
-``+-2 Omega``.  Since this route shares no algebra with the linear-system
+with the explicit eighth-order Dormand-Prince scheme DOP853 (a numpy loop
+in :mod:`omit_lab._dop853` that reproduces SciPy's ``solve_ivp`` bit for
+bit), waits for the driven steady oscillation, and reads the sideband
+amplitudes back out by least-squares demodulation of the cavity trace at
+``+-Omega`` and ``+-2 Omega``.  Since this route shares no algebra with the linear-system
 solves, agreement (to the accuracy the finite probe allows) validates the
 whole frequency-domain stack; it also quantifies the error of truncating
 the sideband hierarchy at a finite probe strength.
@@ -28,17 +29,14 @@ deliberately conservative; pass ``settle`` explicitly for speed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import dop853
 from .darkmode import linearized_couplings, optical_damping_rate
-from .errors import (
-    InvalidParameterError,
-    NonConvergentError,
-    UnstableIntegrationError,
-)
+from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
     SteadyState,
     SystemConfig,
@@ -61,6 +59,8 @@ __all__ = [
 _MIN_SAMPLES_PER_PERIOD = 50
 _DEFAULT_SAMPLES_PER_PERIOD = 64
 _OVERFLOW_FACTOR = 1e6
+# Tighter relative tolerances are below what double precision resolves.
+_MIN_RTOL = 100.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,15 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
                          include_probe: bool = True,
                          step: float | None = None,
                          initial="steady",
-                         rtol: float = 1e-10,
-                         method: str = "DOP853") -> TimeTrace:
+                         rtol: float = 1e-10) -> TimeTrace:
     """Integrate the nonlinear mean-field equations.
 
     Parameters
     ----------
     config : SystemConfig
     t_final : float
-        End time (s), integration starts at 0.
+        End time (s), integration starts at 0; at least one sampling
+        step.
     omega_probe : float, optional
         Probe-pump detuning Omega (rad/s); required whenever the probe is
         on and its amplitude is nonzero.
@@ -195,22 +195,31 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
         Start from the pump-only steady state (default), from zero fields,
         or from explicit amplitudes.
     rtol : float
-        Relative tolerance of the adaptive integrator.
-    method : str
-        Any |solve_ivp| method name; the default eighth-order explicit
-        scheme is accurate and has no algebra in common with the
-        frequency-domain route.
+        Relative tolerance of the adaptive DOP853 integrator, in
+        ``[100 eps, 1)``; the absolute tolerance is ``rtol`` times the
+        cavity amplitude scale.  The scheme is explicit and eighth order,
+        and has no algebra in common with the frequency-domain route;
+        ``tests/test_oracle.py`` checks its output against SciPy's
+        ``solve_ivp(method="DOP853")`` bit for bit.
 
     Raises
     ------
+    InvalidParameterError
+        ``t_final``, ``step`` or ``rtol`` is out of range, an initial
+        amplitude is not finite, or the probe is on without
+        ``omega_probe``.
     UnstableIntegrationError
         The cavity amplitude ran away (parametric instability); the error
-        message reports when.
+        message reports the end of the first step past the limit.
     NonConvergentError
-        The adaptive integrator failed.
+        The adaptive integrator needed a step below ten ulps of t.
     """
-    if t_final <= 0.0:
-        raise InvalidParameterError(f"t_final must be > 0, got {t_final}")
+    if not 0.0 < t_final < math.inf:
+        raise InvalidParameterError(
+            f"t_final must be finite and > 0, got {t_final}")
+    if not _MIN_RTOL <= rtol < 1.0:
+        raise InvalidParameterError(
+            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
     eps_l = pump_amplitude(config)
     eps_p = probe_amplitude(config) if include_probe else 0.0
     if eps_p > 0.0 and omega_probe is None:
@@ -221,11 +230,17 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     shortest_period = 2.0 * math.pi / fastest
     if step is None:
         step = shortest_period / _DEFAULT_SAMPLES_PER_PERIOD
+    elif not step > 0.0:
+        raise InvalidParameterError(f"step must be > 0, got {step}")
     elif step > shortest_period / _MIN_SAMPLES_PER_PERIOD:
         raise InvalidParameterError(
             f"step {step:.3e} s undersamples the fastest period "
             f"{shortest_period:.3e} s (need >= {_MIN_SAMPLES_PER_PERIOD} "
             "samples per period)")
+    if t_final < step:
+        raise InvalidParameterError(
+            f"t_final {t_final:.3e} s is shorter than one sampling step "
+            f"{step:.3e} s")
 
     n = config.n_modes
     kappa = config.cavity.kappa
@@ -250,6 +265,8 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
         if betas0.shape != (n,):
             raise InvalidParameterError(
                 f"initial mechanical amplitudes must have shape ({n},)")
+        if not np.all(np.isfinite(np.append(betas0, alpha0))):
+            raise InvalidParameterError("initial amplitudes must be finite")
 
     # The linear part of the equations is a precomputed real operator.
     rhs = _mean_field_rhs(config, eps_l, eps_p, w_probe)
@@ -257,11 +274,12 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     scale = max(abs(alpha0), eps_l / kappa, 1.0)
     limit_sq = (_OVERFLOW_FACTOR * scale) ** 2
 
-    def overflow(t: float, y: np.ndarray) -> float:
-        return limit_sq - (y[0] ** 2 + y[1] ** 2)
-
-    overflow.terminal = True
-    overflow.direction = -1.0
+    def overflow(t: float, y: np.ndarray) -> None:
+        if y[0] ** 2 + y[1] ** 2 >= limit_sq:
+            raise UnstableIntegrationError(
+                f"cavity amplitude exceeded {_OVERFLOW_FACTOR:.0e} x its "
+                f"steady scale by t = {t:.6e} s; the operating point is "
+                "unstable")
 
     y0 = np.empty(2 * (n + 1))
     y0[0], y0[1] = alpha0.real, alpha0.imag
@@ -269,25 +287,16 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
 
     t_eval = np.arange(0.0, t_final + 0.5 * step, step)
     t_eval = t_eval[t_eval <= t_final]
-    # Starting at a fixed point the right-hand side is nearly zero, which
-    # makes solve_ivp's automatic first-step heuristic overshoot wildly;
-    # seed it with the sampling step instead.
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, rtol=rtol,
-                    atol=rtol * scale, t_eval=t_eval, events=overflow,
-                    first_step=step)
-    if sol.status == 1:
-        t_ev = sol.t_events[0][0] if len(sol.t_events[0]) else float("nan")
-        raise UnstableIntegrationError(
-            f"cavity amplitude exceeded {_OVERFLOW_FACTOR:.0e} x its steady "
-            f"scale at t = {t_ev:.6e} s; the operating point is unstable")
-    if sol.status != 0:
-        raise NonConvergentError(
-            f"time integration failed: {sol.message}")
+    # Starting at a fixed point the right-hand side is nearly zero, so an
+    # automatic first-step guess would overshoot wildly; the first trial
+    # step is the sampling step instead.
+    ys = dop853(rhs, y0, t_final, t_eval, first_step=step, rtol=rtol,
+                atol=rtol * scale, check=overflow)
 
-    cavity = sol.y[0] + 1j * sol.y[1]
-    mechanics = sol.y[2::2] + 1j * sol.y[3::2]
+    cavity = ys[0] + 1j * ys[1]
+    mechanics = ys[2::2] + 1j * ys[3::2]
     return TimeTrace(
-        times=sol.t,
+        times=t_eval,
         cavity=cavity,
         mechanics=mechanics,
         omega_probe=omega_probe if eps_p > 0.0 else None,

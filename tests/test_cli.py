@@ -157,6 +157,12 @@ def test_oracle_cli(config_file, tmp_path):
     assert report["rel_err_first"] < 0.01
 
 
+def test_oracle_bad_tolerance_exits_2(config_file, capsys):
+    assert cli.main(["oracle", "--config", config_file,
+                     "--omega-frac", "0.95", "--rtol", "-1"]) == 2
+    assert "rtol" in capsys.readouterr().err
+
+
 def test_figure_preset_cli(tmp_path, capsys):
     out_dir = tmp_path / "fig4"
     assert cli.main(["figure", "fig4", "--out-dir", str(out_dir)]) == 0

@@ -279,16 +279,17 @@ def test_find_windows_matches_scipy_on_edge_cases():
     assert len(_find_windows(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 1.0)) == 1
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # fit_linewidth carries its own peak search so that importing the
-    # package does not pay for loading scipy.signal.
+def test_import_leaves_scipy_unloaded():
+    # fit_linewidth carries its own peak search and the oracle its own
+    # DOP853 loop, so importing the package loads no scipy module at all.
     src = str(Path(ol.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, omit_lab; "
-            "print('scipy.signal' in sys.modules)")
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_fitted_linewidths_frozen(plain_config):

@@ -190,12 +190,27 @@ def test_lock_effective_detuning_is_exact(plain_config):
         FROZEN_DELTA_C_PLAIN, rel=1e-14)
 
 
-def test_overflowing_drive_raises_nonconvergent():
-    # A pump whose amplitude overflows leaves the cubic without finite
-    # coefficients: a typed failure carrying the residual, not a LinAlgError.
+def test_overflowing_drive_raises_invalid_parameter():
+    # sqrt(2 kappa P / (hbar omega)) overflows for an absurd but finite
+    # power: the drive itself is refused, before any solve.
+    with pytest.raises(ol.InvalidParameterError, match="overflows"):
+        ol.drive_amplitude(1e300, 1e6, 1e15)
     cfg = ol.standard_setup(2, eta_frac=0.05, theta=1.0, power_w=1e300,
                             lock_delta_frac=None)
-    with pytest.raises(ol.NonConvergentError) as err:
+    with pytest.raises(ol.InvalidParameterError, match="overflows"):
+        ol.solve_steady_state(cfg)
+
+
+def test_overflowing_cubic_raises_nonconvergent():
+    # A finite drive with an absurd coupling still overflows the cubic's
+    # constant term: a typed failure carrying the residual, not a
+    # LinAlgError.
+    base = ol.standard_setup(2, eta_frac=0.05, theta=1.0,
+                             lock_delta_frac=None)
+    cfg = replace(base, modes=tuple(replace(m, g=m.g * 1e150)
+                                    for m in base.modes))
+    with pytest.raises(ol.NonConvergentError, match="cubic overflows") \
+            as err:
         ol.solve_steady_state(cfg)
     assert err.value.iterations == 0
     assert err.value.residual == math.inf

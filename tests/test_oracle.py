@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -165,11 +166,114 @@ def test_step_guard_rejects_undersampling(split_config):
 
 def test_overflow_guard_raises(split_config, monkeypatch):
     # The guard exists to catch numerical divergence; trip it cheaply by
-    # tightening the overflow threshold below the working amplitude.
+    # tightening the overflow threshold below the working amplitude.  The
+    # reported time is the end of a step, inside the integration span.
     monkeypatch.setattr(oracle_mod, "_OVERFLOW_FACTOR", 1e-3)
-    with pytest.raises(ol.UnstableIntegrationError):
-        ol.integrate_mean_field(split_config, 5e-5, include_probe=False,
+    t_final = 5e-5
+    with pytest.raises(ol.UnstableIntegrationError) as err:
+        ol.integrate_mean_field(split_config, t_final, include_probe=False,
                                 initial="vacuum")
+    t = float(re.search(r"t = (\S+) s", str(err.value)).group(1))
+    assert 0.0 < t <= t_final
+
+
+@pytest.mark.parametrize("bad", [
+    {"rtol": 0.0}, {"rtol": 1e-15}, {"rtol": -1.0}, {"rtol": 1.0},
+    {"rtol": math.nan}, {"rtol": math.inf},
+    {"step": 0.0}, {"step": -1e-9}, {"step": math.nan},
+    {"t_final": 0.0}, {"t_final": math.nan}, {"t_final": math.inf},
+    {"t_final": 1e-12},
+    {"initial": (complex("nan"), np.zeros(2))},
+    {"initial": (1.0, np.array([math.inf, 0.0]))},
+])
+def test_integrator_rejects_bad_input(split_config, bad):
+    # Refused up front as InvalidParameterError (exit 2 from the CLI):
+    # tolerances outside [100 eps, 1), a step that is not positive, a span
+    # that is not finite or shorter than one sampling step, and initial
+    # amplitudes that are not finite.
+    kwargs = {"t_final": 1e-4, "omega_probe": 0.95 * split_config.omega_ref}
+    kwargs.update(bad)
+    with pytest.raises(ol.InvalidParameterError):
+        ol.integrate_mean_field(split_config, **kwargs)
+
+
+def _solve_ivp_recorder(calls):
+    """A stand-in for ``oracle.dop853`` that runs SciPy's ``solve_ivp``
+    (imported only here) and records the arguments it was given."""
+    from scipy.integrate import solve_ivp
+
+    def integrate(fun, y0, t_final, t_eval, *, first_step, rtol, atol,
+                  check):
+        calls.append({"fun": fun, "y0": y0.copy(), "t_final": t_final,
+                      "first_step": first_step, "rtol": rtol, "atol": atol})
+        sol = solve_ivp(fun, (0.0, t_final), y0, method="DOP853",
+                        t_eval=t_eval, first_step=first_step, rtol=rtol,
+                        atol=atol)
+        assert sol.status == 0
+        assert sol.t.tobytes() == t_eval.tobytes()
+        return sol.y
+    return integrate
+
+
+def _rejected_steps(call):
+    """Trial steps SciPy's DOP853 rejects on the recorded problem."""
+    from scipy.integrate import DOP853
+
+    solver = DOP853(call["fun"], 0.0, call["y0"], call["t_final"],
+                    first_step=call["first_step"], rtol=call["rtol"],
+                    atol=call["atol"])
+    rejected = 0
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        # Every trial step costs twelve right-hand-side evaluations.
+        rejected += (solver.nfev - before) // 12 - 1
+    return rejected
+
+
+def _parity_case(name):
+    """(config, t_final, keyword arguments) of one parity case."""
+    split = ol.standard_setup(2, eta_frac=0.05, theta=math.pi / 2)
+    if name == "n1":
+        config, frac = ol.standard_setup(1), 0.97
+    elif name == "n3":
+        config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
+        frac = 1.03
+    else:
+        config, frac = split, 1.0
+    omega = frac * config.omega_ref
+    period = 2.0 * math.pi / omega
+    kwargs = {"omega_probe": omega}
+    if name == "pump_only":
+        kwargs = {"include_probe": False, "initial": "vacuum"}
+    elif name == "ragged_end":
+        return config, 30.37 * period, kwargs
+    elif name == "rejections":
+        # Mechanical amplitudes 100x off the fixed point ring down fast
+        # enough that some trial steps fail the error test.
+        steady = ol.solve_steady_state(config)
+        kwargs["initial"] = (steady.alpha, 100.0 * np.asarray(steady.betas))
+        return config, 10 * period, kwargs
+    return config, 30 * period, kwargs
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n3", "pump_only",
+                                  "ragged_end", "rejections"])
+def test_dop853_matches_solve_ivp_bit_for_bit(name, monkeypatch):
+    config, t_final, kwargs = _parity_case(name)
+    ours = ol.integrate_mean_field(config, t_final, **kwargs)
+    calls = []
+    monkeypatch.setattr(oracle_mod, "dop853", _solve_ivp_recorder(calls))
+    ref = ol.integrate_mean_field(config, t_final, **kwargs)
+    for field in ("times", "cavity", "mechanics"):
+        got, want = getattr(ours, field), getattr(ref, field)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes(), field
+    if name == "ragged_end":
+        assert ours.times[-1] < t_final
+    if name == "rejections":
+        assert _rejected_steps(calls[0]) > 0
 
 
 def test_closure_at_window_detuning(split_config):
