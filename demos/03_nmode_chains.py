@@ -43,7 +43,7 @@ def main() -> None:
         for theta_pi in (0.0, 0.5):
             cfg = ol.standard_setup(n, eta_frac=0.05,
                                     theta=theta_pi * math.pi)
-            spectrum = ol.n_mode_spectrum(cfg)
+            spectrum = ol.compute_spectrum(cfg, include_second_order=False)
             counts.append(ol.count_windows(spectrum))
         print(f"{n}   {counts[0]:^9d}   {counts[1]:^12d}")
 

@@ -64,7 +64,6 @@ from .nmode import (
     build_normal_modes,
     count_windows,
     even_mode_coupling,
-    n_mode_spectrum,
     transmission_via_normal_modes,
 )
 from .oracle import (
@@ -83,9 +82,8 @@ from .presets import (
     standard_setup,
 )
 from .sidebands import (
-    FirstOrderAmplitudes,
     GroupDelayEstimate,
-    SecondOrderAmplitudes,
+    SidebandAmplitudes,
     Spectrum,
     TCoefficients,
     auxiliary_coefficients,
@@ -126,8 +124,7 @@ __all__ = [
     "probe_amplitude", "effective_detuning", "solve_steady_state",
     "stability_margin", "steady_state_residual", "lock_effective_detuning",
     # sidebands
-    "TCoefficients", "FirstOrderAmplitudes", "SecondOrderAmplitudes",
-    "GroupDelayEstimate",
+    "TCoefficients", "SidebandAmplitudes", "GroupDelayEstimate",
     "Spectrum", "chain_polynomials", "solve_first_order",
     "solve_second_order", "first_order_closed_form",
     "second_order_closed_form", "auxiliary_coefficients", "transmission",
@@ -139,7 +136,7 @@ __all__ = [
     "predict_linewidth", "fit_linewidth",
     # nmode
     "NormalModeBasis", "build_normal_modes", "even_mode_coupling",
-    "n_mode_spectrum", "count_windows", "transmission_via_normal_modes",
+    "count_windows", "transmission_via_normal_modes",
     # oracle
     "TimeTrace", "DemodResult", "ClosureReport", "integrate_mean_field",
     "demodulate", "sideband_closure",

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .model import solve_steady_state
-from .nmode import build_normal_modes, count_windows, n_mode_spectrum
+from .nmode import build_normal_modes, count_windows
 from .oracle import sideband_closure
 from .presets import figure_presets, run_figure_preset, standard_setup
 from .sidebands import compute_spectrum
@@ -62,21 +62,30 @@ _EXIT_NUMERICAL = 3
 _EXIT_UNSUPPORTED = 4
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    """Parse LO:HI:COUNT (LO, HI in units of the reference frequency)."""
+def _parse_lo_hi_count(flag: str, text: str) -> tuple[float, float, int]:
+    """Split the LO:HI:COUNT given to ``flag``; each flag checks bounds."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameterError(
-            f"--omega-grid expects LO:HI:COUNT, got {text!r}")
+            f"{flag} expects LO:HI:COUNT, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidParameterError(
-            f"--omega-grid expects numbers, got {text!r}") from None
+            f"{flag} expects numbers, got {text!r}") from None
+
+
+def _grid_kwargs(args: argparse.Namespace) -> dict:
+    """``span`` and ``points`` from ``--omega-grid`` (LO, HI in units of
+    the reference frequency); none when the flag is absent."""
+    if args.omega_grid is None:
+        return {}
+    lo, hi, count = _parse_lo_hi_count("--omega-grid", args.omega_grid)
     if count < 2 or not hi > lo:
         raise InvalidParameterError(
-            f"--omega-grid needs HI > LO and COUNT >= 2, got {text!r}")
-    return lo, hi, count
+            f"--omega-grid needs HI > LO and COUNT >= 2, "
+            f"got {args.omega_grid!r}")
+    return {"span": (lo, hi), "points": count}
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
@@ -89,15 +98,7 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 
 def _parse_range(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidParameterError(
-            f"--range expects LO:HI:COUNT, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidParameterError(
-            f"--range expects numbers, got {text!r}") from None
+    lo, hi, count = _parse_lo_hi_count("--range", text)
     if count < 1:
         raise InvalidParameterError("--range COUNT must be >= 1")
     return tuple(np.linspace(lo, hi, count))
@@ -132,13 +133,9 @@ def _spectrum_text(spectrum, fmt: str) -> str:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    kwargs = {}
-    if args.omega_grid is not None:
-        lo, hi, count = _parse_grid(args.omega_grid)
-        kwargs = {"span": (lo, hi), "points": count}
-    include = False if args.no_second_order else None
-    spectrum = compute_spectrum(config, include_second_order=include,
-                                **kwargs)
+    spectrum = compute_spectrum(
+        config, include_second_order=not args.no_second_order,
+        **_grid_kwargs(args))
     _emit_text(_spectrum_text(spectrum, args.format), args.out)
     return 0
 
@@ -155,12 +152,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lock = args.lock_delta * config.omega_ref
     spec = SweepSpec(parameter=args.param, values=values, index=args.index,
                      lock_delta=lock)
-    kwargs = {}
-    if args.omega_grid is not None:
-        lo, hi, count = _parse_grid(args.omega_grid)
-        kwargs = {"span": (lo, hi), "points": count}
-    include = False if args.no_second_order else None
-    bundle = run_sweep(config, spec, include_second_order=include, **kwargs)
+    bundle = run_sweep(config, spec,
+                       include_second_order=not args.no_second_order,
+                       **_grid_kwargs(args))
     written = write_bundle(bundle, args.out_dir, fmt=args.format)
     for path in written:
         print(path)
@@ -227,11 +221,8 @@ def _cmd_nmode(args: argparse.Namespace) -> int:
             "dark_mode_indices": dark,
         }, args.out)
         return 0
-    kwargs = {}
-    if args.omega_grid is not None:
-        lo, hi, count = _parse_grid(args.omega_grid)
-        kwargs = {"span": (lo, hi), "points": count}
-    spectrum = n_mode_spectrum(config, **kwargs)
+    spectrum = compute_spectrum(config, include_second_order=False,
+                                **_grid_kwargs(args))
     if args.count_only:
         _emit_text(f"{count_windows(spectrum)}\n", args.out)
         return 0

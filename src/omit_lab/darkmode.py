@@ -342,11 +342,16 @@ def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
     if (np.ptp(omega) != 0.0 or np.ptp(gamma) != 0.0 or np.ptp(g) != 0.0):
         raise UnsupportedTopologyError(
             "linewidth prediction assumes identical mechanical modes")
-    g_lin = linearized_couplings(config, steady)
-    total_opt = sum(
+    return float(gamma[0] + _total_optical_damping(config, steady))
+
+
+def _total_optical_damping(config: SystemConfig,
+                           steady: SteadyState) -> float:
+    """Sum of the modes' optical damping rates, added in mode order."""
+    omega, _, _ = config.mode_arrays()
+    return sum(
         optical_damping_rate(gl, config.cavity.kappa, steady.delta_eff, om)
-        for gl, om in zip(g_lin, omega))
-    return float(gamma[0] + total_opt)
+        for gl, om in zip(linearized_couplings(config, steady), omega))
 
 
 def _find_windows(power: np.ndarray, min_prominence: float

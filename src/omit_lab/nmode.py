@@ -30,13 +30,12 @@ import numpy as np
 from .darkmode import fit_linewidth
 from .errors import InvalidParameterError, UnsupportedTopologyError
 from .model import SteadyState, SystemConfig, probe_amplitude
-from .sidebands import Spectrum, _sideband_response, compute_spectrum
+from .sidebands import Spectrum, _sideband_response
 
 __all__ = [
     "NormalModeBasis",
     "build_normal_modes",
     "even_mode_coupling",
-    "n_mode_spectrum",
     "count_windows",
     "transmission_via_normal_modes",
 ]
@@ -150,20 +149,6 @@ def even_mode_coupling(config: SystemConfig, steady: SteadyState,
     theta1 = thetas[0]
     return complex(g_lin / norm * (1.0 - np.exp(1j * theta1))
                    * math.sin(k * math.pi / (n + 1)))
-
-
-def n_mode_spectrum(config: SystemConfig,
-                    omega: np.ndarray | None = None, *,
-                    span: tuple[float, float] = (0.8, 1.2),
-                    points: int = 4001,
-                    steady: SteadyState | None = None) -> Spectrum:
-    """First-order transmission spectrum of an N-mode chain.
-
-    Thin wrapper over :func:`omit_lab.sidebands.compute_spectrum` with the
-    second order switched off (it is only defined for two modes).
-    """
-    return compute_spectrum(config, omega, span=span, points=points,
-                            include_second_order=False, steady=steady)
 
 
 def count_windows(spectrum: Spectrum,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._dop853 import dop853
-from .darkmode import linearized_couplings, optical_damping_rate
+from .darkmode import _total_optical_damping
 from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
     SteadyState,
@@ -103,7 +103,12 @@ class DemodResult:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Frequency-domain vs time-domain sideband amplitudes at one detuning."""
+    """Frequency-domain vs time-domain sideband amplitudes at one detuning.
+
+    ``a1_*`` and ``a2_*`` are the first- and second-order lower cavity
+    sidebands from each route, for any mode count; ``rel_err_*`` their
+    relative gaps.
+    """
 
     omega: float
     probe_ratio: float
@@ -169,6 +174,12 @@ def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
     return rhs
 
 
+def _check_rtol(rtol: float) -> None:
+    if not _MIN_RTOL <= rtol < 1.0:
+        raise InvalidParameterError(
+            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
+
+
 def integrate_mean_field(config: SystemConfig, t_final: float, *,
                          omega_probe: float | None = None,
                          include_probe: bool = True,
@@ -217,9 +228,7 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     if not 0.0 < t_final < math.inf:
         raise InvalidParameterError(
             f"t_final must be finite and > 0, got {t_final}")
-    if not _MIN_RTOL <= rtol < 1.0:
-        raise InvalidParameterError(
-            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
+    _check_rtol(rtol)
     eps_l = pump_amplitude(config)
     eps_p = probe_amplitude(config) if include_probe else 0.0
     if eps_p > 0.0 and omega_probe is None:
@@ -383,11 +392,8 @@ def demodulate(trace: TimeTrace, omega: float, *,
 
 def _default_settle(config: SystemConfig, steady: SteadyState) -> float:
     """Forty lifetimes of the slowest optically broadened mode."""
-    omega, gamma, _ = config.mode_arrays()
-    g_lin = linearized_couplings(config, steady)
-    total_opt = sum(
-        optical_damping_rate(gl, config.cavity.kappa, steady.delta_eff, om)
-        for gl, om in zip(g_lin, omega))
+    _, gamma, _ = config.mode_arrays()
+    total_opt = _total_optical_damping(config, steady)
     rate = float(np.min(gamma)) + 0.5 * total_opt
     return 40.0 / rate
 
@@ -400,7 +406,8 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     """Compare frequency-domain and time-domain sideband amplitudes.
 
     Runs both routes at one probe detuning and reports the relative
-    disagreement of the first- and second-order lower sideband amplitudes.
+    disagreement of the first- and second-order lower sideband amplitudes,
+    for any number of modes.
     The frequency-domain result is exact in the linearised hierarchy, so
     the gap measures probe-nonlinearity plus integration error and shrinks
     with ``probe_ratio``.
@@ -415,22 +422,34 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         Probe amplitude as a fraction of the pump; small values isolate
         the linear response (default 0.01).
     periods : int
-        Probe cycles to demodulate over.
+        Probe cycles to demodulate over, at least one.
     settle : float, optional
-        Transient to discard; defaults to forty optically broadened
-        mechanical lifetimes.
+        Transient to discard (s, finite and >= 0); defaults to forty
+        optically broadened mechanical lifetimes.
     rtol : float
-        Integrator tolerance.
+        Integrator tolerance, in ``[100 eps, 1)``.
+
+    Raises
+    ------
+    InvalidParameterError
+        ``omega``, ``periods``, ``settle`` or ``rtol`` is out of range;
+        checked before any solve.
     """
-    if omega <= 0.0:
-        raise InvalidParameterError(f"omega must be > 0, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise InvalidParameterError(
+            f"omega must be finite and > 0, got {omega}")
+    if not periods >= 1:
+        raise InvalidParameterError(f"periods must be >= 1, got {periods}")
+    if settle is not None and not 0.0 <= settle < math.inf:
+        raise InvalidParameterError(
+            f"settle must be finite and >= 0, got {settle}")
+    _check_rtol(rtol)
     config = replace(config,
                      drive=replace(config.drive, probe_ratio=probe_ratio,
                                    power_probe=None))
     steady = solve_steady_state(config)
     first = solve_first_order(config, steady, omega)
-    second = solve_second_order(config, steady, omega, first) \
-        if config.n_modes == 2 else None
+    second = solve_second_order(config, steady, omega, first)
 
     if settle is None:
         settle = _default_settle(config, steady)
@@ -444,14 +463,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     a1_fd = complex(first.a_minus)
     a1_td = demod.a1_lower
     err1 = abs(a1_fd - a1_td) / max(abs(a1_fd), abs(a1_td), 1e-300)
-    if second is not None:
-        a2_fd = complex(second.a_minus)
-        a2_td = demod.a2_lower
-        err2 = abs(a2_fd - a2_td) / max(abs(a2_fd), abs(a2_td), 1e-300)
-    else:
-        a2_fd = complex("nan")
-        a2_td = demod.a2_lower
-        err2 = float("nan")
+    a2_fd = complex(second.a_minus)
+    a2_td = demod.a2_lower
+    err2 = abs(a2_fd - a2_td) / max(abs(a2_fd), abs(a2_td), 1e-300)
     return ClosureReport(
         omega=float(omega),
         probe_ratio=float(probe_ratio),

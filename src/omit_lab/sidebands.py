@@ -16,6 +16,9 @@ hierarchy of linear systems:
   quadratic combinations of the first-order amplitudes, on the cavity and
   on the mechanics.
 
+Both orders go through the same solve, so both hold for any number of
+modes and return the same :class:`SidebandAmplitudes` layout.
+
 Two observables summarise the response:
 
 * probe transmission ``t_p = 1 - (kappa/eps_p) * A1m`` -- its squared
@@ -60,8 +63,7 @@ from .model import (
 __all__ = [
     "TCoefficients",
     "AuxiliaryCoefficients",
-    "FirstOrderAmplitudes",
-    "SecondOrderAmplitudes",
+    "SidebandAmplitudes",
     "Spectrum",
     "GroupDelayEstimate",
     "chain_polynomials",
@@ -117,25 +119,16 @@ class AuxiliaryCoefficients:
 
 
 @dataclass(frozen=True)
-class FirstOrderAmplitudes:
-    """First-order sideband amplitudes.
+class SidebandAmplitudes:
+    """Sideband amplitudes of one order of the hierarchy.
 
-    ``a_minus`` is the lower cavity sideband (at the probe frequency),
-    ``a_plus_conj`` the conjugated upper sideband; ``b_minus`` and
-    ``b_plus_conj`` hold the mechanical pairs, one column per mode.
-    Scalar frequency input gives complex scalars / 1-D mode arrays, a grid
-    gives arrays with the leading grid axis.
+    ``a_minus`` is the lower cavity sideband (at ``omega_L - n*Omega`` for
+    order ``n``; the probe frequency at first order), ``a_plus_conj`` the
+    conjugated upper sideband; ``b_minus`` and ``b_plus_conj`` hold the
+    mechanical pairs, one column per mode.  Scalar frequency input gives
+    complex scalars / 1-D mode arrays, a grid gives arrays with the
+    leading grid axis.
     """
-
-    a_minus: complex | np.ndarray
-    a_plus_conj: complex | np.ndarray
-    b_minus: np.ndarray
-    b_plus_conj: np.ndarray
-
-
-@dataclass(frozen=True)
-class SecondOrderAmplitudes:
-    """Second-order sideband amplitudes, same layout as the first order."""
 
     a_minus: complex | np.ndarray
     a_plus_conj: complex | np.ndarray
@@ -176,7 +169,7 @@ class Spectrum:
         edge and everywhere when the grid is not uniform.
     efficiency_percent : numpy.ndarray
         Second-order sideband efficiency in percent; NaN when the second
-        order was not computed (e.g. more than two modes).
+        order was switched off (``include_second_order=False``).
     route_discrepancy : numpy.ndarray
         Pointwise relative disagreement between the chain-elimination
         solve and the closed-form route; NaN when no closed form exists for the layout.
@@ -383,16 +376,17 @@ def _second_order_raw(view: _View, w: np.ndarray,
                           (-drive, drive))
 
 
-def _amplitudes(cls, parts: tuple[np.ndarray, ...], scalar: bool):
+def _amplitudes(parts: tuple[np.ndarray, ...],
+                scalar: bool) -> SidebandAmplitudes:
     if not scalar:
-        return cls(*parts)
+        return SidebandAmplitudes(*parts)
     a_minus, a_plus_conj, b_minus, b_plus_conj = parts
-    return cls(complex(a_minus[0]), complex(a_plus_conj[0]),
-               b_minus[0].copy(), b_plus_conj[0].copy())
+    return SidebandAmplitudes(complex(a_minus[0]), complex(a_plus_conj[0]),
+                              b_minus[0].copy(), b_plus_conj[0].copy())
 
 
 def solve_first_order(config: SystemConfig, steady: SteadyState,
-                      omega: float | np.ndarray) -> FirstOrderAmplitudes:
+                      omega: float | np.ndarray) -> SidebandAmplitudes:
     """Solve the first-order sideband system directly (any mode count).
 
     Parameters
@@ -405,32 +399,22 @@ def solve_first_order(config: SystemConfig, steady: SteadyState,
 
     Returns
     -------
-    FirstOrderAmplitudes
+    SidebandAmplitudes
     """
     w, scalar = _as_grid(omega)
-    return _amplitudes(FirstOrderAmplitudes,
-                       _first_order_raw(_view(config, steady), w), scalar)
+    return _amplitudes(_first_order_raw(_view(config, steady), w), scalar)
 
 
 def solve_second_order(config: SystemConfig, steady: SteadyState,
                        omega: float | np.ndarray,
-                       first: FirstOrderAmplitudes | None = None,
-                       ) -> SecondOrderAmplitudes:
-    """Solve the second-order sideband system (two-mode layout only).
+                       first: SidebandAmplitudes | None = None,
+                       ) -> SidebandAmplitudes:
+    """Solve the second-order sideband system (any mode count).
 
     The second-order system is driven by products of first-order
     amplitudes; pass ``first`` (computed on the same grid) to reuse it,
     otherwise it is solved internally.
-
-    Raises
-    ------
-    UnsupportedTopologyError
-        If the config does not have exactly two mechanical modes.
     """
-    if config.n_modes != 2:
-        raise UnsupportedTopologyError(
-            f"second-order sidebands are defined for the two-mode system, "
-            f"got {config.n_modes} modes")
     w, scalar = _as_grid(omega)
     view = _view(config, steady)
     if first is None:
@@ -441,8 +425,7 @@ def solve_second_order(config: SystemConfig, steady: SteadyState,
         if len(x1[0]) != len(w):
             raise InvalidParameterError(
                 "first-order amplitudes were computed on a different grid")
-    return _amplitudes(SecondOrderAmplitudes, _second_order_raw(view, w, x1),
-                       scalar)
+    return _amplitudes(_second_order_raw(view, w, x1), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +530,7 @@ def _closed_first_arrays(view: _View, w: np.ndarray
 
 def first_order_closed_form(config: SystemConfig, steady: SteadyState,
                             omega: float | np.ndarray
-                            ) -> FirstOrderAmplitudes:
+                            ) -> SidebandAmplitudes:
     """Closed-form first-order amplitudes for the two-mode system.
 
     Algebraically identical to :func:`solve_first_order`; kept as an
@@ -557,8 +540,7 @@ def first_order_closed_form(config: SystemConfig, steady: SteadyState,
     w, scalar = _as_grid(omega)
     a1m, a1pc, b1m, b2m, b1pc, b2pc = _closed_first_arrays(
         _view(config, steady), w)
-    return _amplitudes(FirstOrderAmplitudes,
-                       (a1m, a1pc, np.stack([b1m, b2m], axis=-1),
+    return _amplitudes((a1m, a1pc, np.stack([b1m, b2m], axis=-1),
                         np.stack([b1pc, b2pc], axis=-1)), scalar)
 
 
@@ -677,14 +659,14 @@ def compute_spectrum(config: SystemConfig,
                      omega: np.ndarray | None = None, *,
                      span: tuple[float, float] = (0.8, 1.2),
                      points: int = 4001,
-                     include_second_order: bool | None = None,
+                     include_second_order: bool = True,
                      steady: SteadyState | None = None) -> Spectrum:
     """Full sideband spectrum of a configuration.
 
-    Solves the steady state, then the first-order (and, for the two-mode
-    layout, second-order) sideband systems on a detuning grid, and
-    assembles transmission, phase, group delay, and efficiency together
-    with the closed-form cross-check.
+    Solves the steady state, then the first- and second-order sideband
+    systems on a detuning grid, and assembles transmission, phase, group
+    delay, and efficiency, together with the closed-form cross-check for
+    the two-mode layout.
 
     Parameters
     ----------
@@ -695,9 +677,9 @@ def compute_spectrum(config: SystemConfig,
         mechanical frequency) is used.
     span, points
         Default grid construction; ignored when ``omega`` is given.
-    include_second_order : bool, optional
-        ``None`` computes the second order exactly when the layout has two
-        modes; ``True`` requires it (raising otherwise); ``False`` skips it.
+    include_second_order : bool
+        ``False`` skips the second order, leaving ``efficiency_percent``
+        NaN and the route check to the first order.
     steady : SteadyState, optional
         Reuse a precomputed operating point.
 
@@ -719,14 +701,6 @@ def compute_spectrum(config: SystemConfig,
             raise InvalidParameterError("omega grid must have >= 1 dimension")
         w = w.copy()
 
-    if include_second_order is None:
-        want_second = config.n_modes == 2
-    else:
-        want_second = bool(include_second_order)
-        if want_second and config.n_modes != 2:
-            raise UnsupportedTopologyError(
-                "second-order sidebands require the two-mode layout")
-
     if steady is None:
         steady = solve_steady_state(config)
     view = _view(config, steady)
@@ -743,10 +717,11 @@ def compute_spectrum(config: SystemConfig,
     if config.n_modes == 2:
         fo_closed = _closed_first_arrays(view, w)
         discrepancy = _relative_gap(x1[0], fo_closed[0])
-        if want_second:
-            x2 = _second_order_raw(view, w, x1)
-            efficiency = 100.0 * second_order_efficiency(
-                x2[0], view.eps_p, view.kappa)
+    if include_second_order:
+        x2 = _second_order_raw(view, w, x1)
+        efficiency = 100.0 * second_order_efficiency(
+            x2[0], view.eps_p, view.kappa)
+        if config.n_modes == 2:
             a2_closed = _closed_second_arrays(view, w, fo_closed)
             discrepancy = np.maximum(
                 discrepancy, _relative_gap(x2[0], a2_closed))
@@ -766,7 +741,7 @@ def compute_spectrum(config: SystemConfig,
         "steady_iterations": steady.iterations,
         "steady_residual": steady.residual,
         "multistable": steady.multistable,
-        "second_order": want_second,
+        "second_order": include_second_order,
         "grid_points": len(w),
         "grid_start": float(w[0]),
         "grid_stop": float(w[-1]),

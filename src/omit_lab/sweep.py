@@ -41,8 +41,16 @@ __all__ = [
     "write_bundle",
 ]
 
-CSV_COLUMNS = ("omega_over_omega_m", "transmission", "efficiency_percent",
-               "phase_rad", "group_delay_s", "route_discrepancy")
+# Output column -> Spectrum attribute, in file order.
+_COLUMN_SOURCES = {
+    "omega_over_omega_m": "omega_normalized",
+    "transmission": "transmission",
+    "efficiency_percent": "efficiency_percent",
+    "phase_rad": "phase",
+    "group_delay_s": "group_delay",
+    "route_discrepancy": "route_discrepancy",
+}
+CSV_COLUMNS = tuple(_COLUMN_SOURCES)
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,7 +160,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
               omega: np.ndarray | None = None,
               span: tuple[float, float] = (0.8, 1.2),
               points: int = 4001,
-              include_second_order: bool | None = None) -> ResultBundle:
+              include_second_order: bool = True) -> ResultBundle:
     """Compute a spectrum per sweep value, one value after another.
 
     Failures at individual points (non-convergent steady state, singular
@@ -187,22 +195,20 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
 # File output
 
 
+def _columns(spectrum: Spectrum) -> dict[str, np.ndarray]:
+    return {name: getattr(spectrum, attr)
+            for name, attr in _COLUMN_SOURCES.items()}
+
+
 def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
     """Write a spectrum as CSV with the standard column set.
 
     Columns: ``omega_over_omega_m, transmission, efficiency_percent,
-    phase_rad, group_delay_s, route_discrepancy``.  Values unavailable for
-    the layout (e.g. second order with more than two modes, delay at grid
-    edges) are written as ``nan``.
+    phase_rad, group_delay_s, route_discrepancy``.  Values not computed
+    (efficiency with the second order switched off, the closed-form check
+    beyond two modes, delay at grid edges) are written as ``nan``.
     """
-    rows = np.column_stack([
-        spectrum.omega_normalized,
-        spectrum.transmission,
-        spectrum.efficiency_percent,
-        spectrum.phase,
-        spectrum.group_delay,
-        spectrum.route_discrepancy,
-    ])
+    rows = np.column_stack(list(_columns(spectrum).values()))
     lines = [",".join(CSV_COLUMNS)]
     # repr of a Python float: shortest round-trip form, NaN as 'nan'.
     lines.extend(",".join(map(repr, row)) for row in rows.tolist())
@@ -235,17 +241,8 @@ def json_safe(value):
 
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
     """JSON-ready dict of a spectrum (columns as named arrays)."""
-    return json_safe({
-        "metadata": spectrum.metadata,
-        "columns": {
-            "omega_over_omega_m": spectrum.omega_normalized,
-            "transmission": spectrum.transmission,
-            "efficiency_percent": spectrum.efficiency_percent,
-            "phase_rad": spectrum.phase,
-            "group_delay_s": spectrum.group_delay,
-            "route_discrepancy": spectrum.route_discrepancy,
-        },
-    })
+    return json_safe({"metadata": spectrum.metadata,
+                      "columns": _columns(spectrum)})
 
 
 def _sha256(path: Path) -> str:

@@ -163,6 +163,12 @@ def test_oracle_bad_tolerance_exits_2(config_file, capsys):
     assert "rtol" in capsys.readouterr().err
 
 
+def test_oracle_bad_periods_exits_2(config_file, capsys):
+    assert cli.main(["oracle", "--config", config_file,
+                     "--omega-frac", "0.95", "--periods", "0"]) == 2
+    assert "periods" in capsys.readouterr().err
+
+
 def test_figure_preset_cli(tmp_path, capsys):
     out_dir = tmp_path / "fig4"
     assert cli.main(["figure", "fig4", "--out-dir", str(out_dir)]) == 0

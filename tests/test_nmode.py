@@ -144,5 +144,5 @@ def test_window_count_matches_mode_count():
                                 (2, False, 1), (4, False, 2)):
         theta1 = math.pi / 2 if broken else 0.0
         cfg = _chain(n, theta1)
-        sp = ol.n_mode_spectrum(cfg)
+        sp = ol.compute_spectrum(cfg, include_second_order=False)
         assert ol.count_windows(sp) == expected, (n, broken)

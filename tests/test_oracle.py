@@ -286,6 +286,38 @@ def test_closure_at_window_detuning(split_config):
     assert report.n_cycles >= 100
 
 
+def test_closure_beyond_two_modes():
+    # The second order closes against the time domain for a three-mode
+    # chain too, within the same bound as the two-mode window check.
+    config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
+    report = ol.sideband_closure(config, 0.97 * config.omega_ref,
+                                 probe_ratio=0.01, periods=150)
+    assert report.reliable
+    assert report.rel_err_first < 2e-3
+    assert report.rel_err_second < 2e-3
+
+
+@pytest.mark.parametrize("bad, name", [
+    ({"omega": 0.0}, "omega"), ({"omega": math.nan}, "omega"),
+    ({"omega": math.inf}, "omega"),
+    ({"periods": 0}, "periods"), ({"periods": -3}, "periods"),
+    ({"periods": math.nan}, "periods"),
+    ({"settle": -1e-6}, "settle"), ({"settle": -1e-3}, "settle"),
+    ({"settle": math.nan}, "settle"), ({"settle": math.inf}, "settle"),
+    ({"rtol": -1.0}, "rtol"), ({"rtol": 0.0}, "rtol"),
+    ({"rtol": math.nan}, "rtol"),
+])
+def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
+                                                       name, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("argument check came after the solve")
+    monkeypatch.setattr(oracle_mod, "solve_steady_state", must_not_run)
+    monkeypatch.setattr(oracle_mod, "integrate_mean_field", must_not_run)
+    kwargs = {"omega": 0.95 * split_config.omega_ref, **bad}
+    with pytest.raises(ol.InvalidParameterError, match=name):
+        ol.sideband_closure(split_config, **kwargs)
+
+
 def test_truncation_residual_grows_with_probe(split_config):
     w = 0.95 * split_config.omega_ref
     residuals = []

@@ -173,11 +173,21 @@ def test_spectrum_second_order_control(split_config):
     sp = ol.compute_spectrum(split_config, points=51,
                              include_second_order=False)
     assert np.all(np.isnan(sp.efficiency_percent))
+    assert sp.metadata["second_order"] is False
+    # Beyond two modes the second order is on by default and is exactly
+    # the public solve; only the closed-form check stays two-mode.
     three = ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2)
     sp3 = ol.compute_spectrum(three, points=51)
-    assert np.all(np.isnan(sp3.efficiency_percent))  # auto-off for N != 2
-    with pytest.raises(ol.UnsupportedTopologyError):
-        ol.compute_spectrum(three, points=51, include_second_order=True)
+    assert sp3.metadata["second_order"] is True
+    second = ol.solve_second_order(three, ol.solve_steady_state(three),
+                                   sp3.omega)
+    want = 100.0 * ol.second_order_efficiency(
+        second.a_minus, ol.probe_amplitude(three), three.cavity.kappa)
+    assert sp3.efficiency_percent.tobytes() == want.tobytes()
+    assert np.all(np.isnan(sp3.route_discrepancy))
+    off = ol.compute_spectrum(three, points=51, include_second_order=False)
+    assert np.all(np.isnan(off.efficiency_percent))
+    assert off.amplitude.tobytes() == sp3.amplitude.tobytes()
 
 
 def test_group_delay_exact_on_cubic_phase(split_config):
@@ -265,13 +275,19 @@ def test_auxiliary_coefficients_consistent(split_config, split_steady):
     assert abs(complex(second.a_minus) - closed) <= 1e-11 * abs(closed)
 
 
-def test_second_order_requires_two_modes(split_steady):
+def test_closed_forms_require_two_modes_second_order_does_not():
     three = ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2)
     st = ol.solve_steady_state(three)
+    w = 0.95 * three.omega_ref
+    second = ol.solve_second_order(three, st, w)
+    assert np.isfinite(second.a_minus)
+    assert second.b_minus.shape == second.b_plus_conj.shape == (3,)
+    for closed in (ol.first_order_closed_form, ol.second_order_closed_form,
+                   ol.auxiliary_coefficients):
+        with pytest.raises(ol.UnsupportedTopologyError):
+            closed(three, st, w)
     with pytest.raises(ol.UnsupportedTopologyError):
-        ol.solve_second_order(three, st, 0.95 * three.omega_ref)
-    with pytest.raises(ol.UnsupportedTopologyError):
-        ol.first_order_closed_form(three, st, 0.95 * three.omega_ref)
+        ol.chain_polynomials(three, w)
 
 
 def test_zero_detuning_point_is_regular():
@@ -330,6 +346,31 @@ def _dense_solve(view, w: np.ndarray, order: int, rhs: np.ndarray):
     return x[:, 0], x[:, 1], x[:, 2::2], x[:, 3::2]
 
 
+def _dense_orders(view, w: np.ndarray):
+    """Dense first- and second-order solves, the second driven by the
+    dense first order."""
+    n = len(view.omega)
+    rhs = np.zeros((len(w), 2 * n + 2), dtype=complex)
+    rhs[:, 0] = view.eps_p
+    first = _dense_solve(view, w, 1, rhs)
+    a1m, a1pc, b1m, b1pc = first
+    s1 = (b1m + b1pc) @ view.g
+    rhs[:, 0] = -1j * a1m * s1
+    rhs[:, 1] = 1j * a1pc * s1
+    rhs[:, 2::2] = -1j * np.outer(a1pc * a1m, view.g)
+    rhs[:, 3::2] = 1j * np.outer(a1pc * a1m, view.g)
+    return first, _dense_solve(view, w, 2, rhs)
+
+
+def _assert_close_per_point(got, want, w: np.ndarray) -> None:
+    # B arrays are compared per grid point against their largest mode
+    # amplitude.
+    for g, d in zip(got, want):
+        g, d = g.reshape(len(w), -1), d.reshape(len(w), -1)
+        scale = np.max(np.abs(d), axis=1, keepdims=True)
+        assert np.all(np.abs(g - d) <= 1e-10 * scale)
+
+
 def _random_chain(rng: np.random.Generator, n: int):
     """Random N-mode chain with a random phase on every link."""
     om = 6e6 * float(rng.uniform(0.5, 2.0))
@@ -357,30 +398,40 @@ def _random_chain(rng: np.random.Generator, n: int):
 def test_chain_elimination_matches_dense_solve():
     # The Schur-complement solve against a dense (2N+2)x(2N+2) solve of
     # the same sideband system, for the first- and second-order
-    # right-hand sides; B arrays are compared per grid point against their
-    # largest mode amplitude.
+    # right-hand sides.
     rng = np.random.default_rng(2026)
     for n in (1, 2, 3, 8, 16):
         for _ in range(4):
             cfg, steady, w = _random_chain(rng, n)
             view = sb._view(cfg, steady)
             first = sb._first_order_raw(view, w)
-            rhs = np.zeros((len(w), 2 * n + 2), dtype=complex)
-            rhs[:, 0] = view.eps_p
-            dense_first = _dense_solve(view, w, 1, rhs)
-            a1m, a1pc, b1m, b1pc = dense_first
-            s1 = (b1m + b1pc) @ view.g
-            rhs[:, 0] = -1j * a1m * s1
-            rhs[:, 1] = 1j * a1pc * s1
-            rhs[:, 2::2] = -1j * np.outer(a1pc * a1m, view.g)
-            rhs[:, 3::2] = 1j * np.outer(a1pc * a1m, view.g)
+            dense_first, dense_second = _dense_orders(view, w)
             second = sb._second_order_raw(view, w, dense_first)
-            dense_second = _dense_solve(view, w, 2, rhs)
-            for got, want in zip(first + second, dense_first + dense_second):
-                got = got.reshape(len(w), -1)
-                want = want.reshape(len(w), -1)
-                scale = np.max(np.abs(want), axis=1, keepdims=True)
-                assert np.all(np.abs(got - want) <= 1e-10 * scale), n
+            _assert_close_per_point(first + second,
+                                    dense_first + dense_second, w)
+
+
+@pytest.mark.parametrize("n, chain", [
+    (1, {}),
+    (3, {"eta_frac": 0.05, "theta": 0.37 * math.pi}),
+], ids=["n1", "n3_broken"])
+def test_second_order_public_api_beyond_two_modes(n, chain):
+    # solve_second_order on a grid against the dense solve, the scalar
+    # call against the grid, and a passed-in first order against none.
+    cfg = ol.standard_setup(n, **chain)
+    steady = ol.solve_steady_state(cfg)
+    w = np.linspace(0.9, 1.1, 21) * cfg.omega_ref
+    first = ol.solve_first_order(cfg, steady, w)
+    second = ol.solve_second_order(cfg, steady, w, first)
+    assert second.b_minus.shape == second.b_plus_conj.shape == (len(w), n)
+    _, dense = _dense_orders(sb._view(cfg, steady), w)
+    _assert_close_per_point((second.a_minus, second.a_plus_conj,
+                             second.b_minus, second.b_plus_conj), dense, w)
+    again = ol.solve_second_order(cfg, steady, w)
+    assert again.a_minus.tobytes() == second.a_minus.tobytes()
+    point = ol.solve_second_order(cfg, steady, w[7])
+    assert point.a_minus == pytest.approx(second.a_minus[7], rel=1e-12)
+    assert np.allclose(point.b_minus, second.b_minus[7], rtol=1e-12, atol=0)
 
 
 def test_zero_cavity_determinant_raises_typed_error():
