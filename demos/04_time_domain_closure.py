@@ -8,7 +8,7 @@ amplitudes against the linear prediction.  At a weak probe the two agree
 to a fraction of a percent; pushing the probe harder grows the truncation
 residual exactly as a perturbative expansion should.
 
-Run:  python3 demos/04_time_domain_closure.py   (takes ~10 s)
+Run:  python3 demos/04_time_domain_closure.py   (takes ~4 s)
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def main() -> None:
         print(f"omega = {frac:.2f} omega_m   "
               f"first-order rel err {report.rel_err_first:.2e}   "
               f"second-order rel err {report.rel_err_second:.2e}   "
-              f"cycles used {report.n_cycles}")
+              f"cycles used {report.n_cycles}   "
+              f"settled after {report.settle * 1e6:.0f} us")
 
     print("\n== truncation residual vs probe strength ==\n")
     with warnings.catch_warnings():

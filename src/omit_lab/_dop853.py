@@ -12,8 +12,9 @@ Developers).  :func:`dop853` performs SciPy's floating-point operations in
 SciPy's order, so its output equals ``solve_ivp(method="DOP853",
 t_eval=..., first_step=...)`` bit for bit; ``tests/test_oracle.py`` checks
 that.  Only what the time-domain oracle needs is kept: forward
-integration from ``t = 0``, a given first step, scalar tolerances and
-output at given times.
+integration from ``t = 0``, a given first step, scalar tolerances, and
+output either at given times (:func:`dop853`) or step by step through
+:func:`dop853_steps`, which a caller may stop early.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergentError
 
-__all__ = ["dop853"]
+__all__ = ["dop853", "dop853_steps"]
 
 _N_STAGES = 12
 _N_EXT = 16
@@ -165,8 +166,8 @@ E5[9] = 0.3341791187130174790297318841
 E5[10] = 0.8192320648511571246570742613e-1
 E5[11] = -0.2235530786388629525884427845e-1
 
-# The last four interpolant coefficients; dop853 forms the first three from
-# the step's end points and slopes.
+# The last four interpolant coefficients; the dense output forms the first
+# three from the step's end points and slopes.
 D = np.zeros((_N_DENSE - 3, _N_EXT))
 D[0, 0] = -0.84289382761090128651353491142e+1
 D[0, 5] = 0.56671495351937776962531783590
@@ -229,34 +230,24 @@ _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
 
-def dop853(fun, y0: np.ndarray, t_final: float, t_eval: np.ndarray, *,
-           first_step: float, rtol: float, atol: float,
-           check) -> np.ndarray:
-    """Integrate ``y' = fun(t, y)`` from ``t = 0`` to ``t_final``.
+def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
+                 first_step: float, rtol: float, atol: float, check):
+    """Integrate ``y' = fun(t, y)`` from ``t = 0``, one accepted step at a time.
 
-    Parameters
-    ----------
-    fun : callable
-        ``fun(t, y)`` returns ``dy/dt`` as a float array shaped like ``y``.
-    y0 : ndarray, shape (n,)
-        Real initial state.
-    t_final : float
-        End time, > 0.
-    t_eval : ndarray
-        Increasing output times in ``[0, t_final]``.
-    first_step : float
-        Size of the first trial step, in ``(0, t_final]``.
-    rtol, atol : float
-        Each step keeps its local error estimate below
-        ``atol + rtol * max(|y_old|, |y_new|)``.
-    check : callable
-        ``check(t, y)`` runs after every accepted step and may raise to
-        end the run.
+    Parameters are those of :func:`dop853`, without ``t_eval``.
 
-    Returns
-    -------
-    ndarray, shape (n, len(t_eval))
-        The dense-output solution at ``t_eval``.
+    Yields
+    ------
+    (t_old, t, dense)
+        The span of each accepted step and its dense output:
+        ``dense(times)`` returns the solution at ``times`` in
+        ``[t_old, t]`` as an ndarray of shape ``(n, len(times))``.  It
+        evaluates the interpolant's three extra stages when called, so a
+        step nobody samples costs none; call it before advancing the
+        generator, which reuses the step's storage.  Stopping early
+        (closing the generator) is fine: the steps already taken do not
+        depend on ``t_final``, only the last one is shortened to end on
+        it.
 
     Raises
     ------
@@ -271,8 +262,6 @@ def dop853(fun, y0: np.ndarray, t_final: float, t_eval: np.ndarray, *,
     k_t = [k_ext[:s].T for s in range(_N_EXT)]
     rows = [A[s, :s] for s in range(_N_EXT)]
     nodes = C.tolist()
-    ys = np.empty((n, len(t_eval)))
-    done = 0
     t = 0.0
     f = fun(t, y)
     h_abs = first_step
@@ -329,26 +318,70 @@ def dop853(fun, y0: np.ndarray, t_final: float, t_eval: np.ndarray, *,
         t, y, f = t_new, y_new, f_new
         check(t, y)
 
+        def dense(times: np.ndarray) -> np.ndarray:
+            # Three more stages, then the interpolant
+            # sum_j F_j x^ceil(j/2) (1 - x)^floor(j/2) in Horner form.
+            for s in range(_N_STAGES + 1, _N_EXT):
+                k_ext[s] = fun(t_old + nodes[s] * h,
+                               y_old + np.dot(k_t[s], rows[s]) * h)
+            dy = y - y_old
+            coeffs = np.empty((_N_DENSE, n))
+            coeffs[0] = dy
+            coeffs[1] = h * f_old - dy
+            coeffs[2] = 2 * dy - h * (f + f_old)
+            coeffs[3:] = h * np.dot(D, k_ext)
+            x = ((times - t_old) / (t - t_old))[:, None]
+            x_rest = 1 - x
+            out = np.zeros((len(times), n))
+            for j, c in enumerate(coeffs[::-1]):
+                out += c
+                out *= x if j % 2 == 0 else x_rest
+            out += y_old
+            return out.T
+
+        yield t_old, t, dense
+
+
+def dop853(fun, y0: np.ndarray, t_final: float, t_eval: np.ndarray, *,
+           first_step: float, rtol: float, atol: float,
+           check) -> np.ndarray:
+    """Integrate ``y' = fun(t, y)`` from ``t = 0`` to ``t_final``.
+
+    Parameters
+    ----------
+    fun : callable
+        ``fun(t, y)`` returns ``dy/dt`` as a float array shaped like ``y``.
+    y0 : ndarray, shape (n,)
+        Real initial state.
+    t_final : float
+        End time, > 0.
+    t_eval : ndarray
+        Increasing output times in ``[0, t_final]``.
+    first_step : float
+        Size of the first trial step, in ``(0, t_final]``.
+    rtol, atol : float
+        Each step keeps its local error estimate below
+        ``atol + rtol * max(|y_old|, |y_new|)``.
+    check : callable
+        ``check(t, y)`` runs after every accepted step and may raise to
+        end the run.
+
+    Returns
+    -------
+    ndarray, shape (n, len(t_eval))
+        The dense-output solution at ``t_eval``.
+
+    Raises
+    ------
+    NonConvergentError
+        The error control asked for a step below ten ulps of ``t``.
+    """
+    ys = np.empty((y0.size, len(t_eval)))
+    done = 0
+    for _, t, dense in dop853_steps(fun, y0, t_final, first_step=first_step,
+                                    rtol=rtol, atol=atol, check=check):
         upto = int(np.searchsorted(t_eval, t, side="right"))
-        if upto == done:
-            continue
-        # Dense output: three more stages, then the interpolant
-        # sum_j F_j x^ceil(j/2) (1 - x)^floor(j/2) in Horner form.
-        for s in range(_N_STAGES + 1, _N_EXT):
-            k_ext[s] = fun(t_old + nodes[s] * h,
-                           y_old + np.dot(k_t[s], rows[s]) * h)
-        dy = y - y_old
-        coeffs = np.empty((_N_DENSE, n))
-        coeffs[0] = dy
-        coeffs[1] = h * f_old - dy
-        coeffs[2] = 2 * dy - h * (f + f_old)
-        coeffs[3:] = h * np.dot(D, k_ext)
-        x = ((t_eval[done:upto] - t_old) / (t - t_old))[:, None]
-        out = np.zeros((upto - done, n))
-        for j, c in enumerate(coeffs[::-1]):
-            out += c
-            out *= x if j % 2 == 0 else 1 - x
-        out += y_old
-        ys[:, done:upto] = out.T
-        done = upto
+        if upto > done:
+            ys[:, done:upto] = dense(t_eval[done:upto])
+            done = upto
     return ys

@@ -328,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--probe-ratio", type=float, default=0.01)
     orc.add_argument("--periods", type=int, default=200)
     orc.add_argument("--settle", type=float, default=None,
-                     help="transient to discard (s); default: 40 broadened "
-                          "lifetimes")
+                     help="transient to discard (s); default: integrate "
+                          "until successive demodulation windows agree "
+                          "to 1e-7")
     orc.add_argument("--rtol", type=float, default=1e-10)
     orc.add_argument("--out", help="output file (default: stdout)")
     orc.set_defaults(handler=_cmd_oracle)

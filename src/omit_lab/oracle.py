@@ -19,11 +19,16 @@ solves, agreement (to the accuracy the finite probe allows) validates the
 whole frequency-domain stack; it also quantifies the error of truncating
 the sideband hierarchy at a finite probe strength.
 
-A practical note on time scales: the transient decays at the *optically
-broadened* mechanical rates (tens of kilohertz here), not at the bare
-mechanical damping, so a few milliseconds of settling is usually enough
-even though ``1/gamma_m`` is much longer.  The built-in defaults are
-deliberately conservative; pass ``settle`` explicitly for speed.
+A practical note on time scales: the transient mostly decays at the
+*optically broadened* mechanical rates (tens of kilohertz here), not at
+the bare mechanical damping, so well under a millisecond of settling is
+usually enough even though ``1/gamma_m`` is much longer.  That estimate
+only sets the pace of :func:`sideband_closure`'s checks, not its result:
+by default it integrates on until two successive demodulation windows,
+aligned on the probe phase, agree, and it flags a run that never gets
+there.  A chain whose slowest mode the estimate misses simply takes
+longer: three modes with eta = 0.05 omega_m and theta = 0.37 pi, probed at
+0.97 omega_m, need about 84 estimated lifetimes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._dop853 import dop853
+from ._dop853 import dop853, dop853_steps
 from .darkmode import _total_optical_damping
 from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
@@ -61,6 +66,12 @@ _DEFAULT_SAMPLES_PER_PERIOD = 64
 _OVERFLOW_FACTOR = 1e6
 # Tighter relative tolerances are below what double precision resolves.
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
+# The checked settle of sideband_closure, in lifetimes of the slowest
+# optically broadened mode: demodulate every ~2 lifetimes, stop once a1 and
+# a2 both move by at most _SETTLE_RTOL (relative), give up at 160.
+_SETTLE_RTOL = 1e-7
+_CHECK_LIFETIMES = 2.0
+_SETTLE_CAP_LIFETIMES = 160.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,13 @@ class ClosureReport:
 
     ``a1_*`` and ``a2_*`` are the first- and second-order lower cavity
     sidebands from each route, for any mode count; ``rel_err_*`` their
-    relative gaps.
+    relative gaps.  ``residual``, ``n_cycles`` and ``reliable`` describe
+    the demodulation window (see :class:`DemodResult`); ``settle`` is the
+    time (s) integrated before that window.  ``settle_change`` is the
+    larger relative change of the time-domain ``a1`` and ``a2`` against
+    the check window before, at most 1e-7 unless the checked settle hit
+    its cap (then ``reliable`` is False), and NaN for an explicit
+    ``settle``.
     """
 
     omega: float
@@ -121,6 +138,8 @@ class ClosureReport:
     residual: float
     n_cycles: int
     reliable: bool
+    settle: float
+    settle_change: float
 
 
 def _fastest_rate(config: SystemConfig, omega_probe: float | None) -> float:
@@ -172,6 +191,25 @@ def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
         return out
 
     return rhs
+
+
+def _start(config: SystemConfig, eps_l: float, alpha0: complex,
+           betas0: np.ndarray):
+    """Real start vector, amplitude scale and overflow guard of one run."""
+    scale = max(abs(alpha0), eps_l / config.cavity.kappa, 1.0)
+    limit_sq = (_OVERFLOW_FACTOR * scale) ** 2
+
+    def overflow(t: float, y: np.ndarray) -> None:
+        if y[0] ** 2 + y[1] ** 2 >= limit_sq:
+            raise UnstableIntegrationError(
+                f"cavity amplitude exceeded {_OVERFLOW_FACTOR:.0e} x its "
+                f"steady scale by t = {t:.6e} s; the operating point is "
+                "unstable")
+
+    y0 = np.empty(2 * (config.n_modes + 1))
+    y0[0], y0[1] = alpha0.real, alpha0.imag
+    y0[2::2], y0[3::2] = betas0.real, betas0.imag
+    return y0, scale, overflow
 
 
 def _check_rtol(rtol: float) -> None:
@@ -252,7 +290,6 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
             f"{step:.3e} s")
 
     n = config.n_modes
-    kappa = config.cavity.kappa
     w_probe = float(omega_probe) if omega_probe is not None else 0.0
 
     if isinstance(initial, str):
@@ -279,20 +316,7 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
 
     # The linear part of the equations is a precomputed real operator.
     rhs = _mean_field_rhs(config, eps_l, eps_p, w_probe)
-
-    scale = max(abs(alpha0), eps_l / kappa, 1.0)
-    limit_sq = (_OVERFLOW_FACTOR * scale) ** 2
-
-    def overflow(t: float, y: np.ndarray) -> None:
-        if y[0] ** 2 + y[1] ** 2 >= limit_sq:
-            raise UnstableIntegrationError(
-                f"cavity amplitude exceeded {_OVERFLOW_FACTOR:.0e} x its "
-                f"steady scale by t = {t:.6e} s; the operating point is "
-                "unstable")
-
-    y0 = np.empty(2 * (n + 1))
-    y0[0], y0[1] = alpha0.real, alpha0.imag
-    y0[2::2], y0[3::2] = betas0.real, betas0.imag
+    y0, scale, overflow = _start(config, eps_l, alpha0, betas0)
 
     t_eval = np.arange(0.0, t_final + 0.5 * step, step)
     t_eval = t_eval[t_eval <= t_final]
@@ -326,23 +350,27 @@ def demodulate(trace: TimeTrace, omega: float, *,
     ----------
     trace : TimeTrace
     omega : float
-        Demodulation frequency (rad/s); normally ``trace.omega_probe``.
+        Demodulation frequency (rad/s, finite and > 0); normally
+        ``trace.omega_probe``.
     settle : float, optional
-        Transient to discard (s).  The default, twenty bare lifetimes
-        ``20 / min(kappa, gamma_l)``, is very conservative; pass the
-        optically broadened time scale explicitly when speed matters.
+        Transient to discard (s, finite and >= 0).  The default discards
+        the first half of the record, or less if that would not leave
+        ``min_cycles`` whole cycles.
     min_cycles : int
-        Minimum number of full cycles the fit window must contain.
+        Minimum number of full cycles the fit window must contain, >= 1.
 
     Raises
     ------
     InvalidParameterError
-        The trace does not extend ``min_cycles`` cycles past ``settle``.
+        ``omega``, ``settle`` or ``min_cycles`` is out of range, or the
+        trace does not extend ``min_cycles`` cycles past ``settle``.
     """
-    if omega <= 0.0:
-        raise InvalidParameterError(f"omega must be > 0, got {omega}")
-    if min_cycles < 1:
-        raise InvalidParameterError("min_cycles must be >= 1")
+    if not 0.0 < omega < math.inf:
+        raise InvalidParameterError(
+            f"omega must be finite and > 0, got {omega}")
+    if not min_cycles >= 1:
+        raise InvalidParameterError(
+            f"min_cycles must be >= 1, got {min_cycles}")
     times = trace.times
     period = 2.0 * math.pi / omega
     t_end = float(times[-1])
@@ -352,8 +380,9 @@ def demodulate(trace: TimeTrace, omega: float, *,
         # min_cycles whole cycles).  Callers who know the physical settling
         # time should pass it.
         settle = max(0.0, min(0.5 * t_end, t_end - min_cycles * period))
-    if settle < 0.0:
-        raise InvalidParameterError("settle must be >= 0")
+    if not 0.0 <= settle < math.inf:
+        raise InvalidParameterError(
+            f"settle must be finite and >= 0, got {settle}")
     n_cycles = int(math.floor((t_end - settle) / period))
     if n_cycles < min_cycles:
         raise InvalidParameterError(
@@ -361,9 +390,12 @@ def demodulate(trace: TimeTrace, omega: float, *,
             f"settle time; {min_cycles} required")
     window_start = t_end - n_cycles * period
     mask = times >= window_start - 1e-9 * period
-    ts = times[mask]
-    ys = trace.cavity[mask]
+    return _fit_harmonics(times[mask], trace.cavity[mask], omega, n_cycles)
 
+
+def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
+                   n_cycles: int) -> DemodResult:
+    """The least-squares fit of :func:`demodulate` on one window."""
     columns = np.column_stack([
         np.ones_like(ts, dtype=complex),
         np.exp(-1j * omega * ts),
@@ -377,7 +409,6 @@ def demodulate(trace: TimeTrace, omega: float, *,
     denom = float(np.sqrt(np.mean(np.abs(wiggle) ** 2)))
     resid = float(np.sqrt(np.mean(np.abs(ys - fitted) ** 2)))
     residual = resid / denom if denom > 0.0 else float("inf")
-    reliable = bool(n_cycles >= min_cycles and residual < 1e-3)
     return DemodResult(
         mean=complex(coef[0]),
         a1_lower=complex(coef[1]),
@@ -386,16 +417,107 @@ def demodulate(trace: TimeTrace, omega: float, *,
         a2_upper=complex(coef[4]),
         residual=residual,
         n_cycles=n_cycles,
-        reliable=reliable,
+        reliable=residual < 1e-3,
     )
 
 
-def _default_settle(config: SystemConfig, steady: SteadyState) -> float:
-    """Forty lifetimes of the slowest optically broadened mode."""
+def _lifetime(config: SystemConfig, steady: SteadyState) -> float:
+    """Lifetime (s) of the slowest optically broadened mechanical mode."""
     _, gamma, _ = config.mode_arrays()
     total_opt = _total_optical_damping(config, steady)
-    rate = float(np.min(gamma)) + 0.5 * total_opt
-    return 40.0 / rate
+    return 1.0 / (float(np.min(gamma)) + 0.5 * total_opt)
+
+
+def _check_schedule(config: SystemConfig, steady: SteadyState, omega: float,
+                    periods: int) -> tuple[float, int, int, int, int]:
+    """Sampling and check points of the checked settle.
+
+    Returns ``(step, width, every, first, last)``.  Sample ``i`` is the
+    state at ``i * step``, with a whole number ``q`` of samples per probe
+    period and ``step`` no coarser than the default of
+    :func:`integrate_mean_field`.  A check demodulates samples
+    ``end - width ... end`` (``periods`` cycles) with ``end`` running
+    ``first, first + every, ..., last``; every ``end`` is a multiple of
+    ``q``, so all windows start and end on the same probe phase.
+    ``every`` is the whole number of periods closest to
+    ``_CHECK_LIFETIMES`` lifetimes, and the last window starts no later
+    than ``_SETTLE_CAP_LIFETIMES`` lifetimes.
+    """
+    tau = _lifetime(config, steady)
+    period = 2.0 * math.pi / omega
+    q = math.ceil(_DEFAULT_SAMPLES_PER_PERIOD * _fastest_rate(config, omega)
+                  / omega)
+    m = max(1, round(_CHECK_LIFETIMES * tau / period))
+    first = math.ceil(periods / m) * m
+    last = max(first + m, math.floor(
+        (_SETTLE_CAP_LIFETIMES * tau / period + periods) / m) * m)
+    return period / q, periods * q, m * q, first * q, last * q
+
+
+def _rel_change(new: complex, old: complex) -> float:
+    return abs(new - old) / abs(new)
+
+
+def _checked_settle(config: SystemConfig, steady: SteadyState, omega: float,
+                    periods: int, rtol: float):
+    """Integrate until two successive check windows agree.
+
+    Returns the demodulation of the last window, its start time (s) and
+    the larger relative change of ``a1_lower`` and ``a2_lower`` against
+    the window before.  A run that reaches the cap unconverged comes back
+    with ``reliable=False``.  Only one window of cavity samples is kept,
+    and samples no window uses are never interpolated.
+    """
+    step, width, every, end, last = _check_schedule(config, steady, omega,
+                                                    periods)
+    eps_l = pump_amplitude(config)
+    rhs = _mean_field_rhs(config, eps_l, probe_amplitude(config),
+                          float(omega))
+    y0, scale, overflow = _start(config, eps_l, complex(steady.alpha),
+                                 np.asarray(steady.betas, dtype=complex))
+    # buf[j] holds sample start + j of the current window, start..end.
+    buf = np.empty(width + 1, dtype=complex)
+    start = taken = end - width  # taken: the next sample to store
+    previous = None
+    change = math.inf
+    for t_old, t, dense in dop853_steps(rhs, y0, last * step,
+                                        first_step=step, rtol=rtol,
+                                        atol=rtol * scale, check=overflow):
+        # Samples in (t_old, t], exactly as dop853 assigns its t_eval.
+        upto = int(t / step)
+        while (upto + 1) * step <= t:
+            upto += 1
+        while upto * step > t:
+            upto -= 1
+        if upto < taken:
+            continue
+        ys = dense(np.arange(taken, upto + 1) * step)
+        samples = ys[0] + 1j * ys[1]
+        while taken <= upto:
+            stop = min(upto, end)
+            buf[taken - start:stop + 1 - start] = samples[:stop + 1 - taken]
+            samples = samples[stop + 1 - taken:]
+            taken = stop + 1
+            if stop < end:
+                break
+            demod = _fit_harmonics(np.arange(start, end + 1) * step, buf,
+                                   omega, periods)
+            settle = start * step
+            if previous is not None:
+                change = max(_rel_change(demod.a1_lower, previous.a1_lower),
+                             _rel_change(demod.a2_lower, previous.a2_lower))
+                if change <= _SETTLE_RTOL:
+                    return demod, settle, change
+            previous = demod
+            end += every
+            start = end - width
+            if start <= taken:
+                # Overlapping windows: keep the samples they share.
+                buf[:taken - start] = buf[every:]
+            else:
+                samples = samples[start - taken:]
+                taken = start
+    return replace(demod, reliable=False), settle, change
 
 
 def sideband_closure(config: SystemConfig, omega: float, *,
@@ -412,6 +534,16 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     the gap measures probe-nonlinearity plus integration error and shrinks
     with ``probe_ratio``.
 
+    By default the transient is not discarded for a fixed time but
+    checked: the integration runs on, and the last ``periods`` probe cycles
+    are demodulated every whole number of cycles closest to two lifetimes
+    of the slowest optically broadened mechanical mode.  It stops as soon
+    as ``a1`` and ``a2`` both change by at most 1e-7 (relative) from one
+    window to the next and reports that last window.  A run that has not
+    converged after 160 lifetimes reports its last window with
+    ``reliable=False``.  All windows start on the same probe phase, so a
+    harmonic the fit leaves out leaks the same way into each of them.
+
     Parameters
     ----------
     config : SystemConfig
@@ -419,27 +551,33 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     omega : float
         Probe-pump detuning (rad/s).
     probe_ratio : float
-        Probe amplitude as a fraction of the pump; small values isolate
-        the linear response (default 0.01).
+        Probe amplitude as a fraction of the pump, finite and > 0; small
+        values isolate the linear response (default 0.01).
     periods : int
-        Probe cycles to demodulate over, at least one.
+        Probe cycles to demodulate over, a whole number >= 1.
     settle : float, optional
-        Transient to discard (s, finite and >= 0); defaults to forty
-        optically broadened mechanical lifetimes.
+        Transient to discard (s, finite and >= 0) instead of the checked
+        settle: one integration of ``settle + (periods + 1)`` probe
+        periods, demodulated over its last ``periods`` cycles.
     rtol : float
         Integrator tolerance, in ``[100 eps, 1)``.
 
     Raises
     ------
     InvalidParameterError
-        ``omega``, ``periods``, ``settle`` or ``rtol`` is out of range;
-        checked before any solve.
+        ``omega``, ``probe_ratio``, ``periods``, ``settle`` or ``rtol`` is
+        out of range; checked before any solve.
     """
     if not 0.0 < omega < math.inf:
         raise InvalidParameterError(
             f"omega must be finite and > 0, got {omega}")
-    if not periods >= 1:
-        raise InvalidParameterError(f"periods must be >= 1, got {periods}")
+    if not 0.0 < probe_ratio < math.inf:
+        raise InvalidParameterError(
+            f"probe_ratio must be finite and > 0, got {probe_ratio}")
+    if not periods >= 1 or periods % 1:
+        raise InvalidParameterError(
+            f"periods must be a whole number >= 1, got {periods}")
+    periods = int(periods)
     if settle is not None and not 0.0 <= settle < math.inf:
         raise InvalidParameterError(
             f"settle must be finite and >= 0, got {settle}")
@@ -452,13 +590,16 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     second = solve_second_order(config, steady, omega, first)
 
     if settle is None:
-        settle = _default_settle(config, steady)
-    period = 2.0 * math.pi / omega
-    t_final = settle + (periods + 1) * period
-    trace = integrate_mean_field(config, t_final, omega_probe=omega,
-                                 initial=(steady.alpha, steady.betas),
-                                 rtol=rtol)
-    demod = demodulate(trace, omega, settle=settle, min_cycles=periods)
+        demod, settle, change = _checked_settle(config, steady, omega,
+                                                periods, rtol)
+    else:
+        period = 2.0 * math.pi / omega
+        t_final = settle + (periods + 1) * period
+        trace = integrate_mean_field(config, t_final, omega_probe=omega,
+                                     initial=(steady.alpha, steady.betas),
+                                     rtol=rtol)
+        demod = demodulate(trace, omega, settle=settle, min_cycles=periods)
+        change = math.nan
 
     a1_fd = complex(first.a_minus)
     a1_td = demod.a1_lower
@@ -478,4 +619,6 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         residual=demod.residual,
         n_cycles=demod.n_cycles,
         reliable=demod.reliable,
+        settle=float(settle),
+        settle_change=float(change),
     )

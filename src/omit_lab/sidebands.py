@@ -655,6 +655,12 @@ def _phase_and_delay(w: np.ndarray, t_p: np.ndarray
     return phase, delay
 
 
+def _check_second_order_flag(value) -> None:
+    if not isinstance(value, bool):
+        raise InvalidParameterError(
+            f"include_second_order must be True or False, got {value!r}")
+
+
 def compute_spectrum(config: SystemConfig,
                      omega: np.ndarray | None = None, *,
                      span: tuple[float, float] = (0.8, 1.2),
@@ -679,7 +685,8 @@ def compute_spectrum(config: SystemConfig,
         Default grid construction; ignored when ``omega`` is given.
     include_second_order : bool
         ``False`` skips the second order, leaving ``efficiency_percent``
-        NaN and the route check to the first order.
+        NaN and the route check to the first order.  Anything but a
+        ``bool`` is refused.
     steady : SteadyState, optional
         Reuse a precomputed operating point.
 
@@ -687,6 +694,7 @@ def compute_spectrum(config: SystemConfig,
     -------
     Spectrum
     """
+    _check_second_order_flag(include_second_order)
     if omega is None:
         lo, hi = span
         if not (hi > lo):

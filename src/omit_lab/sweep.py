@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, OmitLabError
 from .model import SystemConfig, lock_effective_detuning
-from .sidebands import Spectrum, compute_spectrum
+from .sidebands import Spectrum, _check_second_order_flag, compute_spectrum
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -167,8 +167,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
     response, ...) are recorded and do not abort the rest of the sweep.
     A mode or coupling index out of range for ``config`` would fail every
     point, so it raises :class:`InvalidParameterError` before any point is
-    computed.
+    computed, and so does an ``include_second_order`` that is not a
+    ``bool``.
     """
+    _check_second_order_flag(include_second_order)
     setter, _ = SWEEPABLE_PARAMETERS[spec.parameter]
     setter(config, spec.index)
     spectra: list[Spectrum | None] = []

@@ -155,6 +155,7 @@ def test_oracle_cli(config_file, tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["reliable"] is True
     assert report["rel_err_first"] < 0.01
+    assert report["settle"] > 0.0 and report["settle_change"] <= 1e-7
 
 
 def test_oracle_bad_tolerance_exits_2(config_file, capsys):

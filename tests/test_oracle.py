@@ -154,6 +154,25 @@ def test_demodulate_needs_enough_cycles():
         ol.demodulate(trace, omega, min_cycles=50)
 
 
+@pytest.mark.parametrize("bad, name", [
+    ({"omega": math.nan}, "omega"), ({"omega": math.inf}, "omega"),
+    ({"omega": 0.0}, "omega"),
+    ({"settle": math.nan}, "settle"), ({"settle": math.inf}, "settle"),
+    ({"settle": -1e-9}, "settle"),
+    ({"min_cycles": math.nan}, "min_cycles"), ({"min_cycles": 0}, "min_cycles"),
+])
+def test_demodulate_rejects_bad_arguments(bad, name):
+    omega = 5.95e6
+    step = (2 * math.pi / omega) / 100
+    t = np.arange(1001) * step
+    trace = ol.TimeTrace(times=t, cavity=np.exp(-1j * omega * t),
+                         mechanics=np.zeros((1, len(t)), dtype=complex),
+                         omega_probe=omega, step=step)
+    kwargs = {"omega": omega, "min_cycles": 5, **bad}
+    with pytest.raises(ol.InvalidParameterError, match=name):
+        ol.demodulate(trace, **kwargs)
+
+
 def test_step_guard_rejects_undersampling(split_config):
     w = 0.95 * split_config.omega_ref
     # Demodulation needs the 2*Omega harmonic resolved, so the fastest
@@ -306,6 +325,9 @@ def test_closure_beyond_two_modes():
     ({"settle": math.nan}, "settle"), ({"settle": math.inf}, "settle"),
     ({"rtol": -1.0}, "rtol"), ({"rtol": 0.0}, "rtol"),
     ({"rtol": math.nan}, "rtol"),
+    ({"probe_ratio": 0.0}, "probe_ratio"),
+    ({"probe_ratio": math.inf}, "probe_ratio"),
+    ({"periods": 2.5}, "periods"), ({"periods": math.inf}, "periods"),
 ])
 def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
                                                        name, monkeypatch):
@@ -313,9 +335,101 @@ def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
         raise AssertionError("argument check came after the solve")
     monkeypatch.setattr(oracle_mod, "solve_steady_state", must_not_run)
     monkeypatch.setattr(oracle_mod, "integrate_mean_field", must_not_run)
+    monkeypatch.setattr(oracle_mod, "dop853_steps", must_not_run)
     kwargs = {"omega": 0.95 * split_config.omega_ref, **bad}
     with pytest.raises(ol.InvalidParameterError, match=name):
         ol.sideband_closure(split_config, **kwargs)
+
+
+def _with_probe(config, ratio):
+    """The closure's configuration, operating point and lifetime scale."""
+    config = replace(config, drive=replace(config.drive, probe_ratio=ratio,
+                                           power_probe=None))
+    steady = ol.solve_steady_state(config)
+    return config, steady, oracle_mod._lifetime(config, steady)
+
+
+def test_checked_settle_stops_on_aligned_windows(split_config, monkeypatch):
+    # At probe ratio 0.05 the fit leaves out sizeable higher harmonics.
+    # Windows that all start on the same probe phase leak them identically,
+    # so once the transient has gone successive windows agree to ~1e-10,
+    # well inside the old fixed settle of 40 lifetimes.  Windows shifted
+    # against each other by even one sample leak differently and level off
+    # between 1e-8 and 2e-7, where the default tolerance of 1e-7 cannot
+    # tell them apart; a tolerance of 1e-9 here shows the difference (they
+    # would run to the cap).
+    monkeypatch.setattr(oracle_mod, "_SETTLE_RTOL", 1e-9)
+    w = 0.95 * split_config.omega_ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ratios above 0.05 warn
+        report = ol.sideband_closure(split_config, w, probe_ratio=0.05,
+                                     periods=100)
+    _, _, tau = _with_probe(split_config, 0.05)
+    assert report.settle_change <= 1e-9
+    assert 0.0 < report.settle < 40.0 * tau
+
+
+@pytest.mark.parametrize("periods", [20, 10], ids=["overlapping", "gapped"])
+def test_checked_settle_windows_are_the_integrated_trace(split_config,
+                                                         periods,
+                                                         monkeypatch):
+    # With the cap cut to 4 lifetimes the transient is still there when the
+    # run stops, and the report says so.  Each demodulated window holds
+    # exactly the samples of one integrate_mean_field run over the same
+    # span at the same step, bit for bit, although only one window of
+    # samples is ever kept.  Checks come every 14 periods here, so windows
+    # of 20 periods overlap and windows of 10 leave gaps.
+    monkeypatch.setattr(oracle_mod, "_SETTLE_CAP_LIFETIMES", 4.0)
+    fit = oracle_mod._fit_harmonics
+    windows = []
+
+    def recording(ts, ys, omega, n_cycles):
+        windows.append((ts.copy(), ys.copy()))
+        return fit(ts, ys, omega, n_cycles)
+
+    monkeypatch.setattr(oracle_mod, "_fit_harmonics", recording)
+    w = 0.95 * split_config.omega_ref
+    report = ol.sideband_closure(split_config, w, probe_ratio=0.01,
+                                 periods=periods)
+    assert not report.reliable
+    assert report.settle_change > 1e-7
+    config, steady, tau = _with_probe(split_config, 0.01)
+    assert report.settle <= 4.0 * tau
+
+    step, width, every, first, last = oracle_mod._check_schedule(
+        config, steady, w, periods)
+    assert every == 14 * width // periods
+    trace = ol.integrate_mean_field(config, last * step, omega_probe=w,
+                                    step=step,
+                                    initial=(steady.alpha, steady.betas))
+    ends = [round(ts[-1] / step) for ts, _ in windows]
+    assert ends == list(range(first, last + 1, every)) and len(ends) >= 2
+    for (ts, ys), end in zip(windows, ends):
+        cut = slice(end - width, end + 1)
+        assert ts.tobytes() == trace.times[cut].tobytes()
+        assert ys.tobytes() == trace.cavity[cut].tobytes()
+    assert report.settle == trace.times[last - width]
+    final = fit(*windows[-1], w, periods)
+    assert (report.a1_time, report.a2_time) == (final.a1_lower,
+                                                final.a2_lower)
+
+
+def test_checked_settle_outlasts_the_old_estimate_for_three_modes():
+    # For this chain 40 lifetimes of the estimate leave a2 1.3e-4 away from
+    # long explicit settles (50 periods; 60, 80, 120 and 160 lifetimes
+    # agree to ~1e-6).  The checked settle runs on past 40 lifetimes and
+    # lands within 2e-6 of 120 lifetimes: measured 5.8e-7, a margin of 3.4.
+    config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
+    w = 0.97 * config.omega_ref
+    checked = ol.sideband_closure(config, w, probe_ratio=0.01, periods=50)
+    _, _, tau = _with_probe(config, 0.01)
+    explicit = ol.sideband_closure(config, w, probe_ratio=0.01, periods=50,
+                                   settle=120.0 * tau)
+    assert checked.reliable and checked.settle > 40.0 * tau
+    assert abs(checked.a2_time - explicit.a2_time) <= \
+        2e-6 * abs(explicit.a2_time)
+    assert explicit.settle == 120.0 * tau
+    assert math.isnan(explicit.settle_change)
 
 
 def test_truncation_residual_grows_with_probe(split_config):

@@ -190,6 +190,20 @@ def test_spectrum_second_order_control(split_config):
     assert off.amplitude.tobytes() == sp3.amplitude.tobytes()
 
 
+@pytest.mark.parametrize("flag", [None, 0, 1, "auto", np.bool_(True)])
+def test_second_order_flag_must_be_bool(split_config, flag):
+    # None was the removed "auto" and silently meant off; anything but a
+    # bool is refused, by the sweep before its first point.
+    with pytest.raises(ol.InvalidParameterError,
+                       match="include_second_order"):
+        ol.compute_spectrum(split_config, points=5,
+                            include_second_order=flag)
+    spec = ol.SweepSpec(parameter="theta_rad", values=(0.0, 1.0))
+    with pytest.raises(ol.InvalidParameterError,
+                       match="include_second_order"):
+        ol.run_sweep(split_config, spec, points=5, include_second_order=flag)
+
+
 def test_group_delay_exact_on_cubic_phase(split_config):
     # A synthetic t_p = exp(i*phi(w)) with cubic phi is differentiated
     # exactly by the five-point stencil (its error term is O(h^4) on the
