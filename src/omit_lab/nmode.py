@@ -30,7 +30,7 @@ import numpy as np
 from .darkmode import fit_linewidth
 from .errors import InvalidParameterError, UnsupportedTopologyError
 from .model import SteadyState, SystemConfig, probe_amplitude
-from .sidebands import Spectrum, _sideband_response
+from .sidebands import Spectrum, _pump_phase, _sideband_response
 
 __all__ = [
     "NormalModeBasis",
@@ -179,5 +179,5 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
     a_minus = _sideband_response(
         kap, steady.delta_eff, basis.damping, basis.frequencies,
         np.zeros(basis.n - 1), basis.couplings,
-        steady.alpha / abs(steady.alpha), w, 1, (eps_p, 0.0))[0]
+        _pump_phase(steady.alpha), w, 1, (eps_p, 0.0))[0]
     return 1.0 - (kap / eps_p) * a_minus

@@ -229,9 +229,39 @@ def _as_grid(omega: float | np.ndarray) -> tuple[np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if arr.ndim != 1:
         raise InvalidParameterError("omega must be a scalar or 1-D array")
+    if arr.size == 0:
+        raise InvalidParameterError("omega grid is empty")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("omega grid contains non-finite values")
     return arr, np.ndim(omega) == 0
+
+
+def _spectrum_grid(omega: np.ndarray | None, span: tuple[float, float],
+                   points: int, omega_ref: float) -> np.ndarray:
+    """The checked detuning grid of :func:`compute_spectrum`.
+
+    An explicit ``omega`` is copied; otherwise ``points`` samples cover
+    ``span`` in units of ``omega_ref``.
+    """
+    if omega is not None:
+        w, scalar = _as_grid(omega)
+        if scalar:
+            raise InvalidParameterError("omega grid must have >= 1 dimension")
+        return w.copy()
+    lo, hi = span
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise InvalidParameterError(
+            f"span must be finite and increase, got {span}")
+    try:
+        count = int(points)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != points:
+        raise InvalidParameterError(
+            f"points must be a whole number, got {points!r}")
+    if count < 2:
+        raise InvalidParameterError("points must be >= 2")
+    return np.linspace(lo * omega_ref, hi * omega_ref, count)
 
 
 def _uniform_step(w: np.ndarray) -> float | None:
@@ -254,16 +284,17 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Thomas sweep for one tridiagonal chain per grid point.
+                 rhs: np.ndarray) -> None:
+    """Thomas sweep for one tridiagonal chain per grid point, in place.
 
     ``diag`` is ``(N, K)``; the chains share the off-diagonals ``upper``
-    and ``lower`` (length ``N - 1``); ``rhs`` is ``(N, K, R)``.  Every
+    and ``lower`` (length ``N - 1``); ``rhs`` is ``(N, K, R)`` and is
+    overwritten with the solution; ``diag`` is left as it was.  Every
     chain is ``gamma*I + i*(Hermitian)``, so each pivot has a real part of
     at least ``min(gamma) > 0``: the sweep needs no pivoting and no
     singularity check.
     """
-    x = rhs.copy()
+    x = rhs
     ratio = np.empty((len(upper),) + diag.shape[1:], dtype=complex)
     pivot = diag[0]
     x[0] /= pivot[:, None]
@@ -274,7 +305,6 @@ def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
         x[l] /= pivot[:, None]
     for l in range(len(diag) - 2, -1, -1):
         x[l] -= ratio[l][:, None] * x[l + 1]
-    return x
 
 
 def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
@@ -309,57 +339,85 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         some grid point.
     """
     v = order * w
+    # One (N, K, R) block per chain, solved in place: column 0 answers the
+    # cavity coupling, column 1 the mechanical drive.  The block layout is
+    # part of the numbers: ``@`` contracts a strided operand with numpy's
+    # own loop and a contiguous one with BLAS, which round differently, so
+    # solving into (R, N, K) blocks would move the second order's last bits.
     shape = (len(frequencies), len(w), 1 if mech_rhs is None else 2)
-    rhs_m = np.empty(shape, dtype=complex)
-    rhs_p = np.empty(shape, dtype=complex)
-    rhs_m[:, :, 0] = coupling[:, None]
-    rhs_p[:, :, 0] = np.conj(coupling)[:, None]
+    sol_m = np.empty(shape, dtype=complex)
+    sol_p = np.empty(shape, dtype=complex)
+    sol_m[:, :, 0] = coupling[:, None]
+    sol_p[:, :, 0] = np.conj(coupling)[:, None]
     if mech_rhs is not None:
-        rhs_m[:, :, 1], rhs_p[:, :, 1] = mech_rhs
+        sol_m[:, :, 1], sol_p[:, :, 1] = mech_rhs
+    # Both chains share one diagonal buffer, gamma + i(omega - v) and then
+    # gamma - i(omega + v), its imaginary part formed as 0 - (omega + v) so
+    # that an exact zero comes out +0, as complex subtraction gives it.
+    diag = np.empty(shape[:2], dtype=complex)
+    diag.real = damping[:, None]
     d0 = kappa + 1j * (delta - v)
     d1 = kappa - 1j * (delta + v)
     # Overflow and a zero cavity determinant both end in non-finite
     # amplitudes, reported once below.
     with np.errstate(all="ignore"):
-        sol_m = _chain_solve(
-            damping[:, None] + 1j * (frequencies[:, None] - v),
-            1j * hop, 1j * np.conj(hop), rhs_m)
-        sol_p = _chain_solve(
-            damping[:, None] - 1j * (frequencies[:, None] + v),
-            -1j * np.conj(hop), -1j * hop, rhs_p)
-        # y: response to the cavity coupling; z: to the mechanical drive
-        # (zero when there is none).
-        y_m, z_m = sol_m[:, :, 0], sol_m[:, :, 1:].sum(axis=2)
-        y_p, z_p = sol_p[:, :, 0], sol_p[:, :, 1:].sum(axis=2)
+        np.subtract(frequencies[:, None], v, out=diag.imag)
+        _chain_solve(diag, 1j * hop, 1j * np.conj(hop), sol_m)
+        np.add(frequencies[:, None], v, out=diag.imag)
+        np.subtract(0.0, diag.imag, out=diag.imag)
+        _chain_solve(diag, -1j * np.conj(hop), -1j * hop, sol_p)
+        del diag  # freed before the z copies below
+        # y: response to the cavity coupling; z: to the mechanical drive,
+        # copied contiguous so that ``@`` contracts it with BLAS (see the
+        # block layout above).
+        y_m, y_p = sol_m[:, :, 0], sol_p[:, :, 0]
         sigma = coupling @ y_p - np.conj(coupling) @ y_m
-        s0 = np.conj(coupling) @ z_m + coupling @ z_p
-        f0 = cavity_rhs[0] - 1j * phase * s0
-        f1 = cavity_rhs[1] + 1j * np.conj(phase) * s0
+        f0, f1 = cavity_rhs
+        if mech_rhs is not None:
+            z_m = np.ascontiguousarray(sol_m[:, :, 1])
+            z_p = np.ascontiguousarray(sol_p[:, :, 1])
+            s0 = np.conj(coupling) @ z_m + coupling @ z_p
+            f0 = f0 - 1j * phase * s0
+            f1 = f1 + 1j * np.conj(phase) * s0
+        else:
+            # No drive, no z and no s0; the scalar zero keeps the signed
+            # zeros of 0 - t and 0 + t below.
+            z_m = z_p = 0.0
         det = d0 * d1 + 2j * delta * sigma
         a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
         a_plus_conj = ((d0 - sigma) * f1
                        - sigma * np.conj(phase) ** 2 * f0) / det
         x = np.conj(phase) * a_minus + phase * a_plus_conj
-        b_minus = z_m - 1j * x * y_m
-        b_plus_conj = z_p + 1j * x * y_p
-        bad = ~np.isfinite(a_minus + a_plus_conj
-                           + (b_minus + b_plus_conj).sum(axis=0))
-    if np.any(bad):
+        # B- = z- - (i X) y- and conj(B+) = z+ + (i X) y+, formed over y.
+        # The operand order (i X) * y matters: complex products do not
+        # commute bit for bit, and ``y *= 1j * x`` rounds differently.
+        b_minus = np.multiply(1j * x, y_m, out=y_m)
+        np.subtract(z_m, b_minus, out=b_minus)
+        b_plus_conj = np.multiply(1j * x, y_p, out=y_p)
+        np.add(z_p, b_plus_conj, out=b_plus_conj)
+        ok = (np.isfinite(a_minus) & np.isfinite(a_plus_conj)
+              & np.isfinite(b_minus).all(axis=0)
+              & np.isfinite(b_plus_conj).all(axis=0))
+    if not ok.all():
         raise SingularSystemError(
             "sideband response matrix is singular near omega = "
-            f"{w[np.argmax(bad)]:.6e} rad/s")
+            f"{w[np.argmin(ok)]:.6e} rad/s")
     return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
+
+
+def _pump_phase(alpha: complex) -> complex:
+    """Unit phase of the intracavity pump field; 1 with the pump off."""
+    size = abs(alpha)
+    return alpha / size if size > 0.0 else 1.0
 
 
 def _site_response(view: _View, w: np.ndarray, order: int,
                    cavity_rhs: tuple, mech_rhs=None) -> tuple[np.ndarray, ...]:
     """:func:`_sideband_response` for the site-basis chain of ``view``."""
-    size = abs(view.alpha)
-    phase = view.alpha / size if size > 0.0 else 1.0
     return _sideband_response(
         view.kappa, view.delta, view.gamma, view.omega,
-        view.eta * np.exp(1j * view.theta), view.g * size, phase, w, order,
-        cavity_rhs, mech_rhs)
+        view.eta * np.exp(1j * view.theta), view.g * abs(view.alpha),
+        _pump_phase(view.alpha), w, order, cavity_rhs, mech_rhs)
 
 
 def _first_order_raw(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -695,19 +753,7 @@ def compute_spectrum(config: SystemConfig,
     Spectrum
     """
     _check_second_order_flag(include_second_order)
-    if omega is None:
-        lo, hi = span
-        if not (hi > lo):
-            raise InvalidParameterError(f"span must increase, got {span}")
-        if points < 2:
-            raise InvalidParameterError("points must be >= 2")
-        w = np.linspace(lo * config.omega_ref, hi * config.omega_ref,
-                        int(points))
-    else:
-        w, scalar = _as_grid(omega)
-        if scalar:
-            raise InvalidParameterError("omega grid must have >= 1 dimension")
-        w = w.copy()
+    w = _spectrum_grid(omega, span, points, config.omega_ref)
 
     if steady is None:
         steady = solve_steady_state(config)

@@ -27,7 +27,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, OmitLabError
 from .model import SystemConfig, lock_effective_detuning
-from .sidebands import Spectrum, _check_second_order_flag, compute_spectrum
+from .sidebands import (
+    Spectrum,
+    _check_second_order_flag,
+    _spectrum_grid,
+    compute_spectrum,
+)
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -165,12 +170,13 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
 
     Failures at individual points (non-convergent steady state, singular
     response, ...) are recorded and do not abort the rest of the sweep.
-    A mode or coupling index out of range for ``config`` would fail every
-    point, so it raises :class:`InvalidParameterError` before any point is
-    computed, and so does an ``include_second_order`` that is not a
-    ``bool``.
+    A mode or coupling index out of range for ``config``, a grid
+    :func:`compute_spectrum` would refuse, or an ``include_second_order``
+    that is not a ``bool`` would fail every point alike, so each raises
+    :class:`InvalidParameterError` before any point is computed.
     """
     _check_second_order_flag(include_second_order)
+    _spectrum_grid(omega, span, points, config.omega_ref)
     setter, _ = SWEEPABLE_PARAMETERS[spec.parameter]
     setter(config, spec.index)
     spectra: list[Spectrum | None] = []

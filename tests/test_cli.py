@@ -57,9 +57,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
-def test_bad_grid_exits_2(config_file):
+def test_bad_grid_exits_2(config_file, tmp_path):
     assert cli.main(["spectrum", "--config", config_file,
                      "--omega-grid", "0.9:1.1"]) == 2
+    for grid in ("0.9:1.1:1", "1.1:0.9:51"):
+        assert cli.main(["spectrum", "--config", config_file,
+                         "--omega-grid", grid]) == 2
+        assert cli.main(["sweep", "--config", config_file,
+                         "--param", "theta_rad", "--values", "0,1",
+                         "--omega-grid", grid,
+                         "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exits_3(config_file, monkeypatch, capsys):

@@ -139,6 +139,26 @@ def test_site_and_normal_mode_bases_agree():
         assert np.max(np.abs(site - star)) <= 1e-10 * np.max(np.abs(site))
 
 
+def test_bases_agree_with_the_pump_off():
+    # No pump leaves no intracavity field to take a phase from: both
+    # bases take phase 1 and return the bare-cavity response.
+    base = _chain(4, math.pi / 2)
+    cfg = ol.SystemConfig(
+        cavity=base.cavity, modes=base.modes, couplings=base.couplings,
+        drive=ol.DriveSpec(power_pump=0.0, probe_ratio=None,
+                           power_probe=1e-6))
+    st = ol.solve_steady_state(cfg)
+    assert st.alpha == 0.0
+    w = np.linspace(0.85, 1.15, 41) * cfg.omega_ref
+    site = ol.compute_spectrum(cfg, w, include_second_order=False,
+                               steady=st).amplitude
+    star = ol.transmission_via_normal_modes(cfg, st, w)
+    assert np.max(np.abs(site - star)) <= 1e-12 * np.max(np.abs(site))
+    kap, delta = cfg.cavity.kappa, st.delta_eff
+    bare = 1.0 - kap / (kap + 1j * (delta - w))
+    assert np.allclose(site, bare, rtol=1e-12, atol=0)
+
+
 def test_window_count_matches_mode_count():
     for n, broken, expected in ((2, True, 2), (3, True, 3), (4, True, 4),
                                 (2, False, 1), (4, False, 2)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ def test_spectrum_grid_validation(split_config):
         ol.compute_spectrum(split_config, points=1)
     with pytest.raises(ol.InvalidParameterError):
         ol.compute_spectrum(split_config, span=(1.2, 0.8))
+    with pytest.raises(ol.InvalidParameterError, match="empty"):
+        ol.compute_spectrum(split_config, omega=np.array([]))
+    with pytest.raises(ol.InvalidParameterError, match="empty"):
+        ol.solve_first_order(split_config, ol.solve_steady_state(split_config),
+                             np.array([]))
+    for points in (2.5, float("nan"), "5", None):
+        with pytest.raises(ol.InvalidParameterError, match="whole number"):
+            ol.compute_spectrum(split_config, points=points)
+    with pytest.raises(ol.InvalidParameterError, match="finite"):
+        ol.compute_spectrum(split_config, span=(0.8, math.inf))
+    # A whole float is a whole number of points.
+    assert len(ol.compute_spectrum(split_config, points=5.0).omega) == 5
 
 
 def test_uniform_step_detection():
@@ -458,3 +471,30 @@ def test_zero_cavity_determinant_raises_typed_error():
             0.0, 1.0, np.array([0.01]), np.array([1.0]),
             np.zeros(0, dtype=complex), np.zeros(1, dtype=complex), 1.0, w,
             1, (np.ones_like(w), np.zeros_like(w)))
+
+
+def _traced_peak_mb(fn) -> float:
+    fn()  # warm-up: first-call caches are not the builder's working memory
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_response_builder_working_memory():
+    # The chain solves work in place over the right-hand-side blocks, so
+    # a spectrum holds about 4.2 (N, K) complex arrays at its peak with
+    # the first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB)
+    # and 10.7 with the second order (21.93 MB).  The bounds leave 10 % and
+    # 7 % of margin.  Solving on a copy of the blocks reads 10.57 / 25.58
+    # MB, and a builder that keeps its temporaries 19.28 / 36.21 MB.
+    cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
+    steady = ol.solve_steady_state(cfg)
+    w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
+    first = _traced_peak_mb(lambda: ol.compute_spectrum(
+        cfg, w, include_second_order=False, steady=steady))
+    both = _traced_peak_mb(lambda: ol.compute_spectrum(
+        cfg, w, include_second_order=True, steady=steady))
+    assert first <= 9.4 and both <= 23.5, (first, both)

@@ -90,6 +90,20 @@ def test_run_sweep_rejects_out_of_range_index(split_config):
     assert bundle.n_failed == 0
 
 
+def test_run_sweep_rejects_bad_grid_before_any_point(split_config,
+                                                    monkeypatch):
+    # A grid compute_spectrum refuses would fail every point alike, so the
+    # sweep refuses it up front, as the CLI does with exit code 2.
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was computed")
+    monkeypatch.setattr(ol.sweep, "compute_spectrum", no_point)
+    spec = ol.SweepSpec(parameter="theta_rad", values=(0.0, 1.0))
+    for grid in ({"points": 1}, {"span": (1.2, 0.8)}, {"points": 2.5},
+                 {"omega": np.array([])}, {"omega": 1.0e6}):
+        with pytest.raises(ol.InvalidParameterError):
+            ol.run_sweep(split_config, spec, **grid)
+
+
 def test_repeat_sweep_writes_identical_bundle(split_config, tmp_path):
     spec = ol.SweepSpec(parameter="theta_pi_units", values=(0.0, 0.5, 1.0),
                         lock_delta=split_config.omega_ref)
