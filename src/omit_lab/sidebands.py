@@ -311,7 +311,7 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
                        frequencies: np.ndarray, hop: np.ndarray,
                        coupling: np.ndarray, phase: complex, w: np.ndarray,
                        order: int, cavity_rhs: tuple,
-                       mech_rhs: tuple[np.ndarray, np.ndarray] | None = None,
+                       mech_drive: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, ...]:
     """Solve one order of the sideband hierarchy at ``v = order * w``.
 
@@ -320,15 +320,16 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
     ``u`` (``g_l |alpha|`` on the sites, the complex ``c_k`` in the
     normal-mode star basis).  The mechanical sidebands obey the chains ::
 
-        M- B- = s - i u X,               M- = gamma + i(H - v)
-        M+ conj(B+) = sc + i conj(u) X,  M+ = gamma - i(conj(H) + v)
+        M- B- = -d - i u X,              M- = gamma + i(H - v)
+        M+ conj(B+) = d + i conj(u) X,   M+ = gamma - i(conj(H) + v)
 
     where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
     ``hop`` above it).  One Thomas sweep per chain gives the self-energy
     ``sigma = u^T M+^-1 conj(u) - u^H M-^-1 u``, which leaves a 2x2 cavity
     system per grid point; the mechanical amplitudes follow by
-    back-substitution.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and
-    ``mech_rhs = (s, sc)``, each ``(N, K)``, the two chains.
+    back-substitution.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and the
+    ``(N, K)`` array ``mech_drive = d`` the two chains.  Only ``d`` is
+    held: its negation is written straight into the first chain's block.
 
     Returns ``(A-, conj(A+), B-, conj(B+))``, the last two ``(K, N)``.
 
@@ -344,13 +345,14 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
     # part of the numbers: ``@`` contracts a strided operand with numpy's
     # own loop and a contiguous one with BLAS, which round differently, so
     # solving into (R, N, K) blocks would move the second order's last bits.
-    shape = (len(frequencies), len(w), 1 if mech_rhs is None else 2)
+    shape = (len(frequencies), len(w), 1 if mech_drive is None else 2)
     sol_m = np.empty(shape, dtype=complex)
     sol_p = np.empty(shape, dtype=complex)
     sol_m[:, :, 0] = coupling[:, None]
     sol_p[:, :, 0] = np.conj(coupling)[:, None]
-    if mech_rhs is not None:
-        sol_m[:, :, 1], sol_p[:, :, 1] = mech_rhs
+    if mech_drive is not None:
+        np.negative(mech_drive, out=sol_m[:, :, 1])
+        sol_p[:, :, 1] = mech_drive
     # Both chains share one diagonal buffer, gamma + i(omega - v) and then
     # gamma - i(omega + v), its imaginary part formed as 0 - (omega + v) so
     # that an exact zero comes out +0, as complex subtraction gives it.
@@ -373,7 +375,7 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         y_m, y_p = sol_m[:, :, 0], sol_p[:, :, 0]
         sigma = coupling @ y_p - np.conj(coupling) @ y_m
         f0, f1 = cavity_rhs
-        if mech_rhs is not None:
+        if mech_drive is not None:
             z_m = np.ascontiguousarray(sol_m[:, :, 1])
             z_p = np.ascontiguousarray(sol_p[:, :, 1])
             s0 = np.conj(coupling) @ z_m + coupling @ z_p
@@ -412,12 +414,13 @@ def _pump_phase(alpha: complex) -> complex:
 
 
 def _site_response(view: _View, w: np.ndarray, order: int,
-                   cavity_rhs: tuple, mech_rhs=None) -> tuple[np.ndarray, ...]:
+                   cavity_rhs: tuple,
+                   mech_drive=None) -> tuple[np.ndarray, ...]:
     """:func:`_sideband_response` for the site-basis chain of ``view``."""
     return _sideband_response(
         view.kappa, view.delta, view.gamma, view.omega,
         view.eta * np.exp(1j * view.theta), view.g * abs(view.alpha),
-        _pump_phase(view.alpha), w, order, cavity_rhs, mech_rhs)
+        _pump_phase(view.alpha), w, order, cavity_rhs, mech_drive)
 
 
 def _first_order_raw(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -431,7 +434,7 @@ def _second_order_raw(view: _View, w: np.ndarray,
     s1 = (b1m + b1pc) @ view.g
     drive = 1j * np.outer(view.g, a1pc * a1m)
     return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1),
-                          (-drive, drive))
+                          drive)
 
 
 def _amplitudes(parts: tuple[np.ndarray, ...],

@@ -13,6 +13,11 @@ internally), angles are radians or units of pi, powers are watts.
 
 Outputs are deterministic: no timestamps and floats written with ``repr``
 (shortest round-trip form), so a repeated run writes the same bytes.
+Formatting those floats is most of a bundle's cost, so :func:`write_bundle`
+writes the per-point files in forked worker processes, one per usable CPU,
+and in the calling process when one worker would do, the platform cannot
+fork, or the caller is a daemonic process.  Nothing selects this but those
+facts: there is no setting, and the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -127,6 +133,8 @@ class SweepSpec:
     ``lock_delta`` (rad/s), when set, re-locks the *effective* detuning to
     that value after each parameter change -- the usual experimental
     protocol when turning a knob that shifts the static displacements.
+    A non-finite ``lock_delta`` would fail every point alike, so it is
+    refused here.
     """
 
     parameter: str
@@ -142,6 +150,9 @@ class SweepSpec:
         if len(values) == 0:
             raise InvalidParameterError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
+        if self.lock_delta is not None and not math.isfinite(self.lock_delta):
+            raise InvalidParameterError(
+                f"lock_delta must be finite, got {self.lock_delta!r}")
 
 
 @dataclass(frozen=True)
@@ -208,6 +219,14 @@ def _columns(spectrum: Spectrum) -> dict[str, np.ndarray]:
             for name, attr in _COLUMN_SOURCES.items()}
 
 
+def _csv_text(spectrum: Spectrum) -> str:
+    rows = np.column_stack(list(_columns(spectrum).values()))
+    lines = [",".join(CSV_COLUMNS)]
+    # repr of a Python float: shortest round-trip form, NaN as 'nan'.
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    return "\n".join(lines) + "\n"
+
+
 def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
     """Write a spectrum as CSV with the standard column set.
 
@@ -216,11 +235,7 @@ def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
     (efficiency with the second order switched off, the closed-form check
     beyond two modes, delay at grid edges) are written as ``nan``.
     """
-    rows = np.column_stack(list(_columns(spectrum).values()))
-    lines = [",".join(CSV_COLUMNS)]
-    # repr of a Python float: shortest round-trip form, NaN as 'nan'.
-    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(spectrum)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -253,10 +268,68 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
                       "columns": _columns(spectrum)})
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+def _write_text(path: Path, text: str) -> tuple[str, int]:
+    """Write ``text`` as UTF-8; return the SHA-256 and size of its bytes."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def _write_point(spectrum: Spectrum, path: Path, fmt: str) -> tuple[str, int]:
+    if fmt == "csv":
+        text = _csv_text(spectrum)
+    else:
+        text = json.dumps(spectrum_to_dict(spectrum), indent=1,
+                          allow_nan=False) + "\n"
+    return _write_text(path, text)
+
+
+# The (spectra, paths, fmt) of the bundle being written, inherited by each
+# forked writer through _start_writer; never set in the calling process.
+_WRITER_JOB = None
+
+
+def _start_writer(job) -> None:
+    global _WRITER_JOB
+    _WRITER_JOB = job
+
+
+def _write_job_point(i: int) -> tuple[str, int]:
+    spectra, paths, fmt = _WRITER_JOB
+    return _write_point(spectra[i], paths[i], fmt)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_points(spectra: list[Spectrum], paths: list[Path],
+                  fmt: str) -> list[tuple[str, int]]:
+    """Write every point file; return each file's ``(sha256, size)``.
+
+    One forked worker per usable CPU, at most one per file, or this
+    process when one would do, fork is missing, or this process is a
+    daemon (which may not have children).  The spectra reach the workers
+    by fork, not by pickle, and a task is a point index.
+    """
+    workers = min(_usable_cpus(), len(paths))
+    if workers > 1:
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+            # From Python 3.12 os.fork warns (DeprecationWarning) when the
+            # process runs more than one thread, and numpy's OpenBLAS starts
+            # its threads at import.  The writers never call BLAS; they only
+            # format floats and write files, so the warning is not filtered.
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_start_writer,
+                    initargs=((spectra, paths, fmt),)) as pool:
+                return list(pool.map(_write_job_point, range(len(paths))))
+    return list(map(_write_point, spectra, paths, [fmt] * len(paths)))
 
 
 def write_bundle(bundle: ResultBundle, out_dir, *,
@@ -268,30 +341,46 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
     metadata and error messages for failed points), and ``manifest.json``
     with the SHA-256 and size of every other written file.  Returns the
     list of paths written.
+
+    The point files are written by forked worker processes, one per
+    usable CPU, or in this process when one worker would do, the platform
+    cannot fork or this process is a daemon; the bytes are the same either
+    way and there is no setting for it.  An error raised while writing a
+    point file (an ``OSError``, say) reaches the caller as itself, and
+    ``bundle.json`` and ``manifest.json`` are written only after every
+    point file.
+
+    Raises
+    ------
+    InvalidParameterError
+        ``fmt`` is not ``csv`` or ``json``, or ``out_dir`` holds
+        ``point_*.csv`` or ``point_*.json`` files this bundle would not
+        write (left over from another sweep; nothing is deleted).
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameterError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     points = []
+    names = []
+    spectra = []
     for i, (value, spectrum, error) in enumerate(
             zip(bundle.spec.values, bundle.spectra, bundle.errors)):
         entry: dict = {"value": value, "error": error, "file": None}
         if spectrum is not None:
-            name = f"point_{i:03d}.{fmt}"
-            path = out / name
-            if fmt == "csv":
-                write_spectrum_csv(spectrum, path)
-            else:
-                path.write_text(
-                    json.dumps(spectrum_to_dict(spectrum), indent=1,
-                               allow_nan=False) + "\n",
-                    encoding="utf-8")
-            entry["file"] = name
+            entry["file"] = f"point_{i:03d}.{fmt}"
             entry["metadata"] = json_safe(spectrum.metadata)
-            written.append(path)
+            names.append(entry["file"])
+            spectra.append(spectrum)
         points.append(entry)
+    stale = sorted({p.name for ext in ("csv", "json")
+                    for p in out.glob(f"point_*.{ext}")} - set(names))
+    if stale:
+        raise InvalidParameterError(
+            f"{out} holds point files this bundle would not write: "
+            f"{', '.join(stale)}; use an empty directory")
+    out.mkdir(parents=True, exist_ok=True)
+    written = [out / name for name in names]
+    digests = dict(zip(names, _write_points(spectra, written, fmt)))
     index = {
         "parameter": bundle.spec.parameter,
         "index": bundle.spec.index,
@@ -300,17 +389,16 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
         "points": points,
     }
     index_path = out / "bundle.json"
-    index_path.write_text(json.dumps(index, indent=1, allow_nan=False) + "\n",
-                          encoding="utf-8")
+    digests[index_path.name] = _write_text(
+        index_path, json.dumps(index, indent=1, allow_nan=False) + "\n")
     written.append(index_path)
     manifest = {
         "files": {
-            p.name: {"sha256": _sha256(p), "bytes": p.stat().st_size}
-            for p in sorted(written, key=lambda p: p.name)
+            name: {"sha256": sha, "bytes": size}
+            for name, (sha, size) in sorted(digests.items())
         }
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n",
-                             encoding="utf-8")
+    _write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
     written.append(manifest_path)
     return written

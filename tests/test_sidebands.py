@@ -487,9 +487,10 @@ def test_response_builder_working_memory():
     # The chain solves work in place over the right-hand-side blocks, so
     # a spectrum holds about 4.2 (N, K) complex arrays at its peak with
     # the first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB)
-    # and 10.7 with the second order (21.93 MB).  The bounds leave 10 % and
-    # 7 % of margin.  Solving on a copy of the blocks reads 10.57 / 25.58
-    # MB, and a builder that keeps its temporaries 19.28 / 36.21 MB.
+    # and 9.7 with the second order (19.89 MB).  The bounds leave 10 % and
+    # 18 % of margin.  Holding the mechanical drive twice, as (-d, d),
+    # reads 21.93 MB; solving on a copy of the blocks 10.57 / 25.58 MB,
+    # and a builder that keeps its temporaries 19.28 / 36.21 MB.
     cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
     steady = ol.solve_steady_state(cfg)
     w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref

@@ -5,12 +5,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omit_lab as ol
+from omit_lab import sweep
 from omit_lab.sweep import CSV_COLUMNS
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pooled writer needs the fork start method")
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +70,19 @@ def test_sweep_spec_validation():
         ol.SweepSpec(parameter="power_pump_w", values=())
     spec = ol.SweepSpec(parameter="power_pump_w", values=[1, 2])
     assert spec.values == (1.0, 2.0)
+
+
+def test_non_finite_lock_delta_refused_before_any_point(split_config,
+                                                      monkeypatch):
+    # A lock target that is not finite fails every point alike, so the
+    # spec refuses it, as run_sweep refuses a bad grid.
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was computed")
+    monkeypatch.setattr(ol.sweep, "compute_spectrum", no_point)
+    for lock in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ol.InvalidParameterError, match="lock_delta"):
+            ol.run_sweep(split_config, ol.SweepSpec(
+                parameter="theta_rad", values=(0.0, 1.0), lock_delta=lock))
 
 
 def test_run_sweep_records_failures(split_config):
@@ -188,3 +211,108 @@ def test_write_bundle_json_format(split_config, tmp_path):
     assert list(data["columns"]) == list(CSV_COLUMNS)
     with pytest.raises(ol.InvalidParameterError):
         ol.write_bundle(bundle, tmp_path / "bad", fmt="xml")
+
+
+@pytest.fixture(scope="module")
+def failing_bundle(split_config):
+    spec = ol.SweepSpec(parameter="power_pump_w",
+                        values=(5e-4, -1.0, 1e-3, 1.5e-3))
+    return ol.run_sweep(split_config, spec, span=(0.95, 1.05), points=101)
+
+
+_WRITE_POINT = sweep._write_point
+
+
+def _pin_writer(monkeypatch, cpus: int, in_parent: bool) -> None:
+    """Pretend ``cpus`` usable CPUs; fail a point written on the wrong side."""
+    parent = os.getpid()
+
+    def checked(*args):
+        assert (os.getpid() == parent) == in_parent, "written on wrong side"
+        return _WRITE_POINT(*args)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sweep, "_write_point", checked)
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pooled_and_in_process_writes_match(failing_bundle, tmp_path,
+                                            monkeypatch, fmt):
+    _pin_writer(monkeypatch, 2, in_parent=False)
+    pooled = ol.write_bundle(failing_bundle, tmp_path / "pooled", fmt=fmt)
+    _pin_writer(monkeypatch, 1, in_parent=True)
+    alone = ol.write_bundle(failing_bundle, tmp_path / "alone", fmt=fmt)
+    names = [p.name for p in pooled]
+    assert names == [p.name for p in alone]
+    assert names == [f"point_000.{fmt}", f"point_002.{fmt}",
+                     f"point_003.{fmt}", "bundle.json", "manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "pooled").iterdir()) \
+        == sorted(names)
+    for name in names:
+        assert (tmp_path / "pooled" / name).read_bytes() \
+            == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [pytest.param(2, marks=needs_fork), 1])
+def test_point_write_error_reaches_caller(failing_bundle, tmp_path,
+                                          monkeypatch, cpus):
+    # A directory squatting on a point file's name makes that write fail;
+    # the error surfaces as itself and no index or manifest is written.
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "bundle"
+    (out / "point_002.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        ol.write_bundle(failing_bundle, out)
+    assert not (out / "bundle.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def _write_names(bundle, out) -> list[str]:
+    return [p.name for p in ol.write_bundle(bundle, out)]
+
+
+@needs_fork
+def test_write_bundle_inside_daemonic_worker(failing_bundle, tmp_path,
+                                             monkeypatch):
+    # A daemonic process may not have children, so the files are written
+    # in it rather than in a pool of its own.
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        names = pool.apply_async(
+            _write_names, (failing_bundle, tmp_path / "b")).get(timeout=120)
+    assert names == ["point_000.csv", "point_002.csv", "point_003.csv",
+                     "bundle.json", "manifest.json"]
+    assert (tmp_path / "b" / "manifest.json").exists()
+
+
+def test_stale_point_files_refused(split_config, tmp_path):
+    kw = dict(span=(0.95, 1.05), points=51, include_second_order=False)
+    five = ol.run_sweep(split_config, ol.SweepSpec(
+        parameter="theta_rad", values=(0.0, 0.5, 1.0, 1.5, 2.0)), **kw)
+    two = ol.run_sweep(split_config, ol.SweepSpec(
+        parameter="theta_rad", values=(0.0, 0.5)), **kw)
+    out = tmp_path / "bundle"
+    ol.write_bundle(five, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # Rewriting the same sweep into its own directory is fine.
+    ol.write_bundle(five, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    for bundle, fmt, stale in ((two, "json", "point_000.csv"),
+                               (two, "csv", "point_004.csv")):
+        with pytest.raises(ol.InvalidParameterError, match=stale):
+            ol.write_bundle(bundle, out, fmt=fmt)
+        # Refused before anything is written; nothing is deleted.
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_import_leaves_process_machinery_unloaded():
+    # write_bundle imports its worker pool on first use, so the package
+    # import does not pay for multiprocessing or concurrent.futures.
+    src = str(Path(ol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, omit_lab; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
