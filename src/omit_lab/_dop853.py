@@ -8,13 +8,13 @@ seventh-degree interpolant from three extra stages.
 
 The coefficients below and the step-size controller are those of SciPy's
 ``scipy.integrate`` DOP853 (BSD-3-Clause licence, copyright the SciPy
-Developers).  :func:`dop853` performs SciPy's floating-point operations in
-SciPy's order, so its output equals ``solve_ivp(method="DOP853",
-t_eval=..., first_step=...)`` bit for bit; ``tests/test_oracle.py`` checks
-that.  Only what the time-domain oracle needs is kept: forward
-integration from ``t = 0``, a given first step, scalar tolerances, and
-output either at given times (:func:`dop853`) or step by step through
-:func:`dop853_steps`, which a caller may stop early.
+Developers).  :func:`dop853_steps` performs SciPy's floating-point
+operations in SciPy's order, so each accepted step and its dense output
+equal those of ``scipy.integrate.DOP853`` (``step()``, then
+``dense_output()``) bit for bit; ``tests/test_oracle.py`` checks that.
+Only what the time-domain oracle needs is kept: forward integration from
+``t = 0``, a given first step, scalar tolerances, and output step by step,
+which a caller may stop early.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergentError
 
-__all__ = ["dop853", "dop853_steps"]
+__all__ = ["dop853_steps"]
 
 _N_STAGES = 12
 _N_EXT = 16
@@ -234,7 +234,22 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
                  first_step: float, rtol: float, atol: float, check):
     """Integrate ``y' = fun(t, y)`` from ``t = 0``, one accepted step at a time.
 
-    Parameters are those of :func:`dop853`, without ``t_eval``.
+    Parameters
+    ----------
+    fun : callable
+        ``fun(t, y)`` returns ``dy/dt`` as a float array shaped like ``y``.
+    y0 : ndarray, shape (n,)
+        Real initial state.
+    t_final : float
+        End time, > 0.
+    first_step : float
+        Size of the first trial step, in ``(0, t_final]``.
+    rtol, atol : float
+        Each step keeps its local error estimate below
+        ``atol + rtol * max(|y_old|, |y_new|)``.
+    check : callable
+        ``check(t, y)`` runs after every accepted step and may raise to
+        end the run.
 
     Yields
     ------
@@ -341,47 +356,3 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
 
         yield t_old, t, dense
 
-
-def dop853(fun, y0: np.ndarray, t_final: float, t_eval: np.ndarray, *,
-           first_step: float, rtol: float, atol: float,
-           check) -> np.ndarray:
-    """Integrate ``y' = fun(t, y)`` from ``t = 0`` to ``t_final``.
-
-    Parameters
-    ----------
-    fun : callable
-        ``fun(t, y)`` returns ``dy/dt`` as a float array shaped like ``y``.
-    y0 : ndarray, shape (n,)
-        Real initial state.
-    t_final : float
-        End time, > 0.
-    t_eval : ndarray
-        Increasing output times in ``[0, t_final]``.
-    first_step : float
-        Size of the first trial step, in ``(0, t_final]``.
-    rtol, atol : float
-        Each step keeps its local error estimate below
-        ``atol + rtol * max(|y_old|, |y_new|)``.
-    check : callable
-        ``check(t, y)`` runs after every accepted step and may raise to
-        end the run.
-
-    Returns
-    -------
-    ndarray, shape (n, len(t_eval))
-        The dense-output solution at ``t_eval``.
-
-    Raises
-    ------
-    NonConvergentError
-        The error control asked for a step below ten ulps of ``t``.
-    """
-    ys = np.empty((y0.size, len(t_eval)))
-    done = 0
-    for _, t, dense in dop853_steps(fun, y0, t_final, first_step=first_step,
-                                    rtol=rtol, atol=atol, check=check):
-        upto = int(np.searchsorted(t_eval, t, side="right"))
-        if upto > done:
-            ys[:, done:upto] = dense(t_eval[done:upto])
-            done = upto
-    return ys

@@ -50,11 +50,10 @@ from .presets import figure_presets, run_figure_preset, standard_setup
 from .sidebands import compute_spectrum
 from .sweep import (
     SweepSpec,
+    _spectrum_text,
     json_safe,
     run_sweep,
-    spectrum_to_dict,
     write_bundle,
-    write_spectrum_csv,
 )
 
 _EXIT_BAD_INPUT = 2
@@ -112,16 +111,6 @@ def _emit_text(text: str, out: str | None) -> None:
 def _emit_json(payload, out: str | None) -> None:
     _emit_text(json.dumps(json_safe(payload), indent=1, allow_nan=False)
                + "\n", out)
-
-
-def _spectrum_text(spectrum, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(spectrum_to_dict(spectrum), indent=1,
-                          allow_nan=False) + "\n"
-    from io import StringIO
-    buf = StringIO()
-    write_spectrum_csv(spectrum, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     report = sideband_closure(config, omega,
                               probe_ratio=args.probe_ratio,
                               periods=args.periods,
-                              settle=args.settle,
                               rtol=args.rtol)
     _emit_json(asdict(report), args.out)
     return 0
@@ -324,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "mechanical frequency")
     orc.add_argument("--probe-ratio", type=float, default=0.01)
     orc.add_argument("--periods", type=int, default=200)
-    orc.add_argument("--settle", type=float, default=None,
-                     help="transient to discard (s); default: integrate "
-                          "until successive demodulation windows agree "
-                          "to 1e-7")
     orc.add_argument("--rtol", type=float, default=1e-10)
     orc.add_argument("--out", help="output file (default: stdout)")
     orc.set_defaults(handler=_cmd_oracle)

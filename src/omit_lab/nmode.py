@@ -30,7 +30,13 @@ import numpy as np
 from .darkmode import fit_linewidth
 from .errors import InvalidParameterError, UnsupportedTopologyError
 from .model import SteadyState, SystemConfig, probe_amplitude
-from .sidebands import Spectrum, _pump_phase, _sideband_response
+from .sidebands import (
+    Spectrum,
+    _as_grid,
+    _pump_phase,
+    _sideband_response,
+    transmission,
+)
 
 __all__ = [
     "NormalModeBasis",
@@ -167,10 +173,17 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
     go through the same Schur-complement response solve, so the result
     must match the transmission from
     :func:`omit_lab.sidebands.solve_first_order` to rounding error; any
-    systematic gap means the basis transform is wrong.
+    systematic gap means the basis transform is wrong.  Returns a 1-D
+    array, also for a scalar ``omega``.
+
+    Raises
+    ------
+    InvalidParameterError
+        ``omega`` is empty, not finite or more than 1-D, or the probe
+        amplitude is zero (transmission is undefined).
     """
+    w, _ = _as_grid(omega)
     basis = build_normal_modes(config, steady)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
     kap = config.cavity.kappa
     eps_p = probe_amplitude(config)
     # The rotated couplings c_k already carry the linearised magnitude
@@ -180,4 +193,4 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
         kap, steady.delta_eff, basis.damping, basis.frequencies,
         np.zeros(basis.n - 1), basis.couplings,
         _pump_phase(steady.alpha), w, 1, (eps_p, 0.0))[0]
-    return 1.0 - (kap / eps_p) * a_minus
+    return transmission(a_minus, eps_p, kap)[0]

@@ -10,25 +10,27 @@ mean-field equations ::
               - i eta_{l-1} e^{-i theta_{l-1}} b_{l-1}
               - i eta_l e^{+i theta_l} b_{l+1}
 
-with the explicit eighth-order Dormand-Prince scheme DOP853 (a numpy loop
-in :mod:`omit_lab._dop853` that reproduces SciPy's ``solve_ivp`` bit for
-bit), waits for the driven steady oscillation, and reads the sideband
-amplitudes back out by least-squares demodulation of the cavity trace at
-``+-Omega`` and ``+-2 Omega``.  Since this route shares no algebra with the linear-system
-solves, agreement (to the accuracy the finite probe allows) validates the
-whole frequency-domain stack; it also quantifies the error of truncating
-the sideband hierarchy at a finite probe strength.
+with the explicit eighth-order Dormand-Prince scheme DOP853 (a numpy
+stepper in :mod:`omit_lab._dop853` whose steps equal SciPy's bit for bit),
+waits for the driven steady oscillation, and reads the sideband amplitudes
+back out by least-squares demodulation of the cavity trace at ``+-Omega``
+and ``+-2 Omega``.  Samples lie on a uniform grid, ``i * step``, and each
+comes from the dense output of the first step that reaches it.  Since this
+route shares no algebra with the linear-system solves, agreement (to the
+accuracy the finite probe allows) validates the whole frequency-domain
+stack; it also quantifies the error of truncating the sideband hierarchy at
+a finite probe strength.
 
 A practical note on time scales: the transient mostly decays at the
 *optically broadened* mechanical rates (tens of kilohertz here), not at
 the bare mechanical damping, so well under a millisecond of settling is
 usually enough even though ``1/gamma_m`` is much longer.  That estimate
 only sets the pace of :func:`sideband_closure`'s checks, not its result:
-by default it integrates on until two successive demodulation windows,
-aligned on the probe phase, agree, and it flags a run that never gets
-there.  A chain whose slowest mode the estimate misses simply takes
-longer: three modes with eta = 0.05 omega_m and theta = 0.37 pi, probed at
-0.97 omega_m, need about 84 estimated lifetimes.
+it integrates on until two successive demodulation windows, aligned on the
+probe phase, agree, and it flags a run that never gets there.  A chain
+whose slowest mode the estimate misses simply takes longer: three modes
+with eta = 0.05 omega_m and theta = 0.37 pi, probed at 0.97 omega_m, need
+about 84 estimated lifetimes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._dop853 import dop853, dop853_steps
+from ._dop853 import dop853_steps
 from .darkmode import _total_optical_damping
 from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
@@ -122,9 +124,8 @@ class ClosureReport:
     the demodulation window (see :class:`DemodResult`); ``settle`` is the
     time (s) integrated before that window.  ``settle_change`` is the
     larger relative change of the time-domain ``a1`` and ``a2`` against
-    the check window before, at most 1e-7 unless the checked settle hit
-    its cap (then ``reliable`` is False), and NaN for an explicit
-    ``settle``.
+    the check window before: at most 1e-7 unless the checked settle hit
+    its cap, and then ``reliable`` is False.
     """
 
     omega: float
@@ -212,6 +213,16 @@ def _start(config: SystemConfig, eps_l: float, alpha0: complex,
     return y0, scale, overflow
 
 
+def _last_sample(t: float, step: float) -> int:
+    """Index of the last sample ``i * step`` at or before ``t``."""
+    i = int(t / step)
+    while (i + 1) * step <= t:
+        i += 1
+    while i * step > t:
+        i -= 1
+    return i
+
+
 def _check_rtol(rtol: float) -> None:
     if not _MIN_RTOL <= rtol < 1.0:
         raise InvalidParameterError(
@@ -220,7 +231,6 @@ def _check_rtol(rtol: float) -> None:
 
 def integrate_mean_field(config: SystemConfig, t_final: float, *,
                          omega_probe: float | None = None,
-                         include_probe: bool = True,
                          step: float | None = None,
                          initial="steady",
                          rtol: float = 1e-10) -> TimeTrace:
@@ -233,10 +243,9 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
         End time (s), integration starts at 0; at least one sampling
         step.
     omega_probe : float, optional
-        Probe-pump detuning Omega (rad/s); required whenever the probe is
-        on and its amplitude is nonzero.
-    include_probe : bool
-        Switch the probe drive off to integrate the pump-only problem.
+        Probe-pump detuning Omega (rad/s); required whenever the probe
+        amplitude is nonzero.  A config with ``probe_ratio = 0`` integrates
+        the pump-only problem.
     step : float, optional
         Output sample step (s).  Defaults to 1/64 of the fastest period in
         the problem; must resolve it with at least 50 samples.
@@ -249,13 +258,13 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
         cavity amplitude scale.  The scheme is explicit and eighth order,
         and has no algebra in common with the frequency-domain route;
         ``tests/test_oracle.py`` checks its output against SciPy's
-        ``solve_ivp(method="DOP853")`` bit for bit.
+        ``solve_ivp(method="DOP853", t_eval=...)`` bit for bit.
 
     Raises
     ------
     InvalidParameterError
         ``t_final``, ``step`` or ``rtol`` is out of range, an initial
-        amplitude is not finite, or the probe is on without
+        amplitude is not finite, or the probe amplitude is nonzero without
         ``omega_probe``.
     UnstableIntegrationError
         The cavity amplitude ran away (parametric instability); the error
@@ -268,10 +277,10 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
             f"t_final must be finite and > 0, got {t_final}")
     _check_rtol(rtol)
     eps_l = pump_amplitude(config)
-    eps_p = probe_amplitude(config) if include_probe else 0.0
+    eps_p = probe_amplitude(config)
     if eps_p > 0.0 and omega_probe is None:
         raise InvalidParameterError(
-            "omega_probe is required when the probe drive is on")
+            "omega_probe is required when the probe amplitude is nonzero")
 
     fastest = _fastest_rate(config, omega_probe if eps_p > 0 else None)
     shortest_period = 2.0 * math.pi / fastest
@@ -318,18 +327,24 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     rhs = _mean_field_rhs(config, eps_l, eps_p, w_probe)
     y0, scale, overflow = _start(config, eps_l, alpha0, betas0)
 
-    t_eval = np.arange(0.0, t_final + 0.5 * step, step)
-    t_eval = t_eval[t_eval <= t_final]
+    times = np.arange(_last_sample(t_final, step) + 1) * step
+    ys = np.empty((y0.size, len(times)))
+    done = 0
     # Starting at a fixed point the right-hand side is nearly zero, so an
     # automatic first-step guess would overshoot wildly; the first trial
     # step is the sampling step instead.
-    ys = dop853(rhs, y0, t_final, t_eval, first_step=step, rtol=rtol,
-                atol=rtol * scale, check=overflow)
+    for _, t, dense in dop853_steps(rhs, y0, t_final, first_step=step,
+                                    rtol=rtol, atol=rtol * scale,
+                                    check=overflow):
+        upto = _last_sample(t, step) + 1
+        if upto > done:
+            ys[:, done:upto] = dense(times[done:upto])
+            done = upto
 
     cavity = ys[0] + 1j * ys[1]
     mechanics = ys[2::2] + 1j * ys[3::2]
     return TimeTrace(
-        times=t_eval,
+        times=times,
         cavity=cavity,
         mechanics=mechanics,
         omega_probe=omega_probe if eps_p > 0.0 else None,
@@ -483,12 +498,8 @@ def _checked_settle(config: SystemConfig, steady: SteadyState, omega: float,
     for t_old, t, dense in dop853_steps(rhs, y0, last * step,
                                         first_step=step, rtol=rtol,
                                         atol=rtol * scale, check=overflow):
-        # Samples in (t_old, t], exactly as dop853 assigns its t_eval.
-        upto = int(t / step)
-        while (upto + 1) * step <= t:
-            upto += 1
-        while upto * step > t:
-            upto -= 1
+        # This step's samples are those in (t_old, t].
+        upto = _last_sample(t, step)
         if upto < taken:
             continue
         ys = dense(np.arange(taken, upto + 1) * step)
@@ -523,7 +534,6 @@ def _checked_settle(config: SystemConfig, steady: SteadyState, omega: float,
 def sideband_closure(config: SystemConfig, omega: float, *,
                      probe_ratio: float = 0.01,
                      periods: int = 200,
-                     settle: float | None = None,
                      rtol: float = 1e-10) -> ClosureReport:
     """Compare frequency-domain and time-domain sideband amplitudes.
 
@@ -534,10 +544,10 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     the gap measures probe-nonlinearity plus integration error and shrinks
     with ``probe_ratio``.
 
-    By default the transient is not discarded for a fixed time but
-    checked: the integration runs on, and the last ``periods`` probe cycles
-    are demodulated every whole number of cycles closest to two lifetimes
-    of the slowest optically broadened mechanical mode.  It stops as soon
+    The transient is not discarded for a fixed time but checked: the
+    integration runs on, and the last ``periods`` probe cycles are
+    demodulated every whole number of cycles closest to two lifetimes of
+    the slowest optically broadened mechanical mode.  It stops as soon
     as ``a1`` and ``a2`` both change by at most 1e-7 (relative) from one
     window to the next and reports that last window.  A run that has not
     converged after 160 lifetimes reports its last window with
@@ -555,18 +565,14 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         values isolate the linear response (default 0.01).
     periods : int
         Probe cycles to demodulate over, a whole number >= 1.
-    settle : float, optional
-        Transient to discard (s, finite and >= 0) instead of the checked
-        settle: one integration of ``settle + (periods + 1)`` probe
-        periods, demodulated over its last ``periods`` cycles.
     rtol : float
         Integrator tolerance, in ``[100 eps, 1)``.
 
     Raises
     ------
     InvalidParameterError
-        ``omega``, ``probe_ratio``, ``periods``, ``settle`` or ``rtol`` is
-        out of range; checked before any solve.
+        ``omega``, ``probe_ratio``, ``periods`` or ``rtol`` is out of
+        range; checked before any solve.
     """
     if not 0.0 < omega < math.inf:
         raise InvalidParameterError(
@@ -578,9 +584,6 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         raise InvalidParameterError(
             f"periods must be a whole number >= 1, got {periods}")
     periods = int(periods)
-    if settle is not None and not 0.0 <= settle < math.inf:
-        raise InvalidParameterError(
-            f"settle must be finite and >= 0, got {settle}")
     _check_rtol(rtol)
     config = replace(config,
                      drive=replace(config.drive, probe_ratio=probe_ratio,
@@ -589,17 +592,8 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     first = solve_first_order(config, steady, omega)
     second = solve_second_order(config, steady, omega, first)
 
-    if settle is None:
-        demod, settle, change = _checked_settle(config, steady, omega,
-                                                periods, rtol)
-    else:
-        period = 2.0 * math.pi / omega
-        t_final = settle + (periods + 1) * period
-        trace = integrate_mean_field(config, t_final, omega_probe=omega,
-                                     initial=(steady.alpha, steady.betas),
-                                     rtol=rtol)
-        demod = demodulate(trace, omega, settle=settle, min_cycles=periods)
-        change = math.nan
+    demod, settle, change = _checked_settle(config, steady, omega, periods,
+                                            rtol)
 
     a1_fd = complex(first.a_minus)
     a1_td = demod.a1_lower

@@ -33,7 +33,13 @@ from .model import (
 )
 from .nmode import count_windows
 from .sidebands import compute_spectrum, group_delay
-from .sweep import SweepSpec, run_sweep, write_spectrum_csv
+from .sweep import (
+    SweepSpec,
+    _csv_table,
+    _write_text,
+    run_sweep,
+    write_spectrum_csv,
+)
 
 __all__ = [
     "REFERENCE",
@@ -143,13 +149,6 @@ def standard_setup(n_modes: int = 2, *,
 # Figure presets
 
 
-def _write_table(path: Path, columns: tuple[str, ...],
-                 rows: list[tuple]) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _require_ok(bundle) -> None:
     if bundle.n_failed:
         first = next(e for e in bundle.errors if e is not None)
@@ -182,9 +181,9 @@ def _fig2(out: Path) -> list[Path]:
             row.append(predict_linewidth(cfg, steady))
         rows.append(tuple(row))
     path = out / "fig2_linewidth_vs_power.csv"
-    _write_table(path, ("power_w", "fwhm_single_rad_s",
-                        "predicted_single_rad_s", "fwhm_double_rad_s",
-                        "predicted_double_rad_s"), rows)
+    _write_text(path, _csv_table(
+        ("power_w", "fwhm_single_rad_s", "predicted_single_rad_s",
+         "fwhm_double_rad_s", "predicted_double_rad_s"), rows))
     written.append(path)
 
     for label, scales in (("standard", (1.0, 0.0)), ("two_mode", (1.0, 1.0))):
@@ -233,8 +232,8 @@ def _fig4(out: Path) -> list[Path]:
     for theta, spec in zip(thetas, bundle.spectra):
         rows.append((theta, spec.transmission[0], spec.transmission[1]))
     path = out / "fig4_windows_vs_theta.csv"
-    _write_table(path, ("theta_rad", "transmission_left",
-                        "transmission_right"), rows)
+    _write_text(path, _csv_table(
+        ("theta_rad", "transmission_left", "transmission_right"), rows))
     written.append(path)
     return written
 
@@ -260,7 +259,8 @@ def _fig5(out: Path) -> list[Path]:
     rows = [(theta, float(np.nanmax(spec.efficiency_percent)))
             for theta, spec in zip(thetas, bundle.spectra)]
     path = out / "fig5_max_efficiency_vs_theta.csv"
-    _write_table(path, ("theta_rad", "max_efficiency_percent"), rows)
+    _write_text(path, _csv_table(("theta_rad", "max_efficiency_percent"),
+                                 rows))
     written.append(path)
     return written
 
@@ -290,8 +290,9 @@ def _fig6(out: Path) -> list[Path]:
             est = group_delay(sp, target * omega_m)
             rows_by_theta[theta].append(est.delay)
     path = out / "fig6_delay_vs_theta.csv"
-    _write_table(path, ("theta_rad", "delay_left_s", "delay_right_s"),
-                 [tuple(rows_by_theta[t]) for t in thetas])
+    _write_text(path, _csv_table(
+        ("theta_rad", "delay_left_s", "delay_right_s"),
+        [rows_by_theta[t] for t in thetas]))
     written.append(path)
     return written
 
@@ -331,9 +332,9 @@ def _fig7(out: Path) -> list[Path]:
         rows.append((n, fwhm, predicted, count_windows(spec_dark),
                      broken_windows))
     path = out / "fig7_summary.csv"
-    _write_table(path, ("n_modes", "fwhm_unbroken_rad_s",
-                        "predicted_rad_s", "windows_unbroken",
-                        "windows_broken"), rows)
+    _write_text(path, _csv_table(
+        ("n_modes", "fwhm_unbroken_rad_s", "predicted_rad_s",
+         "windows_unbroken", "windows_broken"), rows))
     written.append(path)
     return written
 

@@ -219,12 +219,25 @@ def _columns(spectrum: Spectrum) -> dict[str, np.ndarray]:
             for name, attr in _COLUMN_SOURCES.items()}
 
 
-def _csv_text(spectrum: Spectrum) -> str:
-    rows = np.column_stack(list(_columns(spectrum).values()))
-    lines = [",".join(CSV_COLUMNS)]
-    # repr of a Python float: shortest round-trip form, NaN as 'nan'.
-    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+def _csv_table(columns, rows) -> str:
+    """CSV text of a table of floats: a header line, then one line per row.
+
+    Each value is written as the ``repr`` of a Python float (shortest
+    round-trip form, NaN as ``nan``), so parsing it back is bit-exact.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(repr, row))
+                 for row in np.asarray(rows, dtype=float).tolist())
     return "\n".join(lines) + "\n"
+
+
+def _spectrum_text(spectrum: Spectrum, fmt: str) -> str:
+    """A spectrum as the text of a ``csv`` or ``json`` file."""
+    if fmt == "csv":
+        return _csv_table(CSV_COLUMNS,
+                         np.column_stack(list(_columns(spectrum).values())))
+    return json.dumps(spectrum_to_dict(spectrum), indent=1,
+                      allow_nan=False) + "\n"
 
 
 def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
@@ -235,7 +248,7 @@ def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
     (efficiency with the second order switched off, the closed-form check
     beyond two modes, delay at grid edges) are written as ``nan``.
     """
-    text = _csv_text(spectrum)
+    text = _spectrum_text(spectrum, "csv")
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -276,12 +289,7 @@ def _write_text(path: Path, text: str) -> tuple[str, int]:
 
 
 def _write_point(spectrum: Spectrum, path: Path, fmt: str) -> tuple[str, int]:
-    if fmt == "csv":
-        text = _csv_text(spectrum)
-    else:
-        text = json.dumps(spectrum_to_dict(spectrum), indent=1,
-                          allow_nan=False) + "\n"
-    return _write_text(path, text)
+    return _write_text(path, _spectrum_text(spectrum, fmt))
 
 
 # The (spectra, paths, fmt) of the bundle being written, inherited by each

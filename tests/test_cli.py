@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import omit_lab as ol
 from omit_lab import cli
 from omit_lab.sweep import CSV_COLUMNS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -197,3 +200,29 @@ def test_figure_has_no_worker_setting(tmp_path, monkeypatch):
         cli.main(["figure", "fig3", "--jobs", "2",
                   "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def _documented_commands() -> list[list[str]]:
+    """Every ``omit-lab`` example of README's "Command line" block and of
+    the CLI module docstring, continuation lines joined, split by shlex."""
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```bash", 1)[1].split("```", 1)[0]
+    usage = cli.__doc__.split("Subcommands::", 1)[1].split("Exit codes", 1)[0]
+    lines = (block + usage).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.strip().startswith("omit-lab ")]
+
+
+def test_documented_commands_parse():
+    # Parsing only, nothing runs: a flag removed from the parser cannot
+    # linger in the documentation.
+    commands = _documented_commands()
+    assert len(commands) >= 13
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: "
+                        f"{shlex.join(argv)}")

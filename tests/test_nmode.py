@@ -159,6 +159,22 @@ def test_bases_agree_with_the_pump_off():
     assert np.allclose(site, bare, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("grid, probe_ratio", [
+    ([0.95, math.nan], None), ([], None), ([[0.95, 1.0], [1.0, 1.05]], None),
+    ([0.95, 1.05], 0.0),
+], ids=["nan", "empty", "two_d", "no_probe"])
+def test_normal_mode_transmission_rejects_bad_input(grid, probe_ratio):
+    # Refused as InvalidParameterError (exit 2), like the site-basis solve:
+    # no singular-system error for a NaN, no empty result, no numpy
+    # broadcast error, and no division by a zero probe amplitude.
+    cfg = ol.standard_setup(4, eta_frac=0.05, theta=math.pi / 2,
+                            probe_ratio=probe_ratio)
+    st = ol.solve_steady_state(cfg)
+    w = np.asarray(grid, dtype=float) * cfg.omega_ref
+    with pytest.raises(ol.InvalidParameterError):
+        ol.transmission_via_normal_modes(cfg, st, w)
+
+
 def test_window_count_matches_mode_count():
     for n, broken, expected in ((2, True, 2), (3, True, 3), (4, True, 4),
                                 (2, False, 1), (4, False, 2)):

@@ -15,12 +15,18 @@ from omit_lab import oracle as oracle_mod
 from omit_lab.model import solve_mechanical_displacements
 
 
+def _pump_only(config):
+    """``config`` with the probe switched off."""
+    return replace(config, drive=replace(config.drive, probe_ratio=0.0,
+                                         power_probe=None))
+
+
 def _assert_stationary(config, steady):
     # Starting exactly on the fixed point with the probe off, nothing may
     # move beyond integration tolerance.
     period = 2.0 * math.pi / config.omega_ref
     tr = ol.integrate_mean_field(
-        config, 40 * period, include_probe=False,
+        _pump_only(config), 40 * period,
         initial=(steady.alpha, np.asarray(steady.betas)))
     drift = np.max(np.abs(tr.cavity - steady.alpha))
     assert drift <= 1e-6 * abs(steady.alpha)
@@ -52,7 +58,7 @@ def test_unstable_branch_is_left_and_chosen_branch_kept():
     for delta, leaves in ((unstable, True), (steady.delta_eff, False)):
         alpha = eps_l / (kappa + 1j * delta)
         betas = solve_mechanical_displacements(config, abs(alpha) ** 2)
-        tr = ol.integrate_mean_field(config, 20.0 / rate, include_probe=False,
+        tr = ol.integrate_mean_field(_pump_only(config), 20.0 / rate,
                                      initial=(alpha * (1.0 + 1e-6), betas))
         drift = np.abs(tr.cavity - alpha) / abs(alpha)
         if leaves:
@@ -190,7 +196,7 @@ def test_overflow_guard_raises(split_config, monkeypatch):
     monkeypatch.setattr(oracle_mod, "_OVERFLOW_FACTOR", 1e-3)
     t_final = 5e-5
     with pytest.raises(ol.UnstableIntegrationError) as err:
-        ol.integrate_mean_field(split_config, t_final, include_probe=False,
+        ol.integrate_mean_field(_pump_only(split_config), t_final,
                                 initial="vacuum")
     t = float(re.search(r"t = (\S+) s", str(err.value)).group(1))
     assert 0.0 < t <= t_final
@@ -216,38 +222,27 @@ def test_integrator_rejects_bad_input(split_config, bad):
         ol.integrate_mean_field(split_config, **kwargs)
 
 
-def _solve_ivp_recorder(calls):
-    """A stand-in for ``oracle.dop853`` that runs SciPy's ``solve_ivp``
-    (imported only here) and records the arguments it was given."""
-    from scipy.integrate import solve_ivp
-
-    def integrate(fun, y0, t_final, t_eval, *, first_step, rtol, atol,
-                  check):
-        calls.append({"fun": fun, "y0": y0.copy(), "t_final": t_final,
-                      "first_step": first_step, "rtol": rtol, "atol": atol})
-        sol = solve_ivp(fun, (0.0, t_final), y0, method="DOP853",
-                        t_eval=t_eval, first_step=first_step, rtol=rtol,
-                        atol=atol)
-        assert sol.status == 0
-        assert sol.t.tobytes() == t_eval.tobytes()
-        return sol.y
-    return integrate
-
-
-def _rejected_steps(call):
-    """Trial steps SciPy's DOP853 rejects on the recorded problem."""
+def _scipy_steps(record):
+    """A stand-in for ``oracle.dop853_steps`` on SciPy's DOP853 stepper
+    (imported only here): ``step()``, then ``dense_output()`` for the
+    samples, which is what ``solve_ivp`` does with ``t_eval``.  Each run
+    stores its count of rejected trial steps in ``record``."""
     from scipy.integrate import DOP853
 
-    solver = DOP853(call["fun"], 0.0, call["y0"], call["t_final"],
-                    first_step=call["first_step"], rtol=call["rtol"],
-                    atol=call["atol"])
-    rejected = 0
-    while solver.status == "running":
-        before = solver.nfev
-        solver.step()
-        # Every trial step costs twelve right-hand-side evaluations.
-        rejected += (solver.nfev - before) // 12 - 1
-    return rejected
+    def steps(fun, y0, t_final, *, first_step, rtol, atol, check):
+        solver = DOP853(fun, 0.0, y0, t_final, first_step=first_step,
+                        rtol=rtol, atol=atol)
+        record["rejected"] = 0
+        while solver.status == "running":
+            before = solver.nfev
+            message = solver.step()
+            assert solver.status != "failed", message
+            # Every trial step costs twelve right-hand-side evaluations.
+            record["rejected"] += (solver.nfev - before) // 12 - 1
+            check(solver.t, solver.y)
+            yield (solver.t_old, solver.t,
+                   lambda times: solver.dense_output()(times))
+    return steps
 
 
 def _parity_case(name):
@@ -264,7 +259,7 @@ def _parity_case(name):
     period = 2.0 * math.pi / omega
     kwargs = {"omega_probe": omega}
     if name == "pump_only":
-        kwargs = {"include_probe": False, "initial": "vacuum"}
+        config, kwargs = _pump_only(config), {"initial": "vacuum"}
     elif name == "ragged_end":
         return config, 30.37 * period, kwargs
     elif name == "rejections":
@@ -276,23 +271,69 @@ def _parity_case(name):
     return config, 30 * period, kwargs
 
 
+def _assert_same_trace(got, want):
+    for field in ("times", "cavity", "mechanics"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == \
+            np.ascontiguousarray(b).tobytes(), field
+
+
 @pytest.mark.parametrize("name", ["n1", "n2", "n3", "pump_only",
                                   "ragged_end", "rejections"])
 def test_dop853_matches_solve_ivp_bit_for_bit(name, monkeypatch):
+    # The same trace from SciPy's stepper, sampled by the same code.
     config, t_final, kwargs = _parity_case(name)
     ours = ol.integrate_mean_field(config, t_final, **kwargs)
-    calls = []
-    monkeypatch.setattr(oracle_mod, "dop853", _solve_ivp_recorder(calls))
+    record = {}
+    monkeypatch.setattr(oracle_mod, "dop853_steps", _scipy_steps(record))
     ref = ol.integrate_mean_field(config, t_final, **kwargs)
-    for field in ("times", "cavity", "mechanics"):
-        got, want = getattr(ours, field), getattr(ref, field)
-        assert got.shape == want.shape
-        assert np.ascontiguousarray(got).tobytes() == \
-            np.ascontiguousarray(want).tobytes(), field
+    _assert_same_trace(ours, ref)
     if name == "ragged_end":
         assert ours.times[-1] < t_final
     if name == "rejections":
-        assert _rejected_steps(calls[0]) > 0
+        assert record["rejected"] > 0
+
+
+@pytest.mark.parametrize("name", ["n2", "ragged_end"])
+def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
+    # solve_ivp assigns its t_eval to steps by a search of its own, so this
+    # checks which step's dense output each sample comes from: a sample
+    # taken from a neighbouring step differs in its last bits.
+    from scipy.integrate import solve_ivp
+
+    config, t_final, kwargs = _parity_case(name)
+    calls = []
+    steps = oracle_mod.dop853_steps
+
+    def recording(fun, y0, t_final, **options):
+        calls.append((fun, y0.copy(), options))
+        return steps(fun, y0, t_final, **options)
+
+    monkeypatch.setattr(oracle_mod, "dop853_steps", recording)
+    ours = ol.integrate_mean_field(config, t_final, **kwargs)
+    t_eval = np.arange(0.0, t_final + 0.5 * ours.step, ours.step)
+    t_eval = t_eval[t_eval <= t_final]
+    (fun, y0, options), = calls
+    options.pop("check")
+    sol = solve_ivp(fun, (0.0, t_final), y0, method="DOP853", t_eval=t_eval,
+                    **options)
+    assert sol.status == 0
+    _assert_same_trace(ours, ol.TimeTrace(
+        times=sol.t, cavity=sol.y[0] + 1j * sol.y[1],
+        mechanics=sol.y[2::2] + 1j * sol.y[3::2],
+        omega_probe=ours.omega_probe, step=ours.step))
+
+
+def test_checked_settle_closure_matches_scipy_bit_for_bit(split_config,
+                                                          monkeypatch):
+    # A whole checked-settle closure, run to convergence on SciPy's stepper.
+    w = 0.95 * split_config.omega_ref
+    ours = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=50)
+    monkeypatch.setattr(oracle_mod, "dop853_steps", _scipy_steps({}))
+    ref = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=50)
+    assert ours.reliable and ours.settle_change <= 1e-7
+    assert repr(ours) == repr(ref)
 
 
 def test_closure_at_window_detuning(split_config):
@@ -321,8 +362,9 @@ def test_closure_beyond_two_modes():
     ({"omega": math.inf}, "omega"),
     ({"periods": 0}, "periods"), ({"periods": -3}, "periods"),
     ({"periods": math.nan}, "periods"),
-    ({"settle": -1e-6}, "settle"), ({"settle": -1e-3}, "settle"),
-    ({"settle": math.nan}, "settle"), ({"settle": math.inf}, "settle"),
+    ({"omega": -1.0}, "omega"), ({"rtol": 1.0}, "rtol"),
+    ({"probe_ratio": math.nan}, "probe_ratio"),
+    ({"probe_ratio": -0.01}, "probe_ratio"),
     ({"rtol": -1.0}, "rtol"), ({"rtol": 0.0}, "rtol"),
     ({"rtol": math.nan}, "rtol"),
     ({"probe_ratio": 0.0}, "probe_ratio"),
@@ -334,7 +376,6 @@ def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
     def must_not_run(*args, **kwargs):
         raise AssertionError("argument check came after the solve")
     monkeypatch.setattr(oracle_mod, "solve_steady_state", must_not_run)
-    monkeypatch.setattr(oracle_mod, "integrate_mean_field", must_not_run)
     monkeypatch.setattr(oracle_mod, "dop853_steps", must_not_run)
     kwargs = {"omega": 0.95 * split_config.omega_ref, **bad}
     with pytest.raises(ol.InvalidParameterError, match=name):
@@ -422,14 +463,15 @@ def test_checked_settle_outlasts_the_old_estimate_for_three_modes():
     config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
     w = 0.97 * config.omega_ref
     checked = ol.sideband_closure(config, w, probe_ratio=0.01, periods=50)
-    _, _, tau = _with_probe(config, 0.01)
-    explicit = ol.sideband_closure(config, w, probe_ratio=0.01, periods=50,
-                                   settle=120.0 * tau)
+    probed, steady, tau = _with_probe(config, 0.01)
+    settle, period = 120.0 * tau, 2.0 * math.pi / w
+    trace = ol.integrate_mean_field(probed, settle + 51 * period,
+                                    omega_probe=w,
+                                    initial=(steady.alpha, steady.betas))
+    explicit = ol.demodulate(trace, w, settle=settle, min_cycles=50)
     assert checked.reliable and checked.settle > 40.0 * tau
-    assert abs(checked.a2_time - explicit.a2_time) <= \
-        2e-6 * abs(explicit.a2_time)
-    assert explicit.settle == 120.0 * tau
-    assert math.isnan(explicit.settle_change)
+    assert abs(checked.a2_time - explicit.a2_lower) <= \
+        2e-6 * abs(explicit.a2_lower)
 
 
 def test_truncation_residual_grows_with_probe(split_config):
