@@ -231,7 +231,7 @@ _EXPONENT = -1.0 / 8.0
 
 
 def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
-                 first_step: float, rtol: float, atol: float, check):
+                 first_step: float, rtol: float, atol: float):
     """Integrate ``y' = fun(t, y)`` from ``t = 0``, one accepted step at a time.
 
     Parameters
@@ -247,22 +247,19 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
     rtol, atol : float
         Each step keeps its local error estimate below
         ``atol + rtol * max(|y_old|, |y_new|)``.
-    check : callable
-        ``check(t, y)`` runs after every accepted step and may raise to
-        end the run.
 
     Yields
     ------
-    (t_old, t, dense)
-        The span of each accepted step and its dense output:
-        ``dense(times)`` returns the solution at ``times`` in
-        ``[t_old, t]`` as an ndarray of shape ``(n, len(times))``.  It
-        evaluates the interpolant's three extra stages when called, so a
-        step nobody samples costs none; call it before advancing the
-        generator, which reuses the step's storage.  Stopping early
-        (closing the generator) is fine: the steps already taken do not
-        depend on ``t_final``, only the last one is shortened to end on
-        it.
+    (t_old, t, y, dense)
+        The span of each accepted step, the state ``y`` at its end (a new
+        array each step) and its dense output: ``dense(times)`` returns
+        the solution at ``times`` in ``[t_old, t]`` as an ndarray of shape
+        ``(n, len(times))``.  It evaluates the interpolant's three extra
+        stages when called, so a step nobody samples costs none; call it
+        before advancing the generator, which reuses the step's storage.
+        Stopping early (closing the generator, or raising from the loop
+        that consumes it) is fine: the steps already taken do not depend
+        on ``t_final``, only the last one is shortened to end on it.
 
     Raises
     ------
@@ -331,7 +328,6 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
 
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
-        check(t, y)
 
         def dense(times: np.ndarray) -> np.ndarray:
             # Three more stages, then the interpolant
@@ -354,5 +350,5 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
             out += y_old
             return out.T
 
-        yield t_old, t, dense
+        yield t_old, t, y, dense
 

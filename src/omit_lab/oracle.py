@@ -11,26 +11,26 @@ mean-field equations ::
               - i eta_l e^{+i theta_l} b_{l+1}
 
 with the explicit eighth-order Dormand-Prince scheme DOP853 (a numpy
-stepper in :mod:`omit_lab._dop853` whose steps equal SciPy's bit for bit),
-waits for the driven steady oscillation, and reads the sideband amplitudes
-back out by least-squares demodulation of the cavity trace at ``+-Omega``
-and ``+-2 Omega``.  Samples lie on a uniform grid, ``i * step``, and each
-comes from the dense output of the first step that reaches it.  Since this
-route shares no algebra with the linear-system solves, agreement (to the
-accuracy the finite probe allows) validates the whole frequency-domain
-stack; it also quantifies the error of truncating the sideband hierarchy at
-a finite probe strength.
+stepper in :mod:`omit_lab._dop853` whose steps equal SciPy's bit for bit)
+and reads the sideband amplitudes back out by least-squares demodulation
+of the cavity trace at ``+-Omega`` and ``+-2 Omega``.  Samples lie on a
+uniform grid, ``i * step``, and each comes from the dense output of the
+first step that reaches it.  Since this route shares no algebra with the
+linear-system solves, agreement (to the accuracy the finite probe allows)
+validates the whole frequency-domain stack; it also quantifies the error
+of truncating the sideband hierarchy at a finite probe strength.
 
-A practical note on time scales: the transient mostly decays at the
-*optically broadened* mechanical rates (tens of kilohertz here), not at
-the bare mechanical damping, so well under a millisecond of settling is
-usually enough even though ``1/gamma_m`` is much longer.  That estimate
-only sets the pace of :func:`sideband_closure`'s checks, not its result:
-it integrates on until two successive demodulation windows, aligned on the
-probe phase, agree, and it flags a run that never gets there.  A chain
-whose slowest mode the estimate misses simply takes longer: three modes
-with eta = 0.05 omega_m and theta = 0.37 pi, probed at 0.97 omega_m, need
-about 84 estimated lifetimes.
+A practical note on time scales: in the pump frame the probed equations
+are exactly periodic in ``T = 2 pi / Omega``, so the driven steady
+response is a T-periodic orbit.  Waiting for it means integrating out a
+transient whose slowest part the cavity sees can decay at little more
+than the bare mechanical damping near a dark mode: hundreds of probe
+periods, or thousands.  :func:`sideband_closure` does not wait.  It
+solves ``x(T; x) = x`` for the orbit's start by chord-Newton shooting
+(Aprille & Trick, Proc. IEEE 60, 108 (1972); Seydel, *Practical
+Bifurcation and Stability Analysis*, 3rd ed., ch. 7), which takes a
+handful of periods whatever the decay rates, and then demodulates whole
+periods of that orbit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._dop853 import dop853_steps
-from .darkmode import _total_optical_damping
 from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
     SteadyState,
@@ -68,12 +67,17 @@ _DEFAULT_SAMPLES_PER_PERIOD = 64
 _OVERFLOW_FACTOR = 1e6
 # Tighter relative tolerances are below what double precision resolves.
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
-# The checked settle of sideband_closure, in lifetimes of the slowest
-# optically broadened mode: demodulate every ~2 lifetimes, stop once a1 and
-# a2 both move by at most _SETTLE_RTOL (relative), give up at 160.
-_SETTLE_RTOL = 1e-7
-_CHECK_LIFETIMES = 2.0
-_SETTLE_CAP_LIFETIMES = 160.0
+# A fit leaving this much of the oscillating cavity signal unexplained is
+# unreliable.
+_MAX_FIT_RESIDUAL = 1e-3
+# Shooting for the probed orbit in sideband_closure: a start vector is
+# accepted once one period moves it by at most _ORBIT_RTOL (relative); the
+# search gives up after _MAX_ITERATIONS periods, or once the residual of
+# one period stops shrinking.
+_ORBIT_RTOL = 1e-12
+_MAX_ITERATIONS = 30
+# Taylor terms of exp(A) once ||A||_1 <= 1/2: the remainder is < 1e-17.
+_TAYLOR_TERMS = 14
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,15 @@ class ClosureReport:
 
     ``a1_*`` and ``a2_*`` are the first- and second-order lower cavity
     sidebands from each route, for any mode count; ``rel_err_*`` their
-    relative gaps.  ``residual``, ``n_cycles`` and ``reliable`` describe
-    the demodulation window (see :class:`DemodResult`); ``settle`` is the
-    time (s) integrated before that window.  ``settle_change`` is the
-    larger relative change of the time-domain ``a1`` and ``a2`` against
-    the check window before: at most 1e-7 unless the checked settle hit
-    its cap, and then ``reliable`` is False.
+    relative gaps.  ``residual`` and ``n_cycles`` describe the demodulated
+    window of the periodic orbit (see :class:`DemodResult`).
+    ``iterations`` counts the one-period map evaluations of the shooting,
+    ``map_residual`` is the last one's ``||x(T) - x|| / ||x||`` (at most
+    1e-12 once converged), and ``multiplier`` is the largest Floquet
+    multiplier ``|eig exp(J T)|`` of the flow linearised at the pump-only
+    steady state.  ``reliable`` is False when the shooting found no orbit,
+    the multiplier is >= 1 or the fit residual is >= 1e-3; ``reason``
+    names each of these that holds, and is empty for a reliable report.
     """
 
     omega: float
@@ -139,8 +146,10 @@ class ClosureReport:
     residual: float
     n_cycles: int
     reliable: bool
-    settle: float
-    settle_change: float
+    iterations: int
+    map_residual: float
+    multiplier: float
+    reason: str
 
 
 def _fastest_rate(config: SystemConfig, omega_probe: float | None) -> float:
@@ -158,7 +167,9 @@ def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
 
     ``y = (Re a, Im a, Re b_1, Im b_1, ...)``.  The linear part (decay,
     detunings, hopping) is one real operator built here once; the returned
-    ``rhs(t, y)`` adds the radiation-pressure terms and the drives.
+    ``rhs(t, y)`` adds the radiation-pressure terms and the drives, and
+    ``jacobian(y)`` is ``d rhs / dy`` from the same pieces: the drives do
+    not depend on ``y``, the ``|a|^2`` push and ``-i a x`` are linearised.
     """
     n = config.n_modes
     omega, gamma, g = config.mode_arrays()
@@ -191,7 +202,34 @@ def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
         out[1] -= ar * x + eps_p * math.sin(wt)
         return out
 
-    return rhs
+    def jacobian(y: np.ndarray) -> np.ndarray:
+        ar, ai = y[:2].tolist()
+        x = gx.dot(y)
+        jac = op.copy()
+        jac[:, :2] += np.outer(push, [2.0 * ar, 2.0 * ai])
+        jac[:2] += np.outer([ai, -ar], gx)
+        jac[0, 1] += x
+        jac[1, 0] -= x
+        return jac
+
+    return rhs, jacobian
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` of a small real matrix by scaling and squaring.
+
+    ``a / 2**s`` has a 1-norm of at most 1/2, where ``_TAYLOR_TERMS``
+    Taylor terms suffice; ``s`` squarings undo the scaling.
+    """
+    s = max(0, math.frexp(np.linalg.norm(a, 1))[1] + 1)
+    a = a / 2.0 ** s
+    out = term = np.eye(len(a))
+    for k in range(1, _TAYLOR_TERMS + 1):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _start(config: SystemConfig, eps_l: float, alpha0: complex,
@@ -221,6 +259,28 @@ def _last_sample(t: float, step: float) -> int:
     while i * step > t:
         i -= 1
     return i
+
+
+def _integrate(rhs, y0: np.ndarray, t_final: float, step: float,
+               out: np.ndarray, rtol: float, atol: float, check) -> np.ndarray:
+    """The end state of a run over ``[0, t_final]`` from ``y0``; fills
+    ``out[:, i]`` with the first ``len(out)`` components at ``i * step``.
+
+    Starting at a fixed point the right-hand side is nearly zero, so an
+    automatic first-step guess would overshoot wildly; the first trial
+    step is ``step`` instead.
+    """
+    rows, count = out.shape
+    y = y0
+    done = 0
+    for _, t, y, dense in dop853_steps(rhs, y0, t_final, first_step=step,
+                                       rtol=rtol, atol=atol):
+        check(t, y)
+        upto = min(_last_sample(t, step) + 1, count)
+        if upto > done:
+            out[:, done:upto] = dense(np.arange(done, upto) * step)[:rows]
+            done = upto
+    return y
 
 
 def _check_rtol(rtol: float) -> None:
@@ -323,30 +383,15 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
         if not np.all(np.isfinite(np.append(betas0, alpha0))):
             raise InvalidParameterError("initial amplitudes must be finite")
 
-    # The linear part of the equations is a precomputed real operator.
-    rhs = _mean_field_rhs(config, eps_l, eps_p, w_probe)
+    rhs, _ = _mean_field_rhs(config, eps_l, eps_p, w_probe)
     y0, scale, overflow = _start(config, eps_l, alpha0, betas0)
 
-    times = np.arange(_last_sample(t_final, step) + 1) * step
-    ys = np.empty((y0.size, len(times)))
-    done = 0
-    # Starting at a fixed point the right-hand side is nearly zero, so an
-    # automatic first-step guess would overshoot wildly; the first trial
-    # step is the sampling step instead.
-    for _, t, dense in dop853_steps(rhs, y0, t_final, first_step=step,
-                                    rtol=rtol, atol=rtol * scale,
-                                    check=overflow):
-        upto = _last_sample(t, step) + 1
-        if upto > done:
-            ys[:, done:upto] = dense(times[done:upto])
-            done = upto
-
-    cavity = ys[0] + 1j * ys[1]
-    mechanics = ys[2::2] + 1j * ys[3::2]
+    ys = np.empty((y0.size, _last_sample(t_final, step) + 1))
+    _integrate(rhs, y0, t_final, step, ys, rtol, rtol * scale, overflow)
     return TimeTrace(
-        times=times,
-        cavity=cavity,
-        mechanics=mechanics,
+        times=np.arange(ys.shape[1]) * step,
+        cavity=ys[0] + 1j * ys[1],
+        mechanics=ys[2::2] + 1j * ys[3::2],
         omega_probe=omega_probe if eps_p > 0.0 else None,
         step=float(step),
     )
@@ -390,10 +435,6 @@ def demodulate(trace: TimeTrace, omega: float, *,
     period = 2.0 * math.pi / omega
     t_end = float(times[-1])
     if settle is None:
-        # A trace carries no decay rates, so the default just discards the
-        # first half of the record (or less, if that would not leave
-        # min_cycles whole cycles).  Callers who know the physical settling
-        # time should pass it.
         settle = max(0.0, min(0.5 * t_end, t_end - min_cycles * period))
     if not 0.0 <= settle < math.inf:
         raise InvalidParameterError(
@@ -418,11 +459,9 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
         np.exp(-2j * omega * ts),
         np.exp(2j * omega * ts),
     ])
-    coef, _, _, _ = np.linalg.lstsq(columns, ys, rcond=None)
-    fitted = columns @ coef
-    wiggle = ys - coef[0]
-    denom = float(np.sqrt(np.mean(np.abs(wiggle) ** 2)))
-    resid = float(np.sqrt(np.mean(np.abs(ys - fitted) ** 2)))
+    coef = np.linalg.lstsq(columns, ys, rcond=None)[0]
+    denom = float(np.sqrt(np.mean(np.abs(ys - coef[0]) ** 2)))
+    resid = float(np.sqrt(np.mean(np.abs(ys - columns @ coef) ** 2)))
     residual = resid / denom if denom > 0.0 else float("inf")
     return DemodResult(
         mean=complex(coef[0]),
@@ -432,103 +471,47 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
         a2_upper=complex(coef[4]),
         residual=residual,
         n_cycles=n_cycles,
-        reliable=residual < 1e-3,
+        reliable=residual < _MAX_FIT_RESIDUAL,
     )
 
 
-def _lifetime(config: SystemConfig, steady: SteadyState) -> float:
-    """Lifetime (s) of the slowest optically broadened mechanical mode."""
-    _, gamma, _ = config.mode_arrays()
-    total_opt = _total_optical_damping(config, steady)
-    return 1.0 / (float(np.min(gamma)) + 0.5 * total_opt)
+def _periodic_orbit(config: SystemConfig, steady: SteadyState,
+                    omega: float, periods: int, rtol: float):
+    """Shoot for the probed orbit, then demodulate ``periods`` cycles of it.
 
-
-def _check_schedule(config: SystemConfig, steady: SteadyState, omega: float,
-                    periods: int) -> tuple[float, int, int, int, int]:
-    """Sampling and check points of the checked settle.
-
-    Returns ``(step, width, every, first, last)``.  Sample ``i`` is the
-    state at ``i * step``, with a whole number ``q`` of samples per probe
-    period and ``step`` no coarser than the default of
-    :func:`integrate_mean_field`.  A check demodulates samples
-    ``end - width ... end`` (``periods`` cycles) with ``end`` running
-    ``first, first + every, ..., last``; every ``end`` is a multiple of
-    ``q``, so all windows start and end on the same probe phase.
-    ``every`` is the whole number of periods closest to
-    ``_CHECK_LIFETIMES`` lifetimes, and the last window starts no later
-    than ``_SETTLE_CAP_LIFETIMES`` lifetimes.
+    Chord Newton on the one-period map ``P``: ``x <- x - (Phi - I)^-1
+    (P(x) - x)``, ``Phi = exp(J T)``.  The cycles are sampled half-open,
+    so the fit is a DFT.  Returns the fit, the number of map evaluations,
+    the last map residual and ``max |eig Phi|``.
     """
-    tau = _lifetime(config, steady)
+    eps_l = pump_amplitude(config)
+    rhs, jacobian = _mean_field_rhs(config, eps_l, probe_amplitude(config),
+                                    float(omega))
+    x, scale, overflow = _start(config, eps_l, complex(steady.alpha),
+                                np.asarray(steady.betas, dtype=complex))
     period = 2.0 * math.pi / omega
     q = math.ceil(_DEFAULT_SAMPLES_PER_PERIOD * _fastest_rate(config, omega)
                   / omega)
-    m = max(1, round(_CHECK_LIFETIMES * tau / period))
-    first = math.ceil(periods / m) * m
-    last = max(first + m, math.floor(
-        (_SETTLE_CAP_LIFETIMES * tau / period + periods) / m) * m)
-    return period / q, periods * q, m * q, first * q, last * q
-
-
-def _rel_change(new: complex, old: complex) -> float:
-    return abs(new - old) / abs(new)
-
-
-def _checked_settle(config: SystemConfig, steady: SteadyState, omega: float,
-                    periods: int, rtol: float):
-    """Integrate until two successive check windows agree.
-
-    Returns the demodulation of the last window, its start time (s) and
-    the larger relative change of ``a1_lower`` and ``a2_lower`` against
-    the window before.  A run that reaches the cap unconverged comes back
-    with ``reliable=False``.  Only one window of cavity samples is kept,
-    and samples no window uses are never interpolated.
-    """
-    step, width, every, end, last = _check_schedule(config, steady, omega,
-                                                    periods)
-    eps_l = pump_amplitude(config)
-    rhs = _mean_field_rhs(config, eps_l, probe_amplitude(config),
-                          float(omega))
-    y0, scale, overflow = _start(config, eps_l, complex(steady.alpha),
-                                 np.asarray(steady.betas, dtype=complex))
-    # buf[j] holds sample start + j of the current window, start..end.
-    buf = np.empty(width + 1, dtype=complex)
-    start = taken = end - width  # taken: the next sample to store
-    previous = None
-    change = math.inf
-    for t_old, t, dense in dop853_steps(rhs, y0, last * step,
-                                        first_step=step, rtol=rtol,
-                                        atol=rtol * scale, check=overflow):
-        # This step's samples are those in (t_old, t].
-        upto = _last_sample(t, step)
-        if upto < taken:
-            continue
-        ys = dense(np.arange(taken, upto + 1) * step)
-        samples = ys[0] + 1j * ys[1]
-        while taken <= upto:
-            stop = min(upto, end)
-            buf[taken - start:stop + 1 - start] = samples[:stop + 1 - taken]
-            samples = samples[stop + 1 - taken:]
-            taken = stop + 1
-            if stop < end:
-                break
-            demod = _fit_harmonics(np.arange(start, end + 1) * step, buf,
-                                   omega, periods)
-            settle = start * step
-            if previous is not None:
-                change = max(_rel_change(demod.a1_lower, previous.a1_lower),
-                             _rel_change(demod.a2_lower, previous.a2_lower))
-                if change <= _SETTLE_RTOL:
-                    return demod, settle, change
-            previous = demod
-            end += every
-            start = end - width
-            if start <= taken:
-                # Overlapping windows: keep the samples they share.
-                buf[:taken - start] = buf[every:]
-            else:
-                samples = samples[start - taken:]
-                taken = start
-    return replace(demod, reliable=False), settle, change
+    step = period / q
+    phi = _expm(jacobian(x) * period)
+    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    previous = math.inf
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        end = _integrate(rhs, x, period, step, np.empty((0, 0)), rtol,
+                         rtol * scale, overflow)
+        residual = float(np.linalg.norm(end - x) / np.linalg.norm(x))
+        if (residual <= _ORBIT_RTOL or not residual < previous
+                or iterations == _MAX_ITERATIONS):
+            break
+        previous = residual
+        x = x - np.linalg.solve(phi - np.eye(x.size), end - x)
+    # (Re a, Im a) rows of a sample array that is also the complex cavity.
+    samples = np.empty((periods * q, 2))
+    _integrate(rhs, x, periods * period, step, samples.T, rtol, rtol * scale,
+               overflow)
+    demod = _fit_harmonics(np.arange(periods * q) * step,
+                           samples.view(complex)[:, 0], omega, periods)
+    return demod, iterations, residual, multiplier
 
 
 def sideband_closure(config: SystemConfig, omega: float, *,
@@ -544,15 +527,18 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     the gap measures probe-nonlinearity plus integration error and shrinks
     with ``probe_ratio``.
 
-    The transient is not discarded for a fixed time but checked: the
-    integration runs on, and the last ``periods`` probe cycles are
-    demodulated every whole number of cycles closest to two lifetimes of
-    the slowest optically broadened mechanical mode.  It stops as soon
-    as ``a1`` and ``a2`` both change by at most 1e-7 (relative) from one
-    window to the next and reports that last window.  A run that has not
-    converged after 160 lifetimes reports its last window with
-    ``reliable=False``.  All windows start on the same probe phase, so a
-    harmonic the fit leaves out leaks the same way into each of them.
+    The time-domain side does not wait out the transient.  It shoots for
+    the probed T-periodic orbit, ``T = 2 pi / omega``: chord Newton on the
+    one-period map from the pump-only steady state, steered by ``exp(J T)``
+    of the linearised flow, until one period moves the state by at most
+    1e-12 relative.  It gives up after 30 periods, or as soon as that
+    residual stops shrinking.  It then integrates ``periods`` cycles from
+    the last state and demodulates them.  On the orbit the fit is a DFT,
+    and its ``residual`` also shows any drift over the window.  The report
+    is ``reliable=False``, with a ``reason``, when the shooting does not
+    converge, when the largest Floquet multiplier is >= 1 (the orbit is
+    not stable, so no run would settle on it), or when the fit residual
+    is >= 1e-3.
 
     Parameters
     ----------
@@ -564,7 +550,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         Probe amplitude as a fraction of the pump, finite and > 0; small
         values isolate the linear response (default 0.01).
     periods : int
-        Probe cycles to demodulate over, a whole number >= 1.
+        Probe cycles of the orbit to demodulate over, a whole number
+        >= 1.  On an exact orbit one cycle gives the harmonics; more
+        cycles also check that the orbit persists.
     rtol : float
         Integrator tolerance, in ``[100 eps, 1)``.
 
@@ -592,15 +580,24 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     first = solve_first_order(config, steady, omega)
     second = solve_second_order(config, steady, omega, first)
 
-    demod, settle, change = _checked_settle(config, steady, omega, periods,
-                                            rtol)
+    demod, iterations, map_residual, multiplier = _periodic_orbit(
+        config, steady, omega, periods, rtol)
+    reasons = []
+    if not map_residual <= _ORBIT_RTOL:
+        reasons.append(f"no periodic orbit after {iterations} of at most "
+                       f"{_MAX_ITERATIONS} periods: map residual "
+                       f"{map_residual:.1e} > {_ORBIT_RTOL:.0e}")
+    if not multiplier < 1.0:
+        reasons.append(f"largest Floquet multiplier {multiplier:.6f} >= 1: "
+                       "the orbit is not stable")
+    if not demod.reliable:
+        reasons.append(f"demodulation residual {demod.residual:.1e} >= "
+                       f"{_MAX_FIT_RESIDUAL:.0e}")
 
-    a1_fd = complex(first.a_minus)
-    a1_td = demod.a1_lower
-    err1 = abs(a1_fd - a1_td) / max(abs(a1_fd), abs(a1_td), 1e-300)
-    a2_fd = complex(second.a_minus)
-    a2_td = demod.a2_lower
-    err2 = abs(a2_fd - a2_td) / max(abs(a2_fd), abs(a2_td), 1e-300)
+    a1_fd, a2_fd = complex(first.a_minus), complex(second.a_minus)
+    a1_td, a2_td = demod.a1_lower, demod.a2_lower
+    err1, err2 = (abs(fd - td) / max(abs(fd), abs(td), 1e-300)
+                  for fd, td in ((a1_fd, a1_td), (a2_fd, a2_td)))
     return ClosureReport(
         omega=float(omega),
         probe_ratio=float(probe_ratio),
@@ -612,7 +609,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         rel_err_second=float(err2),
         residual=demod.residual,
         n_cycles=demod.n_cycles,
-        reliable=demod.reliable,
-        settle=float(settle),
-        settle_change=float(change),
+        reliable=not reasons,
+        iterations=iterations,
+        map_residual=map_residual,
+        multiplier=multiplier,
+        reason="; ".join(reasons),
     )

@@ -1,8 +1,7 @@
 """Smoke test of the public surface: the demo scripts and ``__all__``.
 
 A public name that is deleted or renamed breaks the demos only when they
-run, so the fast ones run here.  Demo 04 (the time-domain closure, several
-seconds) is left out; its calls are covered in ``test_oracle.py``.
+run, so they all run here.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "01_transparency_window.py",
     "02_dark_mode_breaking.py",
     "03_nmode_chains.py",
+    "04_time_domain_closure.py",
     "05_sweeps_and_figures.py",
 ])
 def test_demo_runs(script, tmp_path, monkeypatch, capsys):

@@ -336,7 +336,7 @@ def test_drift_matrix_is_jacobian_of_mean_field_rhs(n):
     cfg = ol.standard_setup(n, eta_frac=0.05, theta=0.3 * math.pi)
     st = ol.solve_steady_state(cfg)
     eps_l = ol.pump_amplitude(cfg)
-    rhs = _mean_field_rhs(cfg, eps_l, 0.0, 0.0)
+    rhs, _ = _mean_field_rhs(cfg, eps_l, 0.0, 0.0)
     y0 = np.empty(2 * (n + 1))
     y0[0], y0[1] = st.alpha.real, st.alpha.imag
     betas = np.asarray(st.betas)

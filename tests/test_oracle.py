@@ -86,29 +86,36 @@ def _equations(config, eps_l, eps_p, w_probe, t, a, b):
     return da, db
 
 
+def _random_chain(rng, n):
+    """A chain of ``n`` modes with every parameter drawn at random."""
+    base = ol.standard_setup(n)
+    omega_m = base.omega_ref
+    return replace(
+        base,
+        cavity=replace(base.cavity,
+                       delta_c=rng.uniform(-2.0, 2.0) * omega_m),
+        modes=tuple(
+            replace(m, omega=m.omega * rng.uniform(0.8, 1.2),
+                    gamma=m.gamma * rng.uniform(0.5, 2.0),
+                    g=m.g * rng.uniform(0.5, 2.0))
+            for m in base.modes),
+        couplings=tuple(
+            ol.PhononCoupling(eta=rng.uniform(0.0, 0.1) * omega_m,
+                              theta=rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(n - 1)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_mean_field_rhs_matches_equations(n):
     rng = np.random.default_rng(100 + n)
-    base = ol.standard_setup(n)
-    omega_m = base.omega_ref
+    omega_m = ol.standard_setup(n).omega_ref
     for _ in range(4):
-        config = replace(
-            base,
-            cavity=replace(base.cavity,
-                           delta_c=rng.uniform(-2.0, 2.0) * omega_m),
-            modes=tuple(
-                replace(m, omega=m.omega * rng.uniform(0.8, 1.2),
-                        gamma=m.gamma * rng.uniform(0.5, 2.0),
-                        g=m.g * rng.uniform(0.5, 2.0))
-                for m in base.modes),
-            couplings=tuple(
-                ol.PhononCoupling(eta=rng.uniform(0.0, 0.1) * omega_m,
-                                  theta=rng.uniform(0.0, 2.0 * math.pi))
-                for _ in range(n - 1)))
+        config = _random_chain(rng, n)
         eps_l = rng.uniform(1e9, 1e10)
         w_probe = rng.uniform(0.5, 1.5) * omega_m
         for eps_p in (0.0, rng.uniform(1e7, 1e8)):
-            rhs = oracle_mod._mean_field_rhs(config, eps_l, eps_p, w_probe)
+            rhs, _ = oracle_mod._mean_field_rhs(config, eps_l, eps_p,
+                                                w_probe)
             for _ in range(5):
                 t = rng.uniform(0.0, 1e-3)
                 a = complex(*rng.normal(scale=1e3, size=2))
@@ -124,6 +131,49 @@ def test_mean_field_rhs_matches_equations(n):
                 got = rhs(t, y)
                 assert np.max(np.abs(got - want)) <= \
                     1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_jacobian_matches_central_differences(n):
+    # The equations are quadratic in the fields, so central differences of
+    # the right-hand side are exact up to rounding, at any state and time.
+    rng = np.random.default_rng(200 + n)
+    omega_m = ol.standard_setup(n).omega_ref
+    for _ in range(4):
+        config = _random_chain(rng, n)
+        rhs, jacobian = oracle_mod._mean_field_rhs(
+            config, rng.uniform(1e9, 1e10), rng.uniform(1e7, 1e8),
+            rng.uniform(0.5, 1.5) * omega_m)
+        y = np.concatenate((rng.normal(scale=1e3, size=2),
+                            rng.normal(scale=1e2, size=2 * n)))
+        t = rng.uniform(0.0, 1e-3)
+        fd = np.empty((y.size, y.size))
+        for j in range(y.size):
+            h = np.zeros_like(y)
+            h[j] = 1e-3 * abs(y[j])
+            fd[:, j] = (rhs(t, y + h) - rhs(t, y - h)) / (2.0 * h[j])
+        jac = jacobian(y)
+        assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("n, chain, frac", [
+    (2, {"eta_frac": 0.05, "theta": math.pi / 2}, 0.95),
+    (4, {"eta_frac": 0.05, "theta": 0.0}, 0.97),
+], ids=["split_window", "dark_four"])
+def test_expm_matches_scipy(n, chain, frac):
+    # Phi = exp(J T) of the shooting, at the pump-only steady state.
+    from scipy.linalg import expm
+
+    config = ol.standard_setup(n, **chain)
+    steady = ol.solve_steady_state(config)
+    eps_l = ol.pump_amplitude(config)
+    _, jacobian = oracle_mod._mean_field_rhs(config, eps_l, 0.0, 0.0)
+    y, _, _ = oracle_mod._start(config, eps_l, steady.alpha,
+                                np.asarray(steady.betas))
+    a = jacobian(y) * 2.0 * math.pi / (frac * config.omega_ref)
+    want = expm(a)
+    assert np.max(np.abs(oracle_mod._expm(a) - want)) <= \
+        1e-12 * np.max(np.abs(want))
 
 
 def test_demodulate_recovers_synthetic_harmonics():
@@ -229,7 +279,7 @@ def _scipy_steps(record):
     stores its count of rejected trial steps in ``record``."""
     from scipy.integrate import DOP853
 
-    def steps(fun, y0, t_final, *, first_step, rtol, atol, check):
+    def steps(fun, y0, t_final, *, first_step, rtol, atol):
         solver = DOP853(fun, 0.0, y0, t_final, first_step=first_step,
                         rtol=rtol, atol=atol)
         record["rejected"] = 0
@@ -239,8 +289,7 @@ def _scipy_steps(record):
             assert solver.status != "failed", message
             # Every trial step costs twelve right-hand-side evaluations.
             record["rejected"] += (solver.nfev - before) // 12 - 1
-            check(solver.t, solver.y)
-            yield (solver.t_old, solver.t,
+            yield (solver.t_old, solver.t, solver.y,
                    lambda times: solver.dense_output()(times))
     return steps
 
@@ -315,7 +364,6 @@ def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
     t_eval = np.arange(0.0, t_final + 0.5 * ours.step, ours.step)
     t_eval = t_eval[t_eval <= t_final]
     (fun, y0, options), = calls
-    options.pop("check")
     sol = solve_ivp(fun, (0.0, t_final), y0, method="DOP853", t_eval=t_eval,
                     **options)
     assert sol.status == 0
@@ -325,25 +373,30 @@ def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
         omega_probe=ours.omega_probe, step=ours.step))
 
 
-def test_checked_settle_closure_matches_scipy_bit_for_bit(split_config,
-                                                          monkeypatch):
-    # A whole checked-settle closure, run to convergence on SciPy's stepper.
+def test_shooting_closure_matches_scipy_bit_for_bit(split_config,
+                                                    monkeypatch):
+    # A whole shooting closure, every map evaluation and the demodulated
+    # cycles, on SciPy's stepper.
     w = 0.95 * split_config.omega_ref
-    ours = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=50)
+    ours = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=3)
     monkeypatch.setattr(oracle_mod, "dop853_steps", _scipy_steps({}))
-    ref = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=50)
-    assert ours.reliable and ours.settle_change <= 1e-7
+    ref = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=3)
+    assert ours.reliable and ours.map_residual <= 1e-12
+    assert ours.iterations > 1
     assert repr(ours) == repr(ref)
 
 
 def test_closure_at_window_detuning(split_config):
     w = 0.95 * split_config.omega_ref
     report = ol.sideband_closure(split_config, w, probe_ratio=0.01,
-                                 periods=120)
-    assert report.reliable
+                                 periods=10)
+    assert report.reliable and report.reason == ""
     assert report.rel_err_first < 2e-3
     assert report.rel_err_second < 2e-3
-    assert report.n_cycles >= 100
+    assert report.n_cycles == 10
+    assert report.map_residual <= 1e-12
+    assert 1 < report.iterations < oracle_mod._MAX_ITERATIONS
+    assert 0.0 < report.multiplier < 1.0
 
 
 def test_closure_beyond_two_modes():
@@ -351,7 +404,7 @@ def test_closure_beyond_two_modes():
     # chain too, within the same bound as the two-mode window check.
     config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
     report = ol.sideband_closure(config, 0.97 * config.omega_ref,
-                                 probe_ratio=0.01, periods=150)
+                                 probe_ratio=0.01, periods=10)
     assert report.reliable
     assert report.rel_err_first < 2e-3
     assert report.rel_err_second < 2e-3
@@ -382,96 +435,81 @@ def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
         ol.sideband_closure(split_config, **kwargs)
 
 
-def _with_probe(config, ratio):
-    """The closure's configuration, operating point and lifetime scale."""
-    config = replace(config, drive=replace(config.drive, probe_ratio=ratio,
+@pytest.mark.parametrize("n, chain, frac, settle", [
+    (2, {"eta_frac": 0.05, "theta": math.pi / 2}, 0.95, 150),
+    (3, {"eta_frac": 0.05, "theta": 0.37 * math.pi}, 0.97, 400),
+], ids=["split_window", "three_modes"])
+def test_shooting_matches_long_explicit_integration(n, chain, frac, settle):
+    # The reference waits out the transient: ``settle`` probe periods from
+    # the pump-only steady state, then 101 cycles demodulated.  The
+    # three-mode chain has a slow mode the cavity sees: after 300 periods
+    # its a2 is still 1.3e-6 away.  The gap left in a2 (measured 3.8e-7
+    # and 3.1e-7) is mostly the leakage of higher harmonics into the
+    # reference's closed window of 101 q + 1 samples; the orbit's
+    # half-open cycles have none.
+    config = ol.standard_setup(n, **chain)
+    w = frac * config.omega_ref
+    period = 2.0 * math.pi / w
+    shot = ol.sideband_closure(config, w, probe_ratio=0.01, periods=1)
+    probed = replace(config, drive=replace(config.drive, probe_ratio=0.01,
                                            power_probe=None))
-    steady = ol.solve_steady_state(config)
-    return config, steady, oracle_mod._lifetime(config, steady)
+    trace = ol.integrate_mean_field(probed, (settle + 101) * period,
+                                    omega_probe=w)
+    ref = ol.demodulate(trace, w, settle=settle * period, min_cycles=100)
+    assert shot.reliable
+    for got, want in ((shot.a1_time, ref.a1_lower),
+                      (shot.a2_time, ref.a2_lower)):
+        assert abs(got - want) <= 1e-6 * abs(want)
 
 
-def test_checked_settle_stops_on_aligned_windows(split_config, monkeypatch):
-    # At probe ratio 0.05 the fit leaves out sizeable higher harmonics.
-    # Windows that all start on the same probe phase leak them identically,
-    # so once the transient has gone successive windows agree to ~1e-10,
-    # well inside the old fixed settle of 40 lifetimes.  Windows shifted
-    # against each other by even one sample leak differently and level off
-    # between 1e-8 and 2e-7, where the default tolerance of 1e-7 cannot
-    # tell them apart; a tolerance of 1e-9 here shows the difference (they
-    # would run to the cap).
-    monkeypatch.setattr(oracle_mod, "_SETTLE_RTOL", 1e-9)
-    w = 0.95 * split_config.omega_ref
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ratios above 0.05 warn
-        report = ol.sideband_closure(split_config, w, probe_ratio=0.05,
-                                     periods=100)
-    _, _, tau = _with_probe(split_config, 0.05)
-    assert report.settle_change <= 1e-9
-    assert 0.0 < report.settle < 40.0 * tau
+def test_dark_four_mode_chain_closes():
+    # With theta = 0 the four-mode chain has dark modes, one decaying at
+    # the bare gamma_m (multiplier ~0.999).  Waiting for that transient
+    # never settled at this detuning; shooting does not wait for it.
+    config = ol.standard_setup(4, eta_frac=0.05, theta=0.0)
+    report = ol.sideband_closure(config, 0.97 * config.omega_ref,
+                                 probe_ratio=0.01, periods=2)
+    assert report.reliable and report.reason == ""
+    assert 0.99 < report.multiplier < 1.0
+    assert report.rel_err_first < 2e-3
+    assert report.rel_err_second < 2e-3
 
 
-@pytest.mark.parametrize("periods", [20, 10], ids=["overlapping", "gapped"])
-def test_checked_settle_windows_are_the_integrated_trace(split_config,
-                                                         periods,
-                                                         monkeypatch):
-    # With the cap cut to 4 lifetimes the transient is still there when the
-    # run stops, and the report says so.  Each demodulated window holds
-    # exactly the samples of one integrate_mean_field run over the same
-    # span at the same step, bit for bit, although only one window of
-    # samples is ever kept.  Checks come every 14 periods here, so windows
-    # of 20 periods overlap and windows of 10 leave gaps.
-    monkeypatch.setattr(oracle_mod, "_SETTLE_CAP_LIFETIMES", 4.0)
-    fit = oracle_mod._fit_harmonics
-    windows = []
-
-    def recording(ts, ys, omega, n_cycles):
-        windows.append((ts.copy(), ys.copy()))
-        return fit(ts, ys, omega, n_cycles)
-
-    monkeypatch.setattr(oracle_mod, "_fit_harmonics", recording)
-    w = 0.95 * split_config.omega_ref
-    report = ol.sideband_closure(split_config, w, probe_ratio=0.01,
-                                 periods=periods)
+def test_closure_unreliable_at_iteration_cap(split_config, monkeypatch):
+    # One map evaluation from the pump-only steady state is not an orbit.
+    monkeypatch.setattr(oracle_mod, "_MAX_ITERATIONS", 1)
+    report = ol.sideband_closure(split_config, 0.95 * split_config.omega_ref,
+                                 probe_ratio=0.01, periods=1)
     assert not report.reliable
-    assert report.settle_change > 1e-7
-    config, steady, tau = _with_probe(split_config, 0.01)
-    assert report.settle <= 4.0 * tau
-
-    step, width, every, first, last = oracle_mod._check_schedule(
-        config, steady, w, periods)
-    assert every == 14 * width // periods
-    trace = ol.integrate_mean_field(config, last * step, omega_probe=w,
-                                    step=step,
-                                    initial=(steady.alpha, steady.betas))
-    ends = [round(ts[-1] / step) for ts, _ in windows]
-    assert ends == list(range(first, last + 1, every)) and len(ends) >= 2
-    for (ts, ys), end in zip(windows, ends):
-        cut = slice(end - width, end + 1)
-        assert ts.tobytes() == trace.times[cut].tobytes()
-        assert ys.tobytes() == trace.cavity[cut].tobytes()
-    assert report.settle == trace.times[last - width]
-    final = fit(*windows[-1], w, periods)
-    assert (report.a1_time, report.a2_time) == (final.a1_lower,
-                                                final.a2_lower)
+    assert report.iterations == 1 and report.map_residual > 1e-12
+    assert report.reason.startswith(
+        "no periodic orbit after 1 of at most 1 periods")
 
 
-def test_checked_settle_outlasts_the_old_estimate_for_three_modes():
-    # For this chain 40 lifetimes of the estimate leave a2 1.3e-4 away from
-    # long explicit settles (50 periods; 60, 80, 120 and 160 lifetimes
-    # agree to ~1e-6).  The checked settle runs on past 40 lifetimes and
-    # lands within 2e-6 of 120 lifetimes: measured 5.8e-7, a margin of 3.4.
-    config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
-    w = 0.97 * config.omega_ref
-    checked = ol.sideband_closure(config, w, probe_ratio=0.01, periods=50)
-    probed, steady, tau = _with_probe(config, 0.01)
-    settle, period = 120.0 * tau, 2.0 * math.pi / w
-    trace = ol.integrate_mean_field(probed, settle + 51 * period,
-                                    omega_probe=w,
-                                    initial=(steady.alpha, steady.betas))
-    explicit = ol.demodulate(trace, w, settle=settle, min_cycles=50)
-    assert checked.reliable and checked.settle > 40.0 * tau
-    assert abs(checked.a2_time - explicit.a2_lower) <= \
-        2e-6 * abs(explicit.a2_lower)
+def test_closure_unreliable_for_unstable_orbit():
+    # A blue-detuned pump amplifies: shooting still finds the probed orbit,
+    # but no run would settle on it, so the closure is not evidence.
+    config = ol.standard_setup(2, lock_delta_frac=-1.0)
+    report = ol.sideband_closure(config, 0.95 * config.omega_ref,
+                                 probe_ratio=0.01, periods=1)
+    assert report.map_residual <= 1e-12 and report.multiplier > 1.0
+    assert not report.reliable
+    assert report.reason.startswith("largest Floquet multiplier")
+    assert "no periodic orbit" not in report.reason
+
+
+def test_closure_unreliable_when_shooting_diverges():
+    # Probed next to the cavity resonance of a weakly detuned pump, the
+    # orbit is far from the pump-only linearisation and the chord
+    # iteration stops contracting.  It gives up at once instead of
+    # following the growing iterates.
+    config = ol.standard_setup(2, lock_delta_frac=0.2)
+    report = ol.sideband_closure(config, 0.2 * config.omega_ref,
+                                 probe_ratio=0.01, periods=1)
+    assert not report.reliable
+    assert report.iterations < oracle_mod._MAX_ITERATIONS
+    assert report.map_residual > 1e-12
+    assert report.reason.startswith("no periodic orbit")
 
 
 def test_truncation_residual_grows_with_probe(split_config):
@@ -481,7 +519,7 @@ def test_truncation_residual_grows_with_probe(split_config):
         warnings.simplefilter("ignore")  # ratios above 0.05 warn
         for ratio in (0.01, 0.05, 0.1):
             rep = ol.sideband_closure(split_config, w, probe_ratio=ratio,
-                                      periods=100)
+                                      periods=2)
             residuals.append(rep.residual)
     assert residuals[0] < residuals[1] < residuals[2]
 
