@@ -104,8 +104,8 @@ class DemodResult:
     frequency), ``a1_upper`` multiplies ``exp(+i Omega t)``, and the
     ``a2_*`` pair the same at ``2 Omega``.  ``residual`` is the rms of the
     part of the signal the five-term model does not explain, relative to
-    the rms of the oscillating part; ``reliable`` is a conservative flag
-    (enough cycles and a small residual).
+    the rms of the oscillating part.  Too few cycles make
+    :func:`demodulate` raise, so every result spans enough of them.
     """
 
     mean: complex
@@ -115,7 +115,11 @@ class DemodResult:
     a2_upper: complex
     residual: float
     n_cycles: int
-    reliable: bool
+
+    @property
+    def reliable(self) -> bool:
+        """The fit leaves under 1e-3 unexplained (False for a NaN)."""
+        return self.residual < _MAX_FIT_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -239,11 +243,12 @@ def _start(config: SystemConfig, eps_l: float, alpha0: complex,
     limit_sq = (_OVERFLOW_FACTOR * scale) ** 2
 
     def overflow(t: float, y: np.ndarray) -> None:
-        if y[0] ** 2 + y[1] ** 2 >= limit_sq:
+        # "Not below" so that a NaN state trips it too.
+        if not y[0] ** 2 + y[1] ** 2 < limit_sq:
             raise UnstableIntegrationError(
                 f"cavity amplitude exceeded {_OVERFLOW_FACTOR:.0e} x its "
-                f"steady scale by t = {t:.6e} s; the operating point is "
-                "unstable")
+                f"steady scale or is not finite by t = {t:.6e} s; the "
+                "operating point is unstable")
 
     y0 = np.empty(2 * (config.n_modes + 1))
     y0[0], y0[1] = alpha0.real, alpha0.imag
@@ -471,7 +476,6 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
         a2_upper=complex(coef[4]),
         residual=residual,
         n_cycles=n_cycles,
-        reliable=residual < _MAX_FIT_RESIDUAL,
     )
 
 

@@ -34,8 +34,9 @@ Both routes are exact to rounding; a disagreement indicates a bug, not an
 approximation error.
 
 Group delay is the slope of the transmission phase, ``tau = d(arg t_p) /
-d(Omega)``, evaluated with a five-point central stencil on the unwrapped
-phase.
+d(Omega)``: a five-point central stencil on the unwrapped phase, derived
+like ``|t_p|^2`` from the ``t_p`` a :class:`Spectrum` stores.
+:func:`group_delay` reads one point of that column.
 """
 
 from __future__ import annotations
@@ -154,19 +155,16 @@ class GroupDelayEstimate:
 class Spectrum:
     """Sideband response sampled on a detuning grid.
 
+    The fields below hold what the solve produced; ``transmission``,
+    ``phase`` and ``group_delay`` are properties computed from ``amplitude``
+    and ``omega`` on each access, never stored, so they follow the amplitude.
+
     Attributes
     ----------
     omega : numpy.ndarray
         Probe-pump detuning grid (rad/s).
     amplitude : numpy.ndarray
         Complex probe transmission amplitude ``t_p``.
-    transmission : numpy.ndarray
-        ``|t_p|^2``.
-    phase : numpy.ndarray
-        Unwrapped ``arg(t_p)`` (rad).
-    group_delay : numpy.ndarray
-        ``d(phase)/d(omega)`` (s); NaN on the two outermost points of each
-        edge and everywhere when the grid is not uniform.
     efficiency_percent : numpy.ndarray
         Second-order sideband efficiency in percent; NaN when the second
         order was switched off (``include_second_order=False``).
@@ -179,12 +177,32 @@ class Spectrum:
 
     omega: np.ndarray
     amplitude: np.ndarray
-    transmission: np.ndarray
-    phase: np.ndarray
-    group_delay: np.ndarray
     efficiency_percent: np.ndarray
     route_discrepancy: np.ndarray
     metadata: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def transmission(self) -> np.ndarray:
+        """``|t_p|^2``."""
+        return np.abs(self.amplitude) ** 2
+
+    @property
+    def phase(self) -> np.ndarray:
+        """Unwrapped ``arg(t_p)`` (rad)."""
+        return np.unwrap(np.angle(self.amplitude))
+
+    @property
+    def group_delay(self) -> np.ndarray:
+        """``d(phase)/d(omega)`` (s) by the five-point stencil; NaN on the two
+        points at each edge, and everywhere on a non-uniform grid."""
+        w = self.omega
+        delay = np.full(len(w), np.nan)
+        h = _uniform_step(w) if len(w) >= 5 else None
+        if h is not None:
+            phase = self.phase
+            delay[2:-2] = (8.0 * (phase[3:-1] - phase[1:-3])
+                           - (phase[4:] - phase[:-4])) / (12.0 * h)
+        return delay
 
     @property
     def omega_normalized(self) -> np.ndarray:
@@ -704,18 +722,6 @@ def second_order_efficiency(a2_minus: complex | np.ndarray, eps_p: float,
     return float(eff) if np.ndim(a2_minus) == 0 else eff
 
 
-def _phase_and_delay(w: np.ndarray, t_p: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped phase and five-point stencil group delay (NaN at edges)."""
-    phase = np.unwrap(np.angle(t_p))
-    delay = np.full(len(w), np.nan)
-    h = _uniform_step(w) if len(w) >= 5 else None
-    if h is not None:
-        delay[2:-2] = (8.0 * (phase[3:-1] - phase[1:-3])
-                       - (phase[4:] - phase[:-4])) / (12.0 * h)
-    return phase, delay
-
-
 def _check_second_order_flag(value) -> None:
     if not isinstance(value, bool):
         raise InvalidParameterError(
@@ -731,9 +737,9 @@ def compute_spectrum(config: SystemConfig,
     """Full sideband spectrum of a configuration.
 
     Solves the steady state, then the first- and second-order sideband
-    systems on a detuning grid, and assembles transmission, phase, group
-    delay, and efficiency, together with the closed-form cross-check for
-    the two-mode layout.
+    systems on a detuning grid, and assembles the transmission amplitude
+    and efficiency, together with the closed-form cross-check for the
+    two-mode layout.
 
     Parameters
     ----------
@@ -766,8 +772,7 @@ def compute_spectrum(config: SystemConfig,
             "probe amplitude must be > 0 to compute a spectrum")
 
     x1 = _first_order_raw(view, w)
-    t_p, power = transmission(x1[0], view.eps_p, view.kappa)
-    phase, delay = _phase_and_delay(w, t_p)
+    t_p, _ = transmission(x1[0], view.eps_p, view.kappa)
 
     discrepancy = np.full(len(w), np.nan)
     efficiency = np.full(len(w), np.nan)
@@ -809,9 +814,6 @@ def compute_spectrum(config: SystemConfig,
     return Spectrum(
         omega=w,
         amplitude=t_p,
-        transmission=power,
-        phase=phase,
-        group_delay=delay,
         efficiency_percent=efficiency,
         route_discrepancy=discrepancy,
         metadata=metadata,
@@ -821,9 +823,9 @@ def compute_spectrum(config: SystemConfig,
 def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
     """Group delay ``d(arg t_p)/d(omega)`` at the grid point nearest ``at``.
 
-    Uses a five-point central stencil on the unwrapped phase, so the target
-    must sit at least five grid points away from either edge of a uniform
-    grid.
+    Reads the spectrum's ``group_delay`` column, the five-point central
+    stencil on the unwrapped phase, after checking that the target sits at
+    least five grid points away from either edge of a uniform grid.
 
     Raises
     ------
@@ -834,24 +836,18 @@ def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
     """
     w = spectrum.omega
     k = len(w)
-    if k < 11:
-        raise InvalidParameterError(
-            "group delay needs a grid of at least 11 points")
-    h = _uniform_step(w)
-    if h is None:
-        raise InvalidParameterError("group delay requires a uniform grid")
     idx = spectrum.nearest_index(at)
     if idx < 5 or idx > k - 6:
         raise InvalidParameterError(
             f"target {at:.6e} rad/s sits {min(idx, k - 1 - idx)} points from "
             "the grid edge; at least 5 are required")
+    h = _uniform_step(w)
+    if h is None:
+        raise InvalidParameterError("group delay requires a uniform grid")
     scale = float(np.max(np.abs(spectrum.amplitude)))
     if abs(spectrum.amplitude[idx]) < 1e-12 * max(scale, 1.0):
         raise DegeneratePointError(
             f"transmission amplitude vanishes at omega = {w[idx]:.6e} rad/s; "
             "phase slope is undefined there")
-    phase = spectrum.phase
-    delay = (8.0 * (phase[idx + 1] - phase[idx - 1])
-             - (phase[idx + 2] - phase[idx - 2])) / (12.0 * h)
-    return GroupDelayEstimate(delay=float(delay), omega=float(w[idx]),
-                              index=idx, step=h)
+    return GroupDelayEstimate(delay=float(spectrum.group_delay[idx]),
+                              omega=float(w[idx]), index=idx, step=h)

@@ -181,8 +181,6 @@ def test_fit_linewidth_on_synthetic_window(split_config):
     window = 0.8 / (1.0 + ((w - w0) / width) ** 2)
     synthetic = ol.Spectrum(
         omega=w, amplitude=np.sqrt(0.1 + window).astype(complex),
-        transmission=0.1 + window, phase=np.zeros_like(w),
-        group_delay=sp.group_delay,
         efficiency_percent=sp.efficiency_percent,
         route_discrepancy=sp.route_discrepancy, metadata=dict(sp.metadata))
     fits = ol.fit_linewidth(synthetic)
@@ -196,8 +194,6 @@ def test_fit_linewidth_featureless_spectrum(split_config):
                              include_second_order=False)
     flat = ol.Spectrum(
         omega=sp.omega, amplitude=np.ones_like(sp.amplitude),
-        transmission=np.ones_like(sp.transmission),
-        phase=np.zeros_like(sp.phase), group_delay=sp.group_delay,
         efficiency_percent=sp.efficiency_percent,
         route_discrepancy=sp.route_discrepancy, metadata=dict(sp.metadata))
     assert ol.fit_linewidth(flat) == []
@@ -210,9 +206,9 @@ def test_fit_linewidth_rejects_non_finite_transmission(split_config, bad):
     sp = ol.compute_spectrum(split_config, points=401,
                              include_second_order=False)
     assert len(ol.fit_linewidth(sp)) == 2
-    power = sp.transmission.copy()
-    power[123] = bad
-    corrupted = dataclasses.replace(sp, transmission=power)
+    amplitude = sp.amplitude.copy()
+    amplitude[123] = bad
+    corrupted = dataclasses.replace(sp, amplitude=amplitude)
     with pytest.raises(ol.InvalidParameterError, match="non-finite"):
         ol.fit_linewidth(corrupted)
 

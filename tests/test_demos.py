@@ -1,19 +1,24 @@
-"""Smoke test of the public surface: the demo scripts and ``__all__``.
+"""Smoke test of the public surface: the demo scripts, ``__all__`` and the
+benchmark's self-test.
 
-A public name that is deleted or renamed breaks the demos only when they
-run, so they all run here.
+A public name that is deleted or renamed breaks the demos and the
+benchmark only when they run, so they all run here.
 """
 
 from __future__ import annotations
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import omit_lab as ol
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", [
@@ -32,3 +37,15 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in ol.__all__ if not hasattr(ol, name)]
     assert missing == []
+
+
+def test_perfbench_selftest_passes():
+    # Every benchmark check accepts the real output and rejects a
+    # corrupted one, through the same public calls the benchmark makes.
+    src = str(Path(ol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = str(ROOT / "perfbench" / "selftest.py")
+    out = subprocess.run([sys.executable, script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "15/15 self-test cases passed" in out.stdout

@@ -252,6 +252,21 @@ def test_overflow_guard_raises(split_config, monkeypatch):
     assert 0.0 < t <= t_final
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_overflow_guard_trips_on_non_finite_state(split_config, split_steady,
+                                                  bad):
+    # A NaN compares False against any limit; the guard must still raise
+    # rather than let a diverged state run on.
+    eps_l = ol.pump_amplitude(split_config)
+    y, _, overflow = oracle_mod._start(split_config, eps_l,
+                                       split_steady.alpha,
+                                       np.asarray(split_steady.betas))
+    overflow(0.0, y)  # the steady state itself passes
+    y[1] = bad
+    with pytest.raises(ol.UnstableIntegrationError, match="not finite"):
+        overflow(1e-6, y)
+
+
 @pytest.mark.parametrize("bad", [
     {"rtol": 0.0}, {"rtol": 1e-15}, {"rtol": -1.0}, {"rtol": 1.0},
     {"rtol": math.nan}, {"rtol": math.inf},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -216,8 +217,7 @@ def test_group_delay_exact_on_cubic_phase(split_config):
     phi = c3 * (w - w0) ** 3 + c2 * (w - w0) ** 2 + c1 * (w - w0)
     amp = np.exp(1j * phi)
     synthetic = ol.Spectrum(
-        omega=w, amplitude=amp, transmission=np.abs(amp) ** 2,
-        phase=phi, group_delay=sp.group_delay,
+        omega=w, amplitude=amp,
         efficiency_percent=sp.efficiency_percent,
         route_discrepancy=sp.route_discrepancy, metadata=dict(sp.metadata))
     at = w[len(w) // 2]
@@ -233,6 +233,30 @@ def test_group_delay_frozen_value(split_config):
     sp = ol.compute_spectrum(split_config, grid, include_second_order=False)
     est = ol.group_delay(sp, 0.95 * split_config.omega_ref)
     assert est.delay == pytest.approx(FROZEN_TAU_095, rel=1e-12)
+    # One stencil: the estimate is the spectrum's own column, bit for bit,
+    # here and on criterion 12's 4001-point grid.
+    assert est.delay == sp.group_delay[est.index]
+    fine = ol.compute_spectrum(split_config, points=4001,
+                               include_second_order=False)
+    est = ol.group_delay(fine, 0.95 * split_config.omega_ref)
+    assert est.delay == fine.group_delay[est.index]
+
+
+def test_derived_columns_follow_amplitude(split_config):
+    # transmission, phase and group delay are derived from t_p on access,
+    # so a replaced amplitude cannot leave them behind.
+    sp = ol.compute_spectrum(split_config, points=41, span=(0.9, 1.1),
+                             include_second_order=False)
+    # Half the amplitude, plus a linear phase of slope 1e-6 s.
+    amp = 0.5 * sp.amplitude * np.exp(1j * 1e-6 * (sp.omega - sp.omega[0]))
+    moved = dataclasses.replace(sp, amplitude=amp)
+    np.testing.assert_array_equal(moved.transmission, np.abs(amp) ** 2)
+    np.testing.assert_array_equal(moved.phase, np.unwrap(np.angle(amp)))
+    np.testing.assert_allclose(moved.transmission, 0.25 * sp.transmission,
+                               rtol=1e-12)
+    np.testing.assert_allclose(moved.group_delay[2:-2],
+                               sp.group_delay[2:-2] + 1e-6, rtol=1e-9)
+    assert np.all(np.isnan(moved.group_delay[[0, 1, -2, -1]]))
 
 
 def test_group_delay_guards(split_config):
@@ -242,6 +266,14 @@ def test_group_delay_guards(split_config):
     tiny = ol.compute_spectrum(split_config, points=9, span=(0.94, 0.96))
     with pytest.raises(ol.InvalidParameterError):
         ol.group_delay(tiny, 0.95 * split_config.omega_ref)
+
+
+def test_group_delay_refuses_one_point_grid(split_config):
+    # The edge guard runs before the grid-step check, which needs two points.
+    one = ol.compute_spectrum(split_config, [0.95 * split_config.omega_ref])
+    assert np.isnan(one.group_delay).all()
+    with pytest.raises(ol.InvalidParameterError, match="grid edge"):
+        ol.group_delay(one, 0.95 * split_config.omega_ref)
 
 
 def test_spectrum_grid_validation(split_config):
