@@ -3,37 +3,48 @@
 Layout::
 
     [cavity]
-    kappa_hz = 215000.0          ; decay rate / 2pi
-    delta_c_hz = 966166.417      ; bare detuning / 2pi (may be negative)
-    wavelength_m = 1.064e-06     ; optional
-    cavity_length_m = 0.025      ; optional
+    ; frequencies in plain Hz; delta_c_hz may be negative
+    kappa_hz = 215000.0
+    delta_c_hz = 966166.417
+    ; optional; mass_kg needs both
+    wavelength_m = 1.064e-06
+    cavity_length_m = 0.025
 
     [drive]
     power_pump_w = 0.0015
-    probe_ratio = 0.05           ; XOR power_probe_w; default 0.05
-    ; omega_pump_hz = ...        ; optional, else derived from wavelength
+    ; XOR power_probe_w (default 0.05); omega_pump_hz is optional
+    probe_ratio = 0.05
 
-    [mode1]                      ; one section per mode, numbered from 1
+    ; one section per mode, numbered from 1;
+    ; q_factor XOR gamma_hz, mass_kg XOR g_hz
+    [mode1]
     omega_hz = 947000.0
-    q_factor = 6700.0            ; XOR gamma_hz
-    mass_kg = 1.45e-10           ; XOR g_hz (mass needs wavelength + length)
+    q_factor = 6700.0
+    mass_kg = 1.45e-10
 
-    [coupling1]                  ; exactly one fewer than the modes
+    [mode2]
+    omega_hz = 947000.0
+    q_factor = 6700.0
+    mass_kg = 1.45e-10
+
+    ; one fewer than the modes; theta_pi_units XOR theta_rad (default 0)
+    [coupling1]
     eta_hz = 47350.0
-    theta_pi_units = 0.5         ; XOR theta_rad; default 0
+    theta_pi_units = 0.5
 
-Keys ending in ``_hz`` are ordinary frequencies and are multiplied by 2*pi
-on load (the package works in angular units throughout); emission divides
-back.  Unknown sections or keys are hard errors -- typos must not pass
-silently.
+Comments go on lines of their own: a ``;`` or ``#`` after a value is part
+of the value.  Keys ending in ``_hz`` are ordinary frequencies and are
+multiplied by 2*pi on load (the package works in angular units
+throughout); emission divides back.  Unknown sections or keys are hard
+errors -- typos must not pass silently.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 import os
-from io import StringIO
 
 from .errors import ConfigError, InvalidParameterError
 from .model import (
@@ -47,55 +58,46 @@ from .model import (
 
 __all__ = ["load_config", "loads_config", "emit_config", "save_config"]
 
-TWO_PI = 2.0 * math.pi
+# Section kind -> key -> (dataclass field, factor to package units).  A
+# factor of None marks a formula: q_factor sets gamma = omega / Q, and
+# mass_kg records the mass and derives g from it and the cavity geometry.
+# A field is emitted under the first key that names it.
+_KEYS = {
+    "cavity": {"kappa_hz": ("kappa", math.tau),
+               "delta_c_hz": ("delta_c", math.tau),
+               "wavelength_m": ("wavelength", 1.0),
+               "cavity_length_m": ("cavity_length", 1.0)},
+    "drive": {"power_pump_w": ("power_pump", 1.0),
+              "probe_ratio": ("probe_ratio", 1.0),
+              "power_probe_w": ("power_probe", 1.0),
+              "omega_pump_hz": ("omega_pump", math.tau)},
+    "mode": {"omega_hz": ("omega", math.tau),
+             "gamma_hz": ("gamma", math.tau),
+             "q_factor": ("gamma", None),
+             "g_hz": ("g", math.tau),
+             "mass_kg": ("g", None)},
+    "coupling": {"eta_hz": ("eta", math.tau),
+                 "theta_rad": ("theta", 1.0),
+                 "theta_pi_units": ("theta", math.pi)},
+}
 
-_CAVITY_KEYS = {"kappa_hz", "delta_c_hz", "wavelength_m", "cavity_length_m"}
-_DRIVE_KEYS = {"power_pump_w", "probe_ratio", "power_probe_w",
-               "omega_pump_hz"}
-_MODE_KEYS = {"omega_hz", "gamma_hz", "q_factor", "g_hz", "mass_kg"}
-_COUPLING_KEYS = {"eta_hz", "theta_rad", "theta_pi_units"}
+# At most one key of each pair may be given; exactly one when the field
+# it sets has no default.
+_EXCLUSIVE = {"drive": (("probe_ratio", "power_probe_w"),),
+              "mode": (("gamma_hz", "q_factor"), ("g_hz", "mass_kg")),
+              "coupling": (("theta_rad", "theta_pi_units"),)}
 
-
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = sorted(set(present) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-
-
-def _get_float(parser: configparser.ConfigParser, section: str,
-               key: str) -> float:
-    raw = parser.get(section, key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a number") from None
-
-
-def _require(parser: configparser.ConfigParser, section: str,
-             key: str) -> float:
-    if not parser.has_option(section, key):
-        raise ConfigError(f"[{section}] is missing required key {key}")
-    return _get_float(parser, section, key)
-
-
-def _optional(parser: configparser.ConfigParser, section: str,
-              key: str) -> float | None:
-    if not parser.has_option(section, key):
-        return None
-    return _get_float(parser, section, key)
+# Setting a field clears another: a mass is kept only with the omega and g
+# derived from it, and a probe ratio and a probe power exclude each other.
+_CLEARS = {"omega": "mass", "g": "mass",
+           "probe_ratio": "power_probe", "power_probe": "probe_ratio"}
 
 
-def _exactly_one(section: str, **kv: float | None) -> tuple[str, float]:
-    given = {k: v for k, v in kv.items() if v is not None}
-    if len(given) != 1:
-        names = " / ".join(kv)
-        raise ConfigError(
-            f"[{section}] needs exactly one of {names}, got "
-            f"{len(given)}: {', '.join(sorted(given)) or 'none'}")
-    return next(iter(given.items()))
+def _field_changes(kind: str, key: str, value: float) -> dict:
+    """The dataclass fields that ``key = value`` sets in a ``kind`` section."""
+    field, factor = _KEYS[kind][key]
+    cleared = {_CLEARS[field]: None} if field in _CLEARS else {}
+    return {field: factor * value, **cleared}
 
 
 def _numbered_sections(parser: configparser.ConfigParser, stem: str) -> int:
@@ -109,6 +111,58 @@ def _numbered_sections(parser: configparser.ConfigParser, stem: str) -> int:
             f"{stem} sections must be numbered contiguously from 1; "
             f"found {sorted(found)}")
     return count
+
+
+def _load_section(parser: configparser.ConfigParser, section: str, cls,
+                  cavity: CavityParams | None = None):
+    """Build ``cls`` from ``[section]`` through its kind's key table."""
+    kind = section.rstrip("0123456789")
+    keys = _KEYS[kind]
+    unknown = sorted(set(parser.options(section)) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(keys))}")
+    given = {}
+    for key, raw in parser.items(section):
+        try:
+            given[key] = float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"[{section}] {key} = {raw!r} is not a number") from None
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING}
+    for pair in _EXCLUSIVE.get(kind, ()):
+        named = [key for key in pair if key in given]
+        if keys[pair[0]][0] in required and len(named) != 1:
+            raise ConfigError(
+                f"[{section}] needs exactly one of {' / '.join(pair)}, got "
+                f"{len(named)}: {', '.join(named) or 'none'}")
+        if len(named) > 1:
+            raise ConfigError(
+                f"[{section}] {' and '.join(pair)} are mutually exclusive")
+    missing = required - {keys[key][0] for key in given}
+    for key, (field, _) in keys.items():
+        if field in missing:
+            raise ConfigError(f"[{section}] is missing required key {key}")
+
+    fields = {}
+    for key, value in given.items():
+        if keys[key][1] is not None:
+            fields.update(_field_changes(kind, key, value))
+    if "q_factor" in given:
+        if given["q_factor"] <= 0.0:
+            raise ConfigError(f"[{section}] q_factor must be > 0")
+        fields["gamma"] = fields["omega"] / given["q_factor"]
+    if "mass_kg" in given:
+        if cavity.wavelength is None or cavity.cavity_length is None:
+            raise ConfigError(
+                f"[{section}] mass_kg needs wavelength_m and "
+                "cavity_length_m in [cavity] to derive the coupling")
+        fields["mass"] = mass = given["mass_kg"]
+        fields["g"] = derive_single_photon_coupling(
+            cavity.wavelength, cavity.cavity_length, mass, fields["omega"])
+    return cls(**fields)
 
 
 def loads_config(text: str) -> SystemConfig:
@@ -137,87 +191,15 @@ def loads_config(text: str) -> SystemConfig:
             f"{n_modes} mode(s) need exactly {n_modes - 1} coupling "
             f"section(s), found {n_couplings}")
 
-    _check_keys("cavity", parser.options("cavity"), _CAVITY_KEYS)
-    _check_keys("drive", parser.options("drive"), _DRIVE_KEYS)
-
     try:
-        wavelength = _optional(parser, "cavity", "wavelength_m")
-        cavity_length = _optional(parser, "cavity", "cavity_length_m")
-        cavity = CavityParams(
-            kappa=TWO_PI * _require(parser, "cavity", "kappa_hz"),
-            delta_c=TWO_PI * _require(parser, "cavity", "delta_c_hz"),
-            wavelength=wavelength,
-            cavity_length=cavity_length,
-        )
-
-        probe_ratio = _optional(parser, "drive", "probe_ratio")
-        power_probe = _optional(parser, "drive", "power_probe_w")
-        if probe_ratio is not None and power_probe is not None:
-            raise ConfigError(
-                "[drive] probe_ratio and power_probe_w are mutually exclusive")
-        if probe_ratio is None and power_probe is None:
-            probe_ratio = 0.05
-        omega_pump_hz = _optional(parser, "drive", "omega_pump_hz")
-        drive = DriveSpec(
-            power_pump=_require(parser, "drive", "power_pump_w"),
-            probe_ratio=probe_ratio,
-            power_probe=power_probe,
-            omega_pump=(TWO_PI * omega_pump_hz
-                        if omega_pump_hz is not None else None),
-        )
-
-        modes = []
-        for i in range(1, n_modes + 1):
-            section = f"mode{i}"
-            _check_keys(section, parser.options(section), _MODE_KEYS)
-            omega = TWO_PI * _require(parser, section, "omega_hz")
-            damp_key, damp_val = _exactly_one(
-                section,
-                gamma_hz=_optional(parser, section, "gamma_hz"),
-                q_factor=_optional(parser, section, "q_factor"))
-            if damp_key == "gamma_hz":
-                gamma = TWO_PI * damp_val
-            else:
-                if damp_val <= 0.0:
-                    raise ConfigError(f"[{section}] q_factor must be > 0")
-                gamma = omega / damp_val
-            cpl_key, cpl_val = _exactly_one(
-                section,
-                g_hz=_optional(parser, section, "g_hz"),
-                mass_kg=_optional(parser, section, "mass_kg"))
-            if cpl_key == "g_hz":
-                g = TWO_PI * cpl_val
-                mass = None
-            else:
-                if wavelength is None or cavity_length is None:
-                    raise ConfigError(
-                        f"[{section}] mass_kg needs wavelength_m and "
-                        "cavity_length_m in [cavity] to derive the coupling")
-                mass = cpl_val
-                g = derive_single_photon_coupling(
-                    wavelength, cavity_length, mass, omega)
-            modes.append(MechanicalMode(omega=omega, gamma=gamma, g=g,
-                                        mass=mass))
-
-        couplings = []
-        for i in range(1, n_couplings + 1):
-            section = f"coupling{i}"
-            _check_keys(section, parser.options(section), _COUPLING_KEYS)
-            eta = TWO_PI * _require(parser, section, "eta_hz")
-            theta_rad = _optional(parser, section, "theta_rad")
-            theta_pi = _optional(parser, section, "theta_pi_units")
-            if theta_rad is not None and theta_pi is not None:
-                raise ConfigError(
-                    f"[{section}] theta_rad and theta_pi_units are "
-                    "mutually exclusive")
-            if theta_pi is not None:
-                theta = theta_pi * math.pi
-            else:
-                theta = theta_rad if theta_rad is not None else 0.0
-            couplings.append(PhononCoupling(eta=eta, theta=theta))
-
-        return SystemConfig(cavity=cavity, modes=tuple(modes),
-                            couplings=tuple(couplings), drive=drive)
+        cavity = _load_section(parser, "cavity", CavityParams)
+        return SystemConfig(
+            cavity=cavity,
+            modes=[_load_section(parser, f"mode{i}", MechanicalMode, cavity)
+                   for i in range(1, n_modes + 1)],
+            couplings=[_load_section(parser, f"coupling{i}", PhononCoupling)
+                       for i in range(1, n_couplings + 1)],
+            drive=_load_section(parser, "drive", DriveSpec))
     except InvalidParameterError as exc:
         # Parameter validation failures become config errors with context.
         raise ConfigError(f"invalid configuration: {exc}") from None
@@ -233,48 +215,35 @@ def load_config(path: str | os.PathLike) -> SystemConfig:
     return loads_config(text)
 
 
+def _emit_section(section: str, obj) -> str:
+    lines = [f"[{section}]"]
+    written = set()
+    for key, (field, factor) in _KEYS[section.rstrip("0123456789")].items():
+        value = getattr(obj, field)
+        if field in written or value is None:
+            continue
+        written.add(field)
+        if field == "g" and obj.mass is not None:
+            key, value, factor = "mass_kg", obj.mass, 1.0
+        lines.append(f"{key} = {value / factor!r}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_config(config: SystemConfig) -> str:
     """Serialise a configuration to canonical INI text.
 
-    The output reloads to an identical :class:`SystemConfig` (all floats
-    are written with full round-trip precision).  Damping is always
-    written as ``gamma_hz`` and the phase as ``theta_rad``; the coupling
-    is written as ``mass_kg`` when the mode records a mass, else ``g_hz``.
+    Each field is written under the first key that names it (damping as
+    ``gamma_hz``, the phase as ``theta_rad``), and the coupling as
+    ``mass_kg`` when the mode records a mass.  The text reloads to an equal
+    config when each value survives ``/ factor * factor``; a gamma derived
+    from ``q_factor`` or a value set in Python can miss by one ulp.
     """
-    out = StringIO()
-    c = config.cavity
-    out.write("[cavity]\n")
-    out.write(f"kappa_hz = {c.kappa / TWO_PI!r}\n")
-    out.write(f"delta_c_hz = {c.delta_c / TWO_PI!r}\n")
-    if c.wavelength is not None:
-        out.write(f"wavelength_m = {c.wavelength!r}\n")
-    if c.cavity_length is not None:
-        out.write(f"cavity_length_m = {c.cavity_length!r}\n")
-
-    d = config.drive
-    out.write("\n[drive]\n")
-    out.write(f"power_pump_w = {d.power_pump!r}\n")
-    if d.probe_ratio is not None:
-        out.write(f"probe_ratio = {d.probe_ratio!r}\n")
-    else:
-        out.write(f"power_probe_w = {d.power_probe!r}\n")
-    if d.omega_pump is not None:
-        out.write(f"omega_pump_hz = {d.omega_pump / TWO_PI!r}\n")
-
-    for i, mode in enumerate(config.modes, start=1):
-        out.write(f"\n[mode{i}]\n")
-        out.write(f"omega_hz = {mode.omega / TWO_PI!r}\n")
-        out.write(f"gamma_hz = {mode.gamma / TWO_PI!r}\n")
-        if mode.mass is not None:
-            out.write(f"mass_kg = {mode.mass!r}\n")
-        else:
-            out.write(f"g_hz = {mode.g / TWO_PI!r}\n")
-
-    for i, coupling in enumerate(config.couplings, start=1):
-        out.write(f"\n[coupling{i}]\n")
-        out.write(f"eta_hz = {coupling.eta / TWO_PI!r}\n")
-        out.write(f"theta_rad = {coupling.theta!r}\n")
-    return out.getvalue()
+    sections = {"cavity": config.cavity, "drive": config.drive}
+    sections.update((f"mode{i}", mode)
+                    for i, mode in enumerate(config.modes, start=1))
+    sections.update((f"coupling{i}", coupling)
+                    for i, coupling in enumerate(config.couplings, start=1))
+    return "\n".join(_emit_section(*item) for item in sections.items())
 
 
 def save_config(config: SystemConfig, path: str | os.PathLike) -> None:

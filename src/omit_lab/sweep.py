@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config_io import _KEYS, _field_changes
 from .errors import InvalidParameterError, OmitLabError
 from .model import SystemConfig, lock_effective_detuning
 from .sidebands import (
@@ -63,50 +64,22 @@ _COLUMN_SOURCES = {
 }
 CSV_COLUMNS = tuple(_COLUMN_SOURCES)
 
-TWO_PI = 2.0 * math.pi
+# The config-file keys a sweep may set; config_io's key table gives each
+# one's section, dataclass field and unit factor.
+SWEEPABLE_PARAMETERS = ("power_pump_w", "probe_ratio", "delta_c_hz",
+                        "omega_hz", "gamma_hz", "g_hz", "eta_hz",
+                        "theta_rad", "theta_pi_units")
 
 
-def _set_mode(config: SystemConfig, index: int, **changes) -> SystemConfig:
-    if not 0 <= index < config.n_modes:
-        raise InvalidParameterError(
-            f"mode index {index} out of range for {config.n_modes} modes")
-    modes = list(config.modes)
-    modes[index] = replace(modes[index], **changes)
-    return replace(config, modes=tuple(modes))
-
-
-def _set_coupling(config: SystemConfig, index: int, **changes) -> SystemConfig:
-    if not 0 <= index < len(config.couplings):
-        raise InvalidParameterError(
-            f"coupling index {index} out of range for "
-            f"{len(config.couplings)} couplings")
-    couplings = list(config.couplings)
-    couplings[index] = replace(couplings[index], **changes)
-    return replace(config, couplings=tuple(couplings))
-
-
-def _set_drive(config: SystemConfig, index: int, **changes) -> SystemConfig:
-    return replace(config, drive=replace(config.drive, **changes))
-
-
-def _set_cavity(config: SystemConfig, index: int, **changes) -> SystemConfig:
-    return replace(config, cavity=replace(config.cavity, **changes))
-
-
-# Key -> (setter, value -> field changes).  A setter called without changes
-# only checks ``index``, which is how run_sweep rejects a bad one up front.
-SWEEPABLE_PARAMETERS = {
-    "power_pump_w": (_set_drive, lambda v: {"power_pump": v}),
-    "probe_ratio": (_set_drive,
-                    lambda v: {"probe_ratio": v, "power_probe": None}),
-    "delta_c_hz": (_set_cavity, lambda v: {"delta_c": TWO_PI * v}),
-    "omega_hz": (_set_mode, lambda v: {"omega": TWO_PI * v}),
-    "gamma_hz": (_set_mode, lambda v: {"gamma": TWO_PI * v}),
-    "g_hz": (_set_mode, lambda v: {"g": TWO_PI * v, "mass": None}),
-    "eta_hz": (_set_coupling, lambda v: {"eta": TWO_PI * v}),
-    "theta_rad": (_set_coupling, lambda v: {"theta": v}),
-    "theta_pi_units": (_set_coupling, lambda v: {"theta": v * math.pi}),
-}
+def _section_kind(config: SystemConfig, parameter: str, index: int) -> str:
+    """The section kind of ``parameter``; checks a mode or coupling index."""
+    kind = next(k for k, keys in _KEYS.items() if parameter in keys)
+    if kind in ("mode", "coupling"):
+        count = len(getattr(config, kind + "s"))
+        if not 0 <= index < count:
+            raise InvalidParameterError(
+                f"{kind} index {index} out of range for {count} {kind}s")
+    return kind
 
 
 def apply_parameter(config: SystemConfig, parameter: str, value: float,
@@ -115,15 +88,22 @@ def apply_parameter(config: SystemConfig, parameter: str, value: float,
 
     ``parameter`` uses the config-file key spelling (see
     :data:`SWEEPABLE_PARAMETERS`); ``index`` selects the mode or coupling
-    for per-element keys and is ignored by the global ones.
+    for per-element keys and is ignored by the global ones.  Setting a
+    mode's ``omega_hz`` or ``g_hz`` keeps its g but drops a recorded mass,
+    which derived g at the old values.
     """
-    try:
-        setter, changes = SWEEPABLE_PARAMETERS[parameter]
-    except KeyError:
+    if parameter not in SWEEPABLE_PARAMETERS:
         raise InvalidParameterError(
             f"unknown sweep parameter {parameter!r}; choose from "
-            f"{', '.join(sorted(SWEEPABLE_PARAMETERS))}") from None
-    return setter(config, index, **changes(float(value)))
+            f"{', '.join(sorted(SWEEPABLE_PARAMETERS))}")
+    kind = _section_kind(config, parameter, index)
+    changes = _field_changes(kind, parameter, float(value))
+    if kind in ("cavity", "drive"):
+        return replace(config,
+                       **{kind: replace(getattr(config, kind), **changes)})
+    items = list(getattr(config, kind + "s"))
+    items[index] = replace(items[index], **changes)
+    return replace(config, **{kind + "s": tuple(items)})
 
 
 @dataclass(frozen=True)
@@ -188,8 +168,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
     """
     _check_second_order_flag(include_second_order)
     _spectrum_grid(omega, span, points, config.omega_ref)
-    setter, _ = SWEEPABLE_PARAMETERS[spec.parameter]
-    setter(config, spec.index)
+    _section_kind(config, spec.parameter, spec.index)
     spectra: list[Spectrum | None] = []
     errors: list[str | None] = []
     for value in spec.values:

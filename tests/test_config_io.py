@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import omit_lab as ol
+from omit_lab import config_io
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """\
 [cavity]
@@ -26,10 +32,14 @@ g_hz = 1.2
 def test_round_trip_is_exact(split_config):
     text = ol.emit_config(split_config)
     again = ol.loads_config(text)
-    # All stored quantities are Hz values times 2*pi, which the emitter
-    # divides back out; the division and multiplication cancel exactly in
-    # binary floating point, so the round trip is equality, not approximation.
+    # The emitter divides each rate by 2*pi and the loader multiplies it
+    # back.  y / 2pi * 2pi is not always y, so equality is checked, not
+    # assumed: it holds for these configs, not for every float.
     assert again == split_config
+    # A loaded value may come back as other text that loads to the same
+    # float: gamma_hz = 5.5 is written back as 5.499999999999999.
+    loaded = ol.loads_config(MINIMAL.replace("140.0", "5.5"))
+    assert ol.loads_config(ol.emit_config(loaded)) == loaded
 
 
 def test_emit_is_idempotent(split_config):
@@ -170,3 +180,18 @@ def test_invalid_physics_becomes_config_error():
 def test_malformed_text_rejected():
     with pytest.raises(ol.ConfigError, match="malformed"):
         ol.loads_config("kappa_hz = 1.0\n")  # key before any section header
+
+
+def test_documented_configs_load():
+    # The README's config block and the config_io docstring layout must
+    # load as written, and the README block must name every key, so the
+    # key table and the documentation cannot drift apart.
+    block = re.search(r"## Config file format.*?```ini\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    layout = re.search(r"Layout::\n(.*?)\n\n(?=\S)", config_io.__doc__,
+                       re.S).group(1)
+    for text in (block, textwrap.dedent(layout)):
+        assert ol.loads_config(text).n_modes == 2
+    for keys in config_io._KEYS.values():
+        for key in keys:
+            assert re.search(rf"\b{key}\b", block), key

@@ -54,6 +54,22 @@ def test_apply_parameter_each_key(split_config):
         == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("power_pump_w", 2e-3), ("probe_ratio", 0.02), ("delta_c_hz", 1e6),
+    ("omega_hz", 1e6), ("gamma_hz", 200.0), ("g_hz", 2.5), ("eta_hz", 5e4),
+    ("theta_rad", 1.0), ("theta_pi_units", 0.5)])
+def test_swept_config_round_trips(split_config, key, value):
+    # A swept config must survive a save and reload.  The split config's
+    # modes record a mass, which derived g at the old omega, so moving
+    # omega keeps g and drops the mass rather than emitting a mass that
+    # reloads to another g.
+    swept = ol.apply_parameter(split_config, key, value)
+    assert ol.loads_config(ol.emit_config(swept)) == swept
+    if key == "omega_hz":
+        assert swept.modes[0].g == split_config.modes[0].g
+        assert swept.modes[0].mass is None
+
+
 def test_apply_parameter_guards(split_config):
     with pytest.raises(ol.InvalidParameterError, match="unknown sweep"):
         ol.apply_parameter(split_config, "finesse", 1.0)
