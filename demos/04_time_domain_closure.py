@@ -4,7 +4,7 @@ The sideband spectra come from a linearised frequency-domain solve.  As an
 independent check, this script integrates the full nonlinear classical
 equations of motion with the probe on, finds the periodic orbit the probe
 drives by shooting (a few probe periods, instead of waiting out the
-transient), lock-in demodulates the cavity trace at the probe detuning, and
+transient), demodulates one period of that orbit at the probe detuning, and
 compares the extracted sideband amplitudes against the linear prediction.
 At a weak probe the two agree to a fraction of a percent; pushing the
 probe harder grows the truncation residual exactly as a perturbative
@@ -27,20 +27,20 @@ def main() -> None:
     print("== closure at both split windows (probe at 1% of the pump) ==\n")
     for frac in (0.95, 1.05):
         report = ol.sideband_closure(cfg, frac * cfg.omega_ref,
-                                     probe_ratio=0.01, periods=10)
+                                     probe_ratio=0.01)
         print(f"omega = {frac:.2f} omega_m   "
               f"first-order rel err {report.rel_err_first:.2e}   "
               f"second-order rel err {report.rel_err_second:.2e}")
         print(f"    orbit found in {report.iterations} periods "
               f"(map residual {report.map_residual:.0e}, Floquet multiplier "
-              f"{report.multiplier:.3f}); {report.n_cycles} cycles used")
+              f"{report.multiplier:.3f})")
 
     print("\n== truncation residual vs probe strength ==\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # strong-probe ratios warn
         for ratio in (0.01, 0.05, 0.10):
             report = ol.sideband_closure(cfg, 0.95 * cfg.omega_ref,
-                                         probe_ratio=ratio, periods=10)
+                                         probe_ratio=ratio)
             print(f"probe/pump = {ratio:4.2f}   demodulation residual = "
                   f"{report.residual:.3e}")
     print("\nThe residual grows with the probe: the neglected third-order")

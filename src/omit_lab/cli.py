@@ -221,7 +221,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     omega = args.omega_frac * config.omega_ref
     report = sideband_closure(config, omega,
                               probe_ratio=args.probe_ratio,
-                              periods=args.periods,
                               rtol=args.rtol)
     _emit_json(asdict(report), args.out)
     return 0
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="probe detuning in units of the reference "
                           "mechanical frequency")
     orc.add_argument("--probe-ratio", type=float, default=0.01)
-    orc.add_argument("--periods", type=int, default=200)
     orc.add_argument("--rtol", type=float, default=1e-10)
     orc.add_argument("--out", help="output file (default: stdout)")
     orc.set_defaults(handler=_cmd_oracle)

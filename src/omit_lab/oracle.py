@@ -29,14 +29,15 @@ periods, or thousands.  :func:`sideband_closure` does not wait.  It
 solves ``x(T; x) = x`` for the orbit's start by chord-Newton shooting
 (Aprille & Trick, Proc. IEEE 60, 108 (1972); Seydel, *Practical
 Bifurcation and Stability Analysis*, 3rd ed., ch. 7), which takes a
-handful of periods whatever the decay rates, and then demodulates whole
-periods of that orbit.
+handful of periods whatever the decay rates, and then demodulates one
+period of that orbit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,8 +129,8 @@ class ClosureReport:
 
     ``a1_*`` and ``a2_*`` are the first- and second-order lower cavity
     sidebands from each route, for any mode count; ``rel_err_*`` their
-    relative gaps.  ``residual`` and ``n_cycles`` describe the demodulated
-    window of the periodic orbit (see :class:`DemodResult`).
+    relative gaps.  ``residual`` is the fit residual over the demodulated
+    period of the orbit (see :class:`DemodResult`).
     ``iterations`` counts the one-period map evaluations of the shooting,
     ``map_residual`` is the last one's ``||x(T) - x|| / ||x||`` (at most
     1e-12 once converged), and ``multiplier`` is the largest Floquet
@@ -148,7 +149,6 @@ class ClosureReport:
     rel_err_first: float
     rel_err_second: float
     residual: float
-    n_cycles: int
     reliable: bool
     iterations: int
     map_residual: float
@@ -480,11 +480,11 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
 
 
 def _periodic_orbit(config: SystemConfig, steady: SteadyState,
-                    omega: float, periods: int, rtol: float):
-    """Shoot for the probed orbit, then demodulate ``periods`` cycles of it.
+                    omega: float, rtol: float):
+    """Shoot for the probed orbit, then demodulate one period of it.
 
     Chord Newton on the one-period map ``P``: ``x <- x - (Phi - I)^-1
-    (P(x) - x)``, ``Phi = exp(J T)``.  The cycles are sampled half-open,
+    (P(x) - x)``, ``Phi = exp(J T)``.  The period is sampled half-open,
     so the fit is a DFT.  Returns the fit, the number of map evaluations,
     the last map residual and ``max |eig Phi|``.
     """
@@ -510,17 +510,16 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
         previous = residual
         x = x - np.linalg.solve(phi - np.eye(x.size), end - x)
     # (Re a, Im a) rows of a sample array that is also the complex cavity.
-    samples = np.empty((periods * q, 2))
-    _integrate(rhs, x, periods * period, step, samples.T, rtol, rtol * scale,
-               overflow)
-    demod = _fit_harmonics(np.arange(periods * q) * step,
-                           samples.view(complex)[:, 0], omega, periods)
+    samples = np.empty((q, 2))
+    _integrate(rhs, x, period, step, samples.T, rtol, rtol * scale, overflow)
+    demod = _fit_harmonics(np.arange(q) * step, samples.view(complex)[:, 0],
+                           omega, n_cycles=1)
     return demod, iterations, residual, multiplier
 
 
 def sideband_closure(config: SystemConfig, omega: float, *,
                      probe_ratio: float = 0.01,
-                     periods: int = 200,
+                     periods: int | None = None,
                      rtol: float = 1e-10) -> ClosureReport:
     """Compare frequency-domain and time-domain sideband amplitudes.
 
@@ -536,9 +535,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     one-period map from the pump-only steady state, steered by ``exp(J T)``
     of the linearised flow, until one period moves the state by at most
     1e-12 relative.  It gives up after 30 periods, or as soon as that
-    residual stops shrinking.  It then integrates ``periods`` cycles from
-    the last state and demodulates them.  On the orbit the fit is a DFT,
-    and its ``residual`` also shows any drift over the window.  The report
+    residual stops shrinking.  It then demodulates one period from the
+    last state, where the fit is a DFT; the orbit drifts by at most about
+    1e-12 / (1 - multiplier), so longer windows add nothing.  The report
     is ``reliable=False``, with a ``reason``, when the shooting does not
     converge, when the largest Floquet multiplier is >= 1 (the orbit is
     not stable, so no run would settle on it), or when the fit residual
@@ -553,18 +552,17 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     probe_ratio : float
         Probe amplitude as a fraction of the pump, finite and > 0; small
         values isolate the linear response (default 0.01).
-    periods : int
-        Probe cycles of the orbit to demodulate over, a whole number
-        >= 1.  On an exact orbit one cycle gives the harmonics; more
-        cycles also check that the orbit persists.
+    periods : int, optional
+        Deprecated and ignored: passing it warns ``DeprecationWarning``.
+        One period of the orbit is always demodulated.
     rtol : float
         Integrator tolerance, in ``[100 eps, 1)``.
 
     Raises
     ------
     InvalidParameterError
-        ``omega``, ``probe_ratio``, ``periods`` or ``rtol`` is out of
-        range; checked before any solve.
+        ``omega``, ``probe_ratio`` or ``rtol`` is out of range; checked
+        before any solve.
     """
     if not 0.0 < omega < math.inf:
         raise InvalidParameterError(
@@ -572,10 +570,10 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     if not 0.0 < probe_ratio < math.inf:
         raise InvalidParameterError(
             f"probe_ratio must be finite and > 0, got {probe_ratio}")
-    if not periods >= 1 or periods % 1:
-        raise InvalidParameterError(
-            f"periods must be a whole number >= 1, got {periods}")
-    periods = int(periods)
+    if periods is not None:
+        warnings.warn("The periods keyword of sideband_closure is deprecated "
+                      "and ignored: one period of the orbit is demodulated",
+                      DeprecationWarning, stacklevel=2)
     _check_rtol(rtol)
     config = replace(config,
                      drive=replace(config.drive, probe_ratio=probe_ratio,
@@ -585,7 +583,7 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     second = solve_second_order(config, steady, omega, first)
 
     demod, iterations, map_residual, multiplier = _periodic_orbit(
-        config, steady, omega, periods, rtol)
+        config, steady, omega, rtol)
     reasons = []
     if not map_residual <= _ORBIT_RTOL:
         reasons.append(f"no periodic orbit after {iterations} of at most "
@@ -612,7 +610,6 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         rel_err_first=float(err1),
         rel_err_second=float(err2),
         residual=demod.residual,
-        n_cycles=demod.n_cycles,
         reliable=not reasons,
         iterations=iterations,
         map_residual=map_residual,

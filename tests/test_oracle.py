@@ -391,11 +391,11 @@ def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
 def test_shooting_closure_matches_scipy_bit_for_bit(split_config,
                                                     monkeypatch):
     # A whole shooting closure, every map evaluation and the demodulated
-    # cycles, on SciPy's stepper.
+    # period, on SciPy's stepper.
     w = 0.95 * split_config.omega_ref
-    ours = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=3)
+    ours = ol.sideband_closure(split_config, w, probe_ratio=0.01)
     monkeypatch.setattr(oracle_mod, "dop853_steps", _scipy_steps({}))
-    ref = ol.sideband_closure(split_config, w, probe_ratio=0.01, periods=3)
+    ref = ol.sideband_closure(split_config, w, probe_ratio=0.01)
     assert ours.reliable and ours.map_residual <= 1e-12
     assert ours.iterations > 1
     assert repr(ours) == repr(ref)
@@ -403,15 +403,48 @@ def test_shooting_closure_matches_scipy_bit_for_bit(split_config,
 
 def test_closure_at_window_detuning(split_config):
     w = 0.95 * split_config.omega_ref
-    report = ol.sideband_closure(split_config, w, probe_ratio=0.01,
-                                 periods=10)
+    report = ol.sideband_closure(split_config, w, probe_ratio=0.01)
     assert report.reliable and report.reason == ""
     assert report.rel_err_first < 2e-3
     assert report.rel_err_second < 2e-3
-    assert report.n_cycles == 10
     assert report.map_residual <= 1e-12
     assert 1 < report.iterations < oracle_mod._MAX_ITERATIONS
     assert 0.0 < report.multiplier < 1.0
+
+
+def test_closure_integrates_one_period_per_map_evaluation(split_config,
+                                                          monkeypatch):
+    # The shooting's map evaluations plus the demodulated period.  The
+    # deprecated periods keyword only warns.
+    spans = []
+    integrate = oracle_mod._integrate
+
+    def recording(rhs, y0, t_final, *args):
+        spans.append(t_final)
+        return integrate(rhs, y0, t_final, *args)
+
+    monkeypatch.setattr(oracle_mod, "_integrate", recording)
+    w = 0.95 * split_config.omega_ref
+    with pytest.warns(DeprecationWarning,
+                      match="periods keyword of sideband_closure"):
+        old = ol.sideband_closure(split_config, w, probe_ratio=0.01,
+                                  periods=150)
+    assert spans == [2.0 * math.pi / w] * (old.iterations + 1)
+    new = ol.sideband_closure(split_config, w, probe_ratio=0.01)
+    assert repr(old) == repr(new)
+
+
+def test_closure_across_both_windows(split_config):
+    # A dense detuning grid across both split windows, not three points.
+    failures = []
+    for frac in np.linspace(0.90, 1.10, 21):
+        report = ol.sideband_closure(split_config,
+                                     frac * split_config.omega_ref,
+                                     probe_ratio=0.01)
+        if not (report.reliable and report.rel_err_first < 2e-3
+                and report.rel_err_second < 2e-3):
+            failures.append((frac, report))
+    assert failures == []
 
 
 def test_closure_beyond_two_modes():
@@ -419,25 +452,30 @@ def test_closure_beyond_two_modes():
     # chain too, within the same bound as the two-mode window check.
     config = ol.standard_setup(3, eta_frac=0.05, theta=0.37 * math.pi)
     report = ol.sideband_closure(config, 0.97 * config.omega_ref,
-                                 probe_ratio=0.01, periods=10)
+                                 probe_ratio=0.01)
     assert report.reliable
     assert report.rel_err_first < 2e-3
     assert report.rel_err_second < 2e-3
 
 
+# Explicit ids keep the cases' names; the gaps were a removed argument's.
 @pytest.mark.parametrize("bad, name", [
-    ({"omega": 0.0}, "omega"), ({"omega": math.nan}, "omega"),
-    ({"omega": math.inf}, "omega"),
-    ({"periods": 0}, "periods"), ({"periods": -3}, "periods"),
-    ({"periods": math.nan}, "periods"),
-    ({"omega": -1.0}, "omega"), ({"rtol": 1.0}, "rtol"),
-    ({"probe_ratio": math.nan}, "probe_ratio"),
-    ({"probe_ratio": -0.01}, "probe_ratio"),
-    ({"rtol": -1.0}, "rtol"), ({"rtol": 0.0}, "rtol"),
-    ({"rtol": math.nan}, "rtol"),
-    ({"probe_ratio": 0.0}, "probe_ratio"),
-    ({"probe_ratio": math.inf}, "probe_ratio"),
-    ({"periods": 2.5}, "periods"), ({"periods": math.inf}, "periods"),
+    pytest.param({"omega": 0.0}, "omega", id="bad0-omega"),
+    pytest.param({"omega": math.nan}, "omega", id="bad1-omega"),
+    pytest.param({"omega": math.inf}, "omega", id="bad2-omega"),
+    pytest.param({"omega": -1.0}, "omega", id="bad6-omega"),
+    pytest.param({"rtol": 1.0}, "rtol", id="bad7-rtol"),
+    pytest.param({"probe_ratio": math.nan}, "probe_ratio",
+                 id="bad8-probe_ratio"),
+    pytest.param({"probe_ratio": -0.01}, "probe_ratio",
+                 id="bad9-probe_ratio"),
+    pytest.param({"rtol": -1.0}, "rtol", id="bad10-rtol"),
+    pytest.param({"rtol": 0.0}, "rtol", id="bad11-rtol"),
+    pytest.param({"rtol": math.nan}, "rtol", id="bad12-rtol"),
+    pytest.param({"probe_ratio": 0.0}, "probe_ratio",
+                 id="bad13-probe_ratio"),
+    pytest.param({"probe_ratio": math.inf}, "probe_ratio",
+                 id="bad14-probe_ratio"),
 ])
 def test_closure_rejects_bad_arguments_before_solving(split_config, bad,
                                                        name, monkeypatch):
@@ -465,7 +503,7 @@ def test_shooting_matches_long_explicit_integration(n, chain, frac, settle):
     config = ol.standard_setup(n, **chain)
     w = frac * config.omega_ref
     period = 2.0 * math.pi / w
-    shot = ol.sideband_closure(config, w, probe_ratio=0.01, periods=1)
+    shot = ol.sideband_closure(config, w, probe_ratio=0.01)
     probed = replace(config, drive=replace(config.drive, probe_ratio=0.01,
                                            power_probe=None))
     trace = ol.integrate_mean_field(probed, (settle + 101) * period,
@@ -483,7 +521,7 @@ def test_dark_four_mode_chain_closes():
     # never settled at this detuning; shooting does not wait for it.
     config = ol.standard_setup(4, eta_frac=0.05, theta=0.0)
     report = ol.sideband_closure(config, 0.97 * config.omega_ref,
-                                 probe_ratio=0.01, periods=2)
+                                 probe_ratio=0.01)
     assert report.reliable and report.reason == ""
     assert 0.99 < report.multiplier < 1.0
     assert report.rel_err_first < 2e-3
@@ -494,7 +532,7 @@ def test_closure_unreliable_at_iteration_cap(split_config, monkeypatch):
     # One map evaluation from the pump-only steady state is not an orbit.
     monkeypatch.setattr(oracle_mod, "_MAX_ITERATIONS", 1)
     report = ol.sideband_closure(split_config, 0.95 * split_config.omega_ref,
-                                 probe_ratio=0.01, periods=1)
+                                 probe_ratio=0.01)
     assert not report.reliable
     assert report.iterations == 1 and report.map_residual > 1e-12
     assert report.reason.startswith(
@@ -506,7 +544,7 @@ def test_closure_unreliable_for_unstable_orbit():
     # but no run would settle on it, so the closure is not evidence.
     config = ol.standard_setup(2, lock_delta_frac=-1.0)
     report = ol.sideband_closure(config, 0.95 * config.omega_ref,
-                                 probe_ratio=0.01, periods=1)
+                                 probe_ratio=0.01)
     assert report.map_residual <= 1e-12 and report.multiplier > 1.0
     assert not report.reliable
     assert report.reason.startswith("largest Floquet multiplier")
@@ -520,7 +558,7 @@ def test_closure_unreliable_when_shooting_diverges():
     # following the growing iterates.
     config = ol.standard_setup(2, lock_delta_frac=0.2)
     report = ol.sideband_closure(config, 0.2 * config.omega_ref,
-                                 probe_ratio=0.01, periods=1)
+                                 probe_ratio=0.01)
     assert not report.reliable
     assert report.iterations < oracle_mod._MAX_ITERATIONS
     assert report.map_residual > 1e-12
@@ -533,8 +571,7 @@ def test_truncation_residual_grows_with_probe(split_config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ratios above 0.05 warn
         for ratio in (0.01, 0.05, 0.1):
-            rep = ol.sideband_closure(split_config, w, probe_ratio=ratio,
-                                      periods=2)
+            rep = ol.sideband_closure(split_config, w, probe_ratio=ratio)
             residuals.append(rep.residual)
     assert residuals[0] < residuals[1] < residuals[2]
 
