@@ -32,7 +32,7 @@ from .model import (
     solve_steady_state,
 )
 from .nmode import count_windows
-from .sidebands import compute_spectrum, group_delay
+from .sidebands import Spectrum, compute_spectrum, group_delay
 from .sweep import (
     SweepSpec,
     _csv_table,
@@ -41,14 +41,8 @@ from .sweep import (
     write_spectrum_csv,
 )
 
-__all__ = [
-    "REFERENCE",
-    "reference_cavity",
-    "reference_mode",
-    "standard_setup",
-    "figure_presets",
-    "run_figure_preset",
-]
+__all__ = ["REFERENCE", "standard_setup", "figure_presets",
+           "run_figure_preset"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,34 +58,7 @@ REFERENCE = {
     "probe_ratio": 0.05,
 }
 
-
-def reference_cavity(delta_c: float = 0.0) -> CavityParams:
-    """Benchmark cavity; ``delta_c`` (rad/s) is normally set by locking."""
-    return CavityParams(
-        kappa=TWO_PI * REFERENCE["kappa_hz"],
-        delta_c=delta_c,
-        wavelength=REFERENCE["wavelength_m"],
-        cavity_length=REFERENCE["cavity_length_m"],
-    )
-
-
-def reference_mode(g_scale: float = 1.0) -> MechanicalMode:
-    """Benchmark mechanical mode, coupling derived from the effective mass.
-
-    ``g_scale`` rescales the single-photon coupling (``0`` decouples the
-    mode entirely, the trick used to emulate a standard single-mode system
-    inside a two-mode layout).
-    """
-    omega = TWO_PI * REFERENCE["omega_m_hz"]
-    g = derive_single_photon_coupling(
-        REFERENCE["wavelength_m"], REFERENCE["cavity_length_m"],
-        REFERENCE["mass_kg"], omega)
-    return MechanicalMode(
-        omega=omega,
-        gamma=omega / REFERENCE["q_factor"],
-        g=g * g_scale,
-        mass=REFERENCE["mass_kg"] if g_scale == 1.0 else None,
-    )
+_OMEGA_M = TWO_PI * REFERENCE["omega_m_hz"]
 
 
 def standard_setup(n_modes: int = 2, *,
@@ -114,7 +81,10 @@ def standard_setup(n_modes: int = 2, *,
     theta : float
         Phase of the *first* link; all later links are phase-free.
     g_scales : tuple of float, optional
-        Per-mode coupling scale factors (default all 1).
+        Per-mode scale factors of the single-photon coupling, which is
+        derived from the effective mass (default all 1).  Only a mode at
+        scale 1 records that mass; scale 0 decouples the mode, the trick
+        used to emulate a single-mode system in a two-mode layout.
     lock_delta_frac : float, optional
         Lock the effective detuning to this multiple of the mechanical
         frequency (default 1, the red sideband); ``None`` leaves the bare
@@ -127,37 +97,78 @@ def standard_setup(n_modes: int = 2, *,
     if len(g_scales) != n_modes:
         raise InvalidParameterError(
             f"g_scales must have length {n_modes}, got {len(g_scales)}")
-    omega_m = TWO_PI * REFERENCE["omega_m_hz"]
-    modes = tuple(reference_mode(s) for s in g_scales)
+    g = derive_single_photon_coupling(
+        REFERENCE["wavelength_m"], REFERENCE["cavity_length_m"],
+        REFERENCE["mass_kg"], _OMEGA_M)
+    modes = tuple(
+        MechanicalMode(omega=_OMEGA_M, gamma=_OMEGA_M / REFERENCE["q_factor"],
+                       g=g * s,
+                       mass=REFERENCE["mass_kg"] if s == 1.0 else None)
+        for s in g_scales)
     theta_list = [theta] + [0.0] * max(n_modes - 2, 0)
     couplings = tuple(
-        PhononCoupling(eta=eta_frac * omega_m, theta=theta_list[j])
+        PhononCoupling(eta=eta_frac * _OMEGA_M, theta=theta_list[j])
         for j in range(n_modes - 1))
     drive = DriveSpec(
         power_pump=REFERENCE["power_pump_w"] if power_w is None else power_w,
         probe_ratio=(REFERENCE["probe_ratio"] if probe_ratio is None
                      else probe_ratio),
     )
-    config = SystemConfig(cavity=reference_cavity(), modes=modes,
-                          couplings=couplings, drive=drive)
+    cavity = CavityParams(kappa=TWO_PI * REFERENCE["kappa_hz"], delta_c=0.0,
+                          wavelength=REFERENCE["wavelength_m"],
+                          cavity_length=REFERENCE["cavity_length_m"])
+    config = SystemConfig(cavity=cavity, modes=modes, couplings=couplings,
+                          drive=drive)
     if lock_delta_frac is not None:
-        config = lock_effective_detuning(config, lock_delta_frac * omega_m)
+        config = lock_effective_detuning(config, lock_delta_frac * _OMEGA_M)
     return config
 
 
 # ---------------------------------------------------------------------------
 # Figure presets
 
+# The two-mode split-window chain; fig7 breaks longer chains the same way.
+_BROKEN = {"eta_frac": 0.05, "theta": math.pi / 2}
 
-def _require_ok(bundle) -> None:
+
+def _spectrum_file(path: Path, n_modes: int, setup: dict, **options) -> Path:
+    """Write ``compute_spectrum(standard_setup(n_modes, **setup),
+    **options)`` to ``path`` as CSV."""
+    write_spectrum_csv(
+        compute_spectrum(standard_setup(n_modes, **setup), **options), path)
+    return path
+
+
+def _table_file(path: Path, columns, rows) -> Path:
+    _write_text(path, _csv_table(columns, rows))
+    return path
+
+
+def _theta_sweep(eta_frac: float, thetas, **grid) -> tuple[Spectrum, ...]:
+    """Spectra of the two-mode chain at each link phase in ``thetas``,
+    re-locked to the mechanical frequency (``grid`` goes to run_sweep);
+    raises InvalidParameterError naming the first failed point."""
+    base = standard_setup(2, eta_frac=eta_frac, lock_delta_frac=None)
+    bundle = run_sweep(
+        base, SweepSpec("theta_rad", tuple(thetas), lock_delta=_OMEGA_M),
+        **grid)
     if bundle.n_failed:
         first = next(e for e in bundle.errors if e is not None)
         raise InvalidParameterError(
             f"{bundle.n_failed} sweep point(s) failed; first error: {first}")
+    return bundle.spectra
 
 
-def _omega_m() -> float:
-    return TWO_PI * REFERENCE["omega_m_hz"]
+def _dark_window(n_modes: int, **setup) -> tuple[float, float, Spectrum]:
+    """The first window's fitted full width (NaN when none is found), the
+    ``predict_linewidth`` half width and the first-order spectrum of
+    ``standard_setup(n_modes, **setup)``."""
+    config = standard_setup(n_modes, **setup)
+    steady = solve_steady_state(config)
+    spec = compute_spectrum(config, include_second_order=False, steady=steady)
+    fits = fit_linewidth(spec)
+    return (fits[0].fwhm if fits else float("nan"),
+            predict_linewidth(config, steady), spec)
 
 
 def _fig2(out: Path) -> list[Path]:
@@ -166,134 +177,79 @@ def _fig2(out: Path) -> list[Path]:
     The ``fwhm_*`` columns are fitted full widths; the ``predicted_*``
     columns are ``predict_linewidth``, the half width ``gamma_eff``.
     """
-    written = []
-    powers = np.linspace(0.1e-3, 2.0e-3, 20)
-    rows = []
-    for p in powers:
-        row = [p]
-        for n in (1, 2):
-            cfg = standard_setup(n, power_w=float(p))
-            steady = solve_steady_state(cfg)
-            spec = compute_spectrum(cfg, include_second_order=False,
-                                    steady=steady)
-            fits = fit_linewidth(spec)
-            row.append(fits[0].fwhm if fits else float("nan"))
-            row.append(predict_linewidth(cfg, steady))
-        rows.append(tuple(row))
-    path = out / "fig2_linewidth_vs_power.csv"
-    _write_text(path, _csv_table(
-        ("power_w", "fwhm_single_rad_s", "predicted_single_rad_s",
-         "fwhm_double_rad_s", "predicted_double_rad_s"), rows))
-    written.append(path)
-
-    for label, scales in (("standard", (1.0, 0.0)), ("two_mode", (1.0, 1.0))):
-        spec = compute_spectrum(standard_setup(2, g_scales=scales))
-        path = out / f"fig2_spectrum_{label}.csv"
-        write_spectrum_csv(spec, path)
-        written.append(path)
-    return written
+    rows = [(p, *_dark_window(1, power_w=float(p))[:2],
+             *_dark_window(2, power_w=float(p))[:2])
+            for p in np.linspace(0.1e-3, 2.0e-3, 20)]
+    return [
+        _table_file(out / "fig2_linewidth_vs_power.csv",
+                    ("power_w", "fwhm_single_rad_s", "predicted_single_rad_s",
+                     "fwhm_double_rad_s", "predicted_double_rad_s"), rows),
+        *(_spectrum_file(out / f"fig2_spectrum_{label}.csv", 2,
+                         {"g_scales": scales})
+          for label, scales in (("standard", (1.0, 0.0)),
+                                ("two_mode", (1.0, 1.0)))),
+    ]
 
 
 def _fig3(out: Path) -> list[Path]:
     """Breaking the dark mode: single window splits in two."""
-    written = []
-    for label, eta_frac, theta in (("unbroken", 0.0, 0.0),
-                                   ("broken", 0.05, math.pi / 2)):
-        spec = compute_spectrum(standard_setup(2, eta_frac=eta_frac,
-                                               theta=theta))
-        path = out / f"fig3_{label}.csv"
-        write_spectrum_csv(spec, path)
-        written.append(path)
-    return written
+    return [_spectrum_file(out / f"fig3_{label}.csv", 2, setup)
+            for label, setup in (("unbroken", {}), ("broken", _BROKEN))]
 
 
 def _fig4(out: Path) -> list[Path]:
     """Window switching with the modulation phase."""
-    written = []
-    omega_m = _omega_m()
-    for label, theta in (("0p0pi", 0.0), ("0p5pi", math.pi / 2),
-                         ("1p0pi", math.pi)):
-        spec = compute_spectrum(
-            standard_setup(2, eta_frac=0.05, theta=theta),
-            include_second_order=False)
-        path = out / f"fig4_theta_{label}.csv"
-        write_spectrum_csv(spec, path)
-        written.append(path)
-
+    written = [
+        _spectrum_file(out / f"fig4_theta_{label}.csv", 2,
+                       {"eta_frac": 0.05, "theta": theta},
+                       include_second_order=False)
+        for label, theta in (("0p0pi", 0.0), ("0p5pi", math.pi / 2),
+                             ("1p0pi", math.pi))]
     thetas = np.linspace(0.0, TWO_PI, 81)
-    base = standard_setup(2, eta_frac=0.05, lock_delta_frac=None)
-    bundle = run_sweep(
-        base,
-        SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
-        omega=np.array([0.95 * omega_m, 1.05 * omega_m]),
+    spectra = _theta_sweep(
+        0.05, thetas, omega=np.array([0.95 * _OMEGA_M, 1.05 * _OMEGA_M]),
         include_second_order=False)
-    _require_ok(bundle)
-    rows = []
-    for theta, spec in zip(thetas, bundle.spectra):
-        rows.append((theta, spec.transmission[0], spec.transmission[1]))
-    path = out / "fig4_windows_vs_theta.csv"
-    _write_text(path, _csv_table(
+    rows = [(theta, spec.transmission[0], spec.transmission[1])
+            for theta, spec in zip(thetas, spectra)]
+    written.append(_table_file(
+        out / "fig4_windows_vs_theta.csv",
         ("theta_rad", "transmission_left", "transmission_right"), rows))
-    written.append(path)
     return written
 
 
 def _fig5(out: Path) -> list[Path]:
     """Second-order sideband enhancement at strong hopping."""
-    written = []
-    omega_m = _omega_m()
     # Dressed windows sit at omega_m +/- eta, so widen the grid.
-    for label, theta in (("0p0pi", 0.0), ("1p0pi", math.pi)):
-        spec = compute_spectrum(standard_setup(2, eta_frac=0.2, theta=theta),
-                                span=(0.6, 1.4))
-        path = out / f"fig5_theta_{label}.csv"
-        write_spectrum_csv(spec, path)
-        written.append(path)
-
+    written = [_spectrum_file(out / f"fig5_theta_{label}.csv", 2,
+                              {"eta_frac": 0.2, "theta": theta},
+                              span=(0.6, 1.4))
+               for label, theta in (("0p0pi", 0.0), ("1p0pi", math.pi))]
     thetas = np.linspace(0.0, TWO_PI, 61)
-    base = standard_setup(2, eta_frac=0.2, lock_delta_frac=None)
-    bundle = run_sweep(
-        base, SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
-        span=(0.6, 1.4), points=2001)
-    _require_ok(bundle)
+    spectra = _theta_sweep(0.2, thetas, span=(0.6, 1.4), points=2001)
     rows = [(theta, float(np.nanmax(spec.efficiency_percent)))
-            for theta, spec in zip(thetas, bundle.spectra)]
-    path = out / "fig5_max_efficiency_vs_theta.csv"
-    _write_text(path, _csv_table(("theta_rad", "max_efficiency_percent"),
-                                 rows))
-    written.append(path)
+            for theta, spec in zip(thetas, spectra)]
+    written.append(_table_file(out / "fig5_max_efficiency_vs_theta.csv",
+                               ("theta_rad", "max_efficiency_percent"), rows))
     return written
 
 
 def _fig6(out: Path) -> list[Path]:
     """Group delay enhancement at the split windows."""
-    written = []
-    omega_m = _omega_m()
-    spec = compute_spectrum(
-        standard_setup(2, eta_frac=0.05, theta=math.pi / 2),
-        include_second_order=False)
-    path = out / "fig6_spectrum_broken.csv"
-    write_spectrum_csv(spec, path)
-    written.append(path)
-
+    written = [_spectrum_file(out / "fig6_spectrum_broken.csv", 2, _BROKEN,
+                              include_second_order=False)]
     thetas = np.linspace(0.0, TWO_PI, 61)
-    base = standard_setup(2, eta_frac=0.05, lock_delta_frac=None)
-    rows_by_theta = {t: [t] for t in thetas}
+    delays = []
     for target in (0.95, 1.05):
-        local = np.linspace((target - 0.002) * omega_m,
-                            (target + 0.002) * omega_m, 41)
-        bundle = run_sweep(
-            base, SweepSpec("theta_rad", tuple(thetas), lock_delta=omega_m),
-            omega=local, include_second_order=False)
-        _require_ok(bundle)
-        for theta, sp in zip(thetas, bundle.spectra):
-            est = group_delay(sp, target * omega_m)
-            rows_by_theta[theta].append(est.delay)
-    path = out / "fig6_delay_vs_theta.csv"
-    _write_text(path, _csv_table(
+        local = np.linspace((target - 0.002) * _OMEGA_M,
+                            (target + 0.002) * _OMEGA_M, 41)
+        spectra = _theta_sweep(0.05, thetas, omega=local,
+                               include_second_order=False)
+        delays.append([group_delay(sp, target * _OMEGA_M).delay
+                       for sp in spectra])
+    written.append(_table_file(
+        out / "fig6_delay_vs_theta.csv",
         ("theta_rad", "delay_left_s", "delay_right_s"),
-        [rows_by_theta[t] for t in thetas]))
-    written.append(path)
+        list(zip(thetas, *delays))))
     return written
 
 
@@ -304,38 +260,22 @@ def _fig7(out: Path) -> list[Path]:
     ``predicted_rad_s`` is ``predict_linewidth``, the half width
     ``gamma_eff``.
     """
-    written = []
-    for n in (3, 4, 5):
-        spec = compute_spectrum(
-            standard_setup(n, eta_frac=0.05, theta=math.pi / 2),
-            include_second_order=False)
-        path = out / f"fig7_n{n}_broken.csv"
-        write_spectrum_csv(spec, path)
-        written.append(path)
-
+    written = [_spectrum_file(out / f"fig7_n{n}_broken.csv", n, _BROKEN,
+                              include_second_order=False)
+               for n in (3, 4, 5)]
     rows = []
     for n in range(1, 6):
-        cfg_dark = standard_setup(n)
-        steady = solve_steady_state(cfg_dark)
-        spec_dark = compute_spectrum(cfg_dark, include_second_order=False,
-                                     steady=steady)
-        fits = fit_linewidth(spec_dark)
-        fwhm = fits[0].fwhm if fits else float("nan")
-        predicted = predict_linewidth(cfg_dark, steady)
+        fwhm, predicted, spec_dark = _dark_window(n)
+        broken_windows = 1
         if n >= 2:
-            spec_broken = compute_spectrum(
-                standard_setup(n, eta_frac=0.05, theta=math.pi / 2),
-                include_second_order=False)
-            broken_windows = count_windows(spec_broken)
-        else:
-            broken_windows = 1
+            broken_windows = count_windows(compute_spectrum(
+                standard_setup(n, **_BROKEN), include_second_order=False))
         rows.append((n, fwhm, predicted, count_windows(spec_dark),
                      broken_windows))
-    path = out / "fig7_summary.csv"
-    _write_text(path, _csv_table(
+    written.append(_table_file(
+        out / "fig7_summary.csv",
         ("n_modes", "fwhm_unbroken_rad_s", "predicted_rad_s",
          "windows_unbroken", "windows_broken"), rows))
-    written.append(path)
     return written
 
 

@@ -42,6 +42,7 @@ from .sidebands import (
 )
 
 __all__ = [
+    "CSV_COLUMNS",
     "SWEEPABLE_PARAMETERS",
     "SweepSpec",
     "ResultBundle",
@@ -219,20 +220,15 @@ def _spectrum_text(spectrum: Spectrum, fmt: str) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_spectrum_csv(spectrum: Spectrum, path_or_file) -> None:
-    """Write a spectrum as CSV with the standard column set.
+def write_spectrum_csv(spectrum: Spectrum, path: str | os.PathLike) -> None:
+    """Write a spectrum as CSV with the standard column set to ``path``.
 
     Columns: ``omega_over_omega_m, transmission, efficiency_percent,
     phase_rad, group_delay_s, route_discrepancy``.  Values not computed
     (efficiency with the second order switched off, the closed-form check
     beyond two modes, delay at grid edges) are written as ``nan``.
     """
-    text = _spectrum_text(spectrum, "csv")
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(Path(path), _spectrum_text(spectrum, "csv"))
 
 
 def json_safe(value):

@@ -7,7 +7,9 @@ benchmark only when they run, so they all run here.
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -37,6 +39,14 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in ol.__all__ if not hasattr(ol, name)]
     assert missing == []
+    # Each public name is declared once, in its module's __all__, and the
+    # package exports exactly those.
+    declared = {"__version__"}.union(*(
+        getattr(importlib.import_module(f"omit_lab.{info.name}"),
+                "__all__", ())
+        for info in pkgutil.iter_modules(ol.__path__)
+        if not info.name.startswith("_")))
+    assert sorted(ol.__all__) == sorted(declared)
 
 
 def test_perfbench_selftest_passes():
