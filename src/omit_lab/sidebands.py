@@ -62,13 +62,9 @@ from .model import (
 )
 
 __all__ = [
-    "TCoefficients",
-    "AuxiliaryCoefficients",
     "SidebandAmplitudes",
     "Spectrum",
     "GroupDelayEstimate",
-    "chain_polynomials",
-    "auxiliary_coefficients",
     "solve_first_order",
     "solve_second_order",
     "first_order_closed_form",
@@ -84,39 +80,6 @@ _TINY = 1e-300
 
 # ---------------------------------------------------------------------------
 # Containers
-
-
-@dataclass(frozen=True)
-class TCoefficients:
-    """Chain response polynomials of the two-mode mechanical pair.
-
-    These four combinations of mode parameters and the evaluation frequency
-    are the building blocks of every closed-form amplitude below.
-    """
-
-    t1: complex | np.ndarray
-    t2: complex | np.ndarray
-    t3_1: complex | np.ndarray
-    t3_2: complex | np.ndarray
-
-
-@dataclass(frozen=True)
-class AuxiliaryCoefficients:
-    """Everything the closed-form second-order route needs at one frequency.
-
-    ``t_probe`` is evaluated at the probe detuning, ``t_double`` at twice
-    the detuning.  ``v1 .. v3`` enter the mechanical first-order amplitudes;
-    ``chi1, chi2`` fold the first-order solution into the second-order
-    cavity amplitude.
-    """
-
-    t_probe: TCoefficients
-    t_double: TCoefficients
-    v1: complex
-    v2: complex
-    v3: complex
-    chi1: complex
-    chi2: complex
 
 
 @dataclass(frozen=True)
@@ -531,22 +494,6 @@ def _t_polys(omega_m: np.ndarray, gamma: np.ndarray, eta: float,
     return t1, t2, t3_1, t3_2
 
 
-def chain_polynomials(config: SystemConfig,
-                      omega: float | np.ndarray) -> TCoefficients:
-    """Chain response polynomials T1, T2, T3_1, T3_2 at ``omega``.
-
-    These characterise the driven two-mode mechanical pair (including the
-    phonon hopping ``eta``) and appear in every closed-form amplitude.
-    """
-    _require_two_modes(config, "the chain polynomial set")
-    w = np.asarray(omega, dtype=float)
-    omega_m, gamma, _ = config.mode_arrays()
-    t = _t_polys(omega_m, gamma, config.couplings[0].eta, w)
-    if w.ndim == 0:
-        return TCoefficients(*(complex(x) for x in t))
-    return TCoefficients(*t)
-
-
 def _closed_terms(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """T2 and the mechanical and loop sums the T-polynomials feed at ``w``."""
     eta, theta = view.eta[0], view.theta[0]
@@ -666,27 +613,6 @@ def second_order_closed_form(config: SystemConfig, steady: SteadyState,
     view = _view(config, steady)
     a2m = _closed_second_arrays(view, w, _closed_first_arrays(view, w))
     return complex(a2m[0]) if scalar else a2m
-
-
-def auxiliary_coefficients(config: SystemConfig, steady: SteadyState,
-                           omega: float) -> AuxiliaryCoefficients:
-    """All closed-form building blocks at a single detuning.
-
-    Returns the chain polynomials at the probe detuning and at its double,
-    the V factors of the mechanical amplitudes, and the chi pair that maps
-    first-order amplitudes to the second-order cavity response.
-    """
-    _require_two_modes(config, "the auxiliary coefficient set")
-    w = float(omega)
-    view = _view(config, steady)
-    warr = np.array([w])
-    chi1, chi2, _ = _chi_pair(view, warr, _closed_first_arrays(view, warr))
-    v1, v2, v3 = _v_factors(view, w)
-    return AuxiliaryCoefficients(t_probe=chain_polynomials(config, w),
-                                 t_double=chain_polynomials(config, 2.0 * w),
-                                 v1=complex(v1), v2=complex(v2),
-                                 v3=complex(v3), chi1=complex(chi1[0]),
-                                 chi2=complex(chi2[0]))
 
 
 # ---------------------------------------------------------------------------

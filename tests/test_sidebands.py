@@ -116,16 +116,6 @@ def test_probe_linearity(split_config, split_steady):
     assert np.all(np.abs(a_double - 2.0 * a_base) <= 1e-12 * np.abs(a_double))
 
 
-def test_chain_polynomials_static_limit(split_config, split_steady):
-    # At Omega = 0 the first polynomial reduces to the static normal-mode
-    # determinant gamma1*gamma2 + eta^2 - omega1*omega2.
-    t = ol.chain_polynomials(split_config, 0.0)
-    m1, m2 = split_config.modes
-    eta = split_config.couplings[0].eta
-    expected = -m1.omega * m2.omega + eta**2 + m1.gamma * m2.gamma
-    assert complex(t.t1) == pytest.approx(expected, rel=1e-15)
-
-
 def test_theta_parity_of_observables():
     rng = np.random.default_rng(11)
     for _ in range(8):
@@ -319,21 +309,6 @@ def test_spectrum_edge_delay_is_nan(split_config):
     assert np.all(np.isfinite(sp.group_delay[2:-2]))
 
 
-def test_auxiliary_coefficients_consistent(split_config, split_steady):
-    w = 0.95 * split_config.omega_ref
-    aux = ol.auxiliary_coefficients(split_config, split_steady, w)
-    t = ol.chain_polynomials(split_config, w)
-    double = ol.chain_polynomials(split_config, 2.0 * w)
-    for got, want in ((aux.t_probe.t1, t.t1), (aux.t_probe.t2, t.t2),
-                      (aux.t_double.t1, double.t1)):
-        assert complex(got) == pytest.approx(complex(want), rel=1e-14)
-    # The chi pair assembles the second-order amplitude; sanity-check the
-    # composite against the direct solve.
-    second = ol.solve_second_order(split_config, split_steady, w)
-    closed = ol.second_order_closed_form(split_config, split_steady, w)
-    assert abs(complex(second.a_minus) - closed) <= 1e-11 * abs(closed)
-
-
 def test_closed_forms_require_two_modes_second_order_does_not():
     three = ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2)
     st = ol.solve_steady_state(three)
@@ -341,12 +316,9 @@ def test_closed_forms_require_two_modes_second_order_does_not():
     second = ol.solve_second_order(three, st, w)
     assert np.isfinite(second.a_minus)
     assert second.b_minus.shape == second.b_plus_conj.shape == (3,)
-    for closed in (ol.first_order_closed_form, ol.second_order_closed_form,
-                   ol.auxiliary_coefficients):
+    for closed in (ol.first_order_closed_form, ol.second_order_closed_form):
         with pytest.raises(ol.UnsupportedTopologyError):
             closed(three, st, w)
-    with pytest.raises(ol.UnsupportedTopologyError):
-        ol.chain_polynomials(three, w)
 
 
 def test_zero_detuning_point_is_regular():
