@@ -511,6 +511,7 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
         x = x - np.linalg.solve(phi - np.eye(x.size), end - x)
     # (Re a, Im a) rows of a sample array that is also the complex cavity.
     samples = np.empty((q, 2))
+    # Integrate x once more, sampled: sampling every shooting span costs more.
     _integrate(rhs, x, period, step, samples.T, rtol, rtol * scale, overflow)
     demod = _fit_harmonics(np.arange(q) * step, samples.view(complex)[:, 0],
                            omega, n_cycles=1)
