@@ -16,6 +16,8 @@ mechanical modes with phase-controlled phonon hopping.  It provides
 * the ``omit-lab`` command-line interface (:mod:`omit_lab.cli`).
 """
 
+# Each public name is declared once, in its module's __all__; the package
+# exports exactly those.
 from .config_io import *
 from .darkmode import *
 from .errors import *
