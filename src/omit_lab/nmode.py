@@ -170,8 +170,10 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
     Solves the first-order sideband response of a cavity coupled to the
     ``N`` independent normal modes with their rotated couplings (a chain
     operator with no hopping), instead of the site-basis chain.  Both bases
-    go through the same Schur-complement response solve, so the result
-    must match the transmission from
+    go through the same Schur-complement response solve, where a chain
+    with no hopping is diagonal and takes one division per grid point and
+    mode; only the cavity amplitude is formed, not the normal-mode
+    amplitudes.  The result must match the transmission from
     :func:`omit_lab.sidebands.solve_first_order` to rounding error; any
     systematic gap means the basis transform is wrong.  Returns a 1-D
     array, also for a scalar ``omega``.

@@ -11,7 +11,10 @@ hierarchy of linear systems:
   pairs, driven by the probe amplitude.  Each mechanical sideband is a
   tridiagonal chain that sees the cavity through one scalar, so one
   Thomas sweep per chain eliminates the mechanics (``O(n)`` per
-  frequency), leaving a 2x2 cavity solve and a back-substitution;
+  frequency), leaving a 2x2 cavity solve; a chain without hopping (the
+  normal-mode basis, ``eta = 0`` on every link, one mode) is diagonal and
+  takes one division instead of the sweep.  The mechanical amplitudes
+  follow by back-substitution, formed only for callers that read them;
 * order 2: the same operator evaluated at ``2*Omega``, driven by
   quadratic combinations of the first-order amplitudes, on the cavity and
   on the mechanics.
@@ -266,16 +269,23 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
                  rhs: np.ndarray) -> None:
-    """Thomas sweep for one tridiagonal chain per grid point, in place.
+    """Solve one tridiagonal chain per grid point, in place.
 
     ``diag`` is ``(N, K)``; the chains share the off-diagonals ``upper``
     and ``lower`` (length ``N - 1``); ``rhs`` is ``(N, K, R)`` and is
-    overwritten with the solution; ``diag`` is left as it was.  Every
-    chain is ``gamma*I + i*(Hermitian)``, so each pivot has a real part of
-    at least ``min(gamma) > 0``: the sweep needs no pivoting and no
-    singularity check.
+    overwritten with the solution; ``diag`` is left as it was.  When every
+    off-diagonal is zero -- the normal-mode (star) basis, a site chain
+    with ``eta = 0`` on every link, a single mode -- the chain is diagonal
+    and the block is divided by ``diag`` in one step; any other chain
+    takes a Thomas sweep.  Every chain is ``gamma*I + i*(Hermitian)``, so
+    each pivot has a real part of at least ``min(gamma) > 0``: the sweep
+    needs no pivoting and no singularity check.  Without hops each pivot
+    is its row of ``diag``, so the division gives the sweep's bits.
     """
     x = rhs
+    if not (upper.any() or lower.any()):
+        x /= diag[:, :, None]
+        return
     ratio = np.empty((len(upper),) + diag.shape[1:], dtype=complex)
     pivot = diag[0]
     x[0] /= pivot[:, None]
@@ -305,20 +315,22 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         M+ conj(B+) = d + i conj(u) X,   M+ = gamma - i(conj(H) + v)
 
     where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
-    ``hop`` above it).  One Thomas sweep per chain gives the self-energy
-    ``sigma = u^T M+^-1 conj(u) - u^H M-^-1 u``, which leaves a 2x2 cavity
-    system per grid point; the mechanical amplitudes follow by
-    back-substitution.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and the
-    ``(N, K)`` array ``mech_drive = d`` the two chains.  Only ``d`` is
-    held: its negation is written straight into the first chain's block.
+    ``hop`` above it).  One :func:`_chain_solve` per chain (a division
+    when ``hop`` is all zero) gives the self-energy ``sigma = u^T M+^-1
+    conj(u) - u^H M-^-1 u``, which leaves a 2x2 cavity system per grid
+    point.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and the ``(N, K)``
+    array ``mech_drive = d`` the two chains.  Only ``d`` is held: its
+    negation is written straight into the first chain's block.
 
-    Returns ``(A-, conj(A+), B-, conj(B+))``, the last two ``(K, N)``.
+    Returns ``(A-, conj(A+), chains)``.  The mechanical amplitudes are not
+    formed here: a caller that reads them passes the whole triple to
+    :func:`_with_mechanics`, which back-substitutes into ``chains``.
 
     Raises
     ------
     SingularSystemError
-        The cavity determinant vanishes or the solution is not finite at
-        some grid point.
+        The cavity determinant vanishes or the cavity amplitudes are not
+        finite at some grid point.
     """
     v = order * w
     # One (N, K, R) block per chain, solved in place: column 0 answers the
@@ -370,22 +382,36 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
         a_plus_conj = ((d0 - sigma) * f1
                        - sigma * np.conj(phase) ** 2 * f0) / det
-        x = np.conj(phase) * a_minus + phase * a_plus_conj
-        # B- = z- - (i X) y- and conj(B+) = z+ + (i X) y+, formed over y.
-        # The operand order (i X) * y matters: complex products do not
-        # commute bit for bit, and ``y *= 1j * x`` rounds differently.
-        b_minus = np.multiply(1j * x, y_m, out=y_m)
+        ix = 1j * (np.conj(phase) * a_minus + phase * a_plus_conj)
+        _require_finite(np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
+    return a_minus, a_plus_conj, (w, ix, y_m, y_p, z_m, z_p)
+
+
+def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
+    """``(A-, conj(A+), B-, conj(B+))`` from a :func:`_sideband_response`
+    triple, the last two ``(K, N)``; overwrites its chain solutions.
+
+    Raises SingularSystemError where a mechanical amplitude is not finite.
+    """
+    a_minus, a_plus_conj, (w, ix, y_m, y_p, z_m, z_p) = response
+    # B- = z- - (i X) y- and conj(B+) = z+ + (i X) y+, formed over y.
+    # The operand order (i X) * y matters: complex products do not
+    # commute bit for bit, and ``y *= ix`` rounds differently.
+    with np.errstate(all="ignore"):
+        b_minus = np.multiply(ix, y_m, out=y_m)
         np.subtract(z_m, b_minus, out=b_minus)
-        b_plus_conj = np.multiply(1j * x, y_p, out=y_p)
+        b_plus_conj = np.multiply(ix, y_p, out=y_p)
         np.add(z_p, b_plus_conj, out=b_plus_conj)
-        ok = (np.isfinite(a_minus) & np.isfinite(a_plus_conj)
-              & np.isfinite(b_minus).all(axis=0)
-              & np.isfinite(b_plus_conj).all(axis=0))
+    _require_finite(np.isfinite(b_minus).all(axis=0)
+                    & np.isfinite(b_plus_conj).all(axis=0), w)
+    return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
+
+
+def _require_finite(ok: np.ndarray, w: np.ndarray) -> None:
     if not ok.all():
         raise SingularSystemError(
             "sideband response matrix is singular near omega = "
             f"{w[np.argmin(ok)]:.6e} rad/s")
-    return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
 
 
 def _pump_phase(alpha: complex) -> complex:
@@ -395,8 +421,7 @@ def _pump_phase(alpha: complex) -> complex:
 
 
 def _site_response(view: _View, w: np.ndarray, order: int,
-                   cavity_rhs: tuple,
-                   mech_drive=None) -> tuple[np.ndarray, ...]:
+                   cavity_rhs: tuple, mech_drive=None) -> tuple:
     """:func:`_sideband_response` for the site-basis chain of ``view``."""
     return _sideband_response(
         view.kappa, view.delta, view.gamma, view.omega,
@@ -404,12 +429,14 @@ def _site_response(view: _View, w: np.ndarray, order: int,
         _pump_phase(view.alpha), w, order, cavity_rhs, mech_drive)
 
 
-def _first_order_raw(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
+def _first_order_raw(view: _View, w: np.ndarray) -> tuple:
     return _site_response(view, w, 1, (view.eps_p, 0.0))
 
 
 def _second_order_raw(view: _View, w: np.ndarray,
-                      x1: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+                      x1: tuple[np.ndarray, ...]) -> tuple:
+    """:func:`_sideband_response` triple of the second order; ``x1`` is the
+    first order ``(A-, conj(A+), B-, conj(B+))``."""
     a1m, a1pc, b1m, b1pc = x1
     # Mechanical back-action sum S1 = sum_l g_l (B_l- + conj(B_l+)).
     s1 = (b1m + b1pc) @ view.g
@@ -444,7 +471,8 @@ def solve_first_order(config: SystemConfig, steady: SteadyState,
     SidebandAmplitudes
     """
     w, scalar = _as_grid(omega)
-    return _amplitudes(_first_order_raw(_view(config, steady), w), scalar)
+    return _amplitudes(
+        _with_mechanics(_first_order_raw(_view(config, steady), w)), scalar)
 
 
 def solve_second_order(config: SystemConfig, steady: SteadyState,
@@ -460,14 +488,15 @@ def solve_second_order(config: SystemConfig, steady: SteadyState,
     w, scalar = _as_grid(omega)
     view = _view(config, steady)
     if first is None:
-        x1 = _first_order_raw(view, w)
+        x1 = _with_mechanics(_first_order_raw(view, w))
     else:
         x1 = (*np.atleast_1d(first.a_minus, first.a_plus_conj),
               *np.atleast_2d(first.b_minus, first.b_plus_conj))
         if len(x1[0]) != len(w):
             raise InvalidParameterError(
                 "first-order amplitudes were computed on a different grid")
-    return _amplitudes(_second_order_raw(view, w, x1), scalar)
+    return _amplitudes(_with_mechanics(_second_order_raw(view, w, x1)),
+                       scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -697,22 +726,24 @@ def compute_spectrum(config: SystemConfig,
         raise InvalidParameterError(
             "probe amplitude must be > 0 to compute a spectrum")
 
-    x1 = _first_order_raw(view, w)
-    t_p, _ = transmission(x1[0], view.eps_p, view.kappa)
+    # The first order's mechanics are formed only to drive the second, and
+    # the second order's not at all: the spectrum reads A1- and A2-.
+    first = _first_order_raw(view, w)
+    t_p, _ = transmission(first[0], view.eps_p, view.kappa)
 
     discrepancy = np.full(len(w), np.nan)
     efficiency = np.full(len(w), np.nan)
     if config.n_modes == 2:
         fo_closed = _closed_first_arrays(view, w)
-        discrepancy = _relative_gap(x1[0], fo_closed[0])
+        discrepancy = _relative_gap(first[0], fo_closed[0])
     if include_second_order:
-        x2 = _second_order_raw(view, w, x1)
+        a2m = _second_order_raw(view, w, _with_mechanics(first))[0]
         efficiency = 100.0 * second_order_efficiency(
-            x2[0], view.eps_p, view.kappa)
+            a2m, view.eps_p, view.kappa)
         if config.n_modes == 2:
             a2_closed = _closed_second_arrays(view, w, fo_closed)
             discrepancy = np.maximum(
-                discrepancy, _relative_gap(x2[0], a2_closed))
+                discrepancy, _relative_gap(a2m, a2_closed))
 
     metadata: dict[str, Any] = {
         "n_modes": config.n_modes,

@@ -402,8 +402,9 @@ def _assert_close_per_point(got, want, w: np.ndarray) -> None:
         assert np.all(np.abs(g - d) <= 1e-10 * scale)
 
 
-def _random_chain(rng: np.random.Generator, n: int):
-    """Random N-mode chain with a random phase on every link."""
+def _random_chain(rng: np.random.Generator, n: int, hopping: bool = True):
+    """Random N-mode chain with a random phase on every link; with
+    ``hopping=False`` every link has eta = 0."""
     om = 6e6 * float(rng.uniform(0.5, 2.0))
     cfg = ol.SystemConfig(
         cavity=ol.CavityParams(
@@ -415,7 +416,8 @@ def _random_chain(rng: np.random.Generator, n: int):
                               g=10 ** float(rng.uniform(0.0, 1.8)))
             for _ in range(n)),
         couplings=tuple(
-            ol.PhononCoupling(eta=float(rng.uniform(0.0, 0.15)) * om,
+            ol.PhononCoupling(eta=(float(rng.uniform(0.0, 0.15)) * om
+                                   if hopping else 0.0),
                               theta=float(rng.uniform(0.0, TWO_PI)))
             for _ in range(n - 1)),
         drive=ol.DriveSpec(power_pump=1.5e-3, omega_pump=1.77e15),
@@ -429,17 +431,20 @@ def _random_chain(rng: np.random.Generator, n: int):
 def test_chain_elimination_matches_dense_solve():
     # The Schur-complement solve against a dense (2N+2)x(2N+2) solve of
     # the same sideband system, for the first- and second-order
-    # right-hand sides.
+    # right-hand sides.  The hop-free draws (eta = 0 on every link) take
+    # the chain solve's one-division path beyond N = 1.
     rng = np.random.default_rng(2026)
-    for n in (1, 2, 3, 8, 16):
-        for _ in range(4):
-            cfg, steady, w = _random_chain(rng, n)
-            view = sb._view(cfg, steady)
-            first = sb._first_order_raw(view, w)
-            dense_first, dense_second = _dense_orders(view, w)
-            second = sb._second_order_raw(view, w, dense_first)
-            _assert_close_per_point(first + second,
-                                    dense_first + dense_second, w)
+    draws = [(n, True) for n in (1, 2, 3, 8, 16) for _ in range(4)]
+    draws += [(n, False) for n in (3, 8) for _ in range(4)]
+    for n, hopping in draws:
+        cfg, steady, w = _random_chain(rng, n, hopping)
+        view = sb._view(cfg, steady)
+        first = sb._with_mechanics(sb._first_order_raw(view, w))
+        dense_first, dense_second = _dense_orders(view, w)
+        second = sb._with_mechanics(
+            sb._second_order_raw(view, w, dense_first))
+        _assert_close_per_point(first + second,
+                                dense_first + dense_second, w)
 
 
 @pytest.mark.parametrize("n, chain", [
@@ -467,14 +472,29 @@ def test_second_order_public_api_beyond_two_modes(n, chain):
 
 def test_zero_cavity_determinant_raises_typed_error():
     # kappa = 0 with the mechanics decoupled leaves det = d0 d1, which
-    # vanishes where the sideband frequency meets the detuning.
+    # vanishes where the sideband frequency meets the detuning.  The
+    # builder checks the cavity amplitudes itself, so a caller that reads
+    # only them gets the typed error without forming the mechanics; n = 1
+    # takes the chain solve's division, n = 3 with hopping its sweep.
     w = np.linspace(0.5, 1.5, 11)
-    with pytest.raises(ol.SingularSystemError,
-                       match=r"omega = 1\.000000e\+00"):
-        sb._sideband_response(
-            0.0, 1.0, np.array([0.01]), np.array([1.0]),
-            np.zeros(0, dtype=complex), np.zeros(1, dtype=complex), 1.0, w,
-            1, (np.ones_like(w), np.zeros_like(w)))
+    singular = r"omega = 1\.000000e\+00"
+    for n in (1, 3):
+        with pytest.raises(ol.SingularSystemError, match=singular):
+            sb._sideband_response(
+                0.0, 1.0, np.full(n, 0.01), np.ones(n),
+                np.full(n - 1, 0.1 + 0.0j), np.zeros(n, dtype=complex), 1.0,
+                w, 1, (np.ones_like(w), np.zeros_like(w)))
+    # A mode with gamma = 1e-100 and coupling 1e-60 answers the cavity
+    # with 1e40 at its resonance v = 1, so B- overflows there (1e320)
+    # while A- stays at the drive, 1e280: the cavity-only call returns,
+    # and forming the mechanics raises.
+    response = sb._sideband_response(
+        1.0, 1.0, np.array([1e-100]), np.ones(1), np.zeros(0, dtype=complex),
+        np.array([1e-60 + 0.0j]), 1.0, w, 1,
+        (np.full_like(w, 1e280), np.zeros_like(w)))
+    assert np.isfinite(response[0]).all() and np.isfinite(response[1]).all()
+    with pytest.raises(ol.SingularSystemError, match=singular):
+        sb._with_mechanics(response)
 
 
 def _traced_peak_mb(fn) -> float:
@@ -494,7 +514,12 @@ def test_response_builder_working_memory():
     # and 9.7 with the second order (19.89 MB).  The bounds leave 10 % and
     # 18 % of margin.  Holding the mechanical drive twice, as (-d, d),
     # reads 21.93 MB; solving on a copy of the blocks 10.57 / 25.58 MB,
-    # and a builder that keeps its temporaries 19.28 / 36.21 MB.
+    # and a builder that keeps its temporaries 19.28 / 36.21 MB.  A
+    # hop-free chain (the star basis, a dark chain) is solved by one
+    # division, without the sweep's (N - 1, K) ratio buffer, and its
+    # cavity-only callers form no mechanical amplitudes: 6.42 MB for the
+    # star route and 6.44 MB for the dark first order, against 8.50 and
+    # 8.52 MB with the sweep; the 7.1 MB bound sits between.
     cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
     steady = ol.solve_steady_state(cfg)
     w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
@@ -503,3 +528,10 @@ def test_response_builder_working_memory():
     both = _traced_peak_mb(lambda: ol.compute_spectrum(
         cfg, w, include_second_order=True, steady=steady))
     assert first <= 9.4 and both <= 23.5, (first, both)
+    star = _traced_peak_mb(lambda: ol.transmission_via_normal_modes(
+        cfg, steady, w))
+    dark = ol.standard_setup(32)
+    dark_steady = ol.solve_steady_state(dark)
+    dark_first = _traced_peak_mb(lambda: ol.compute_spectrum(
+        dark, w, include_second_order=False, steady=dark_steady))
+    assert star <= 7.1 and dark_first <= 7.1, (star, dark_first)
