@@ -159,16 +159,16 @@ def _theta_sweep(eta_frac: float, thetas, **grid) -> tuple[Spectrum, ...]:
     return bundle.spectra
 
 
-def _dark_window(n_modes: int, **setup) -> tuple[float, float, Spectrum]:
+def _dark_window(n_modes: int, **setup) -> tuple[float, float, int]:
     """The first window's fitted full width (NaN when none is found), the
-    ``predict_linewidth`` half width and the first-order spectrum of
-    ``standard_setup(n_modes, **setup)``."""
+    ``predict_linewidth`` half width and the number of windows in the
+    first-order spectrum of ``standard_setup(n_modes, **setup)``."""
     config = standard_setup(n_modes, **setup)
     steady = solve_steady_state(config)
-    spec = compute_spectrum(config, include_second_order=False, steady=steady)
-    fits = fit_linewidth(spec)
+    fits = fit_linewidth(compute_spectrum(
+        config, include_second_order=False, steady=steady))
     return (fits[0].fwhm if fits else float("nan"),
-            predict_linewidth(config, steady), spec)
+            predict_linewidth(config, steady), len(fits))
 
 
 def _fig2(out: Path) -> list[Path]:
@@ -260,18 +260,15 @@ def _fig7(out: Path) -> list[Path]:
     ``predicted_rad_s`` is ``predict_linewidth``, the half width
     ``gamma_eff``.
     """
-    written = [_spectrum_file(out / f"fig7_n{n}_broken.csv", n, _BROKEN,
-                              include_second_order=False)
-               for n in (3, 4, 5)]
-    rows = []
-    for n in range(1, 6):
-        fwhm, predicted, spec_dark = _dark_window(n)
-        broken_windows = 1
-        if n >= 2:
-            broken_windows = count_windows(compute_spectrum(
-                standard_setup(n, **_BROKEN), include_second_order=False))
-        rows.append((n, fwhm, predicted, count_windows(spec_dark),
-                     broken_windows))
+    written, broken_windows = [], {1: 1}
+    for n in range(2, 6):
+        spec = compute_spectrum(standard_setup(n, **_BROKEN),
+                                include_second_order=False)
+        broken_windows[n] = count_windows(spec)
+        if n >= 3:
+            written.append(out / f"fig7_n{n}_broken.csv")
+            write_spectrum_csv(spec, written[-1])
+    rows = [(n, *_dark_window(n), broken_windows[n]) for n in range(1, 6)]
     written.append(_table_file(
         out / "fig7_summary.csv",
         ("n_modes", "fwhm_unbroken_rad_s", "predicted_rad_s",
