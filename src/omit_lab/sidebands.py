@@ -280,7 +280,8 @@ def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
     takes a Thomas sweep.  Every chain is ``gamma*I + i*(Hermitian)``, so
     each pivot has a real part of at least ``min(gamma) > 0``: the sweep
     needs no pivoting and no singularity check.  Without hops each pivot
-    is its row of ``diag``, so the division gives the sweep's bits.
+    is its row of ``diag`` and every update subtracts a zero, so the
+    division gives the sweep's bits, up to the sign of an exact zero.
     """
     x = rhs
     if not (upper.any() or lower.any()):
@@ -376,7 +377,7 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
             f1 = f1 + 1j * np.conj(phase) * s0
         else:
             # No drive, no z and no s0; the scalar zero keeps the signed
-            # zeros of 0 - t and 0 + t below.
+            # zeros of 0 - t and 0 + t in _with_mechanics.
             z_m = z_p = 0.0
         det = d0 * d1 + 2j * delta * sigma
         a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
