@@ -277,7 +277,6 @@ class SteadyState:
     alpha: complex                # cavity amplitude
     betas: tuple[complex, ...]    # static mechanical amplitudes
     delta_eff: float              # effective detuning (rad/s)
-    converged: bool               # residual below tolerance
     iterations: int               # Newton steps on the chosen root
     residual: float               # its relative fixed-point residual
     multistable: bool             # two or more fixed points are stable
@@ -516,7 +515,6 @@ def solve_steady_state(config: SystemConfig) -> SteadyState:
         alpha=complex(alpha),
         betas=tuple(complex(b) for b in betas),
         delta_eff=delta_eff,
-        converged=True,
         iterations=found[pick][1],
         residual=found[pick][2],
         multistable=len(stable) >= 2,

@@ -757,7 +757,6 @@ def compute_spectrum(config: SystemConfig,
         "photon_number": steady.photon_number,
         "eps_pump": pump_amplitude(config),
         "eps_probe": view.eps_p,
-        "steady_converged": steady.converged,
         "steady_iterations": steady.iterations,
         "steady_residual": steady.residual,
         "multistable": steady.multistable,

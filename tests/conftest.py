@@ -90,8 +90,8 @@ def synthetic_steady(alpha: complex, delta: float,
     just self-consistent ones, so tests may probe arbitrary points.
     """
     return ol.SteadyState(alpha=complex(alpha), betas=(0j,) * n_modes,
-                          delta_eff=float(delta), converged=True,
-                          iterations=0, residual=0.0, multistable=False,
+                          delta_eff=float(delta), iterations=0,
+                          residual=0.0, multistable=False,
                           alt_delta=float(delta))
 
 

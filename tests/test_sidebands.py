@@ -153,7 +153,6 @@ def test_two_pi_periodicity_bit_identical():
 def test_spectrum_metadata_and_route_discrepancy(split_config):
     sp = ol.compute_spectrum(split_config, points=201)
     assert sp.metadata["n_modes"] == 2
-    assert sp.metadata["steady_converged"] is True
     assert sp.metadata["second_order"] is True
     assert np.nanmax(sp.route_discrepancy) < 1e-10
     assert sp.omega.shape == sp.amplitude.shape == sp.transmission.shape
