@@ -17,7 +17,10 @@ hierarchy of linear systems:
   follow by back-substitution, formed only for callers that read them;
 * order 2: the same operator evaluated at ``2*Omega``, driven by
   quadratic combinations of the first-order amplitudes, on the cavity and
-  on the mechanics.
+  on the mechanics.  The mechanical drive ``i g conj(A1p) A1m`` is
+  parallel to the coupling column ``g |alpha|``, so it folds into the
+  cavity drive and the back-substitution as one weight per frequency, and
+  the second order solves the same single column per chain as the first.
 
 Both orders go through the same solve, so both hold for any number of
 modes and return the same :class:`SidebandAmplitudes` layout.
@@ -271,57 +274,59 @@ def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
                  rhs: np.ndarray) -> None:
     """Solve one tridiagonal chain per grid point, in place.
 
-    ``diag`` is ``(N, K)``; the chains share the off-diagonals ``upper``
-    and ``lower`` (length ``N - 1``); ``rhs`` is ``(N, K, R)`` and is
+    ``diag`` and ``rhs`` are ``(N, K)``; the chains share the
+    off-diagonals ``upper`` and ``lower`` (length ``N - 1``); ``rhs`` is
     overwritten with the solution; ``diag`` is left as it was.  When every
     off-diagonal is zero -- the normal-mode (star) basis, a site chain
     with ``eta = 0`` on every link, a single mode -- the chain is diagonal
-    and the block is divided by ``diag`` in one step; any other chain
-    takes a Thomas sweep.  Every chain is ``gamma*I + i*(Hermitian)``, so
-    each pivot has a real part of at least ``min(gamma) > 0``: the sweep
-    needs no pivoting and no singularity check.  Without hops each pivot
-    is its row of ``diag`` and every update subtracts a zero, so the
-    division gives the sweep's bits, up to the sign of an exact zero.
+    and ``rhs`` is divided by ``diag`` in one step; any other chain takes
+    a Thomas sweep.  Every chain is ``gamma*I + i*(Hermitian)``, so each
+    pivot has a real part of at least ``min(gamma) > 0``: the sweep needs
+    no pivoting and no singularity check.  Without hops each pivot is its
+    row of ``diag`` and every update subtracts a zero, so the division
+    gives the sweep's bits, up to the sign of an exact zero.
     """
     x = rhs
     if not (upper.any() or lower.any()):
-        x /= diag[:, :, None]
+        x /= diag
         return
     ratio = np.empty((len(upper),) + diag.shape[1:], dtype=complex)
     pivot = diag[0]
-    x[0] /= pivot[:, None]
+    x[0] /= pivot
     for l in range(1, len(diag)):
         ratio[l - 1] = upper[l - 1] / pivot
         pivot = diag[l] - lower[l - 1] * ratio[l - 1]
         x[l] -= lower[l - 1] * x[l - 1]
-        x[l] /= pivot[:, None]
+        x[l] /= pivot
     for l in range(len(diag) - 2, -1, -1):
-        x[l] -= ratio[l][:, None] * x[l + 1]
+        x[l] -= ratio[l] * x[l + 1]
 
 
 def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
                        frequencies: np.ndarray, hop: np.ndarray,
                        coupling: np.ndarray, phase: complex, w: np.ndarray,
                        order: int, cavity_rhs: tuple,
-                       mech_drive: np.ndarray | None = None,
+                       m: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, ...]:
     """Solve one order of the sideband hierarchy at ``v = order * w``.
 
     The mechanics see the cavity only through ``X = conj(p) A- + p
     conj(A+)``, with ``p`` the pump phase, weighted by the coupling vector
     ``u`` (``g_l |alpha|`` on the sites, the complex ``c_k`` in the
-    normal-mode star basis).  The mechanical sidebands obey the chains ::
+    normal-mode star basis).  A mechanical drive ``d = i m u`` parallel to
+    ``u``, with one weight ``m`` per grid point, enters as a shift of
+    ``X``.  The mechanical sidebands obey the chains ::
 
-        M- B- = -d - i u X,              M- = gamma + i(H - v)
-        M+ conj(B+) = d + i conj(u) X,   M+ = gamma - i(conj(H) + v)
+        M- B- = -i u (X + m),              M- = gamma + i(H - v)
+        M+ conj(B+) = i conj(u) (X + m),   M+ = gamma - i(conj(H) + v)
 
     where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
     ``hop`` above it).  One :func:`_chain_solve` per chain (a division
-    when ``hop`` is all zero) gives the self-energy ``sigma = u^T M+^-1
-    conj(u) - u^H M-^-1 u``, which leaves a 2x2 cavity system per grid
-    point.  ``cavity_rhs`` drives ``(A-, conj(A+))`` and the ``(N, K)``
-    array ``mech_drive = d`` the two chains.  Only ``d`` is held: its
-    negation is written straight into the first chain's block.
+    when ``hop`` is all zero) of the single column ``u`` gives ``y- =
+    M-^-1 u``, ``y+ = M+^-1 conj(u)`` and the self-energy ``sigma = u^T
+    y+ - u^H y-``, which leaves a 2x2 cavity system per grid point.
+    ``cavity_rhs`` drives ``(A-, conj(A+))``; the optional ``(K,)`` weight
+    ``m`` adds ``(p m sigma, -conj(p) m sigma)`` to it.
 
     Returns ``(A-, conj(A+), chains)``.  The mechanical amplitudes are not
     formed here: a caller that reads them passes the whole triple to
@@ -334,23 +339,15 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         finite at some grid point.
     """
     v = order * w
-    # One (N, K, R) block per chain, solved in place: column 0 answers the
-    # cavity coupling, column 1 the mechanical drive.  The block layout is
-    # part of the numbers: ``@`` contracts a strided operand with numpy's
-    # own loop and a contiguous one with BLAS, which round differently, so
-    # solving into (R, N, K) blocks would move the second order's last bits.
-    shape = (len(frequencies), len(w), 1 if mech_drive is None else 2)
-    sol_m = np.empty(shape, dtype=complex)
-    sol_p = np.empty(shape, dtype=complex)
-    sol_m[:, :, 0] = coupling[:, None]
-    sol_p[:, :, 0] = np.conj(coupling)[:, None]
-    if mech_drive is not None:
-        np.negative(mech_drive, out=sol_m[:, :, 1])
-        sol_p[:, :, 1] = mech_drive
+    shape = (len(frequencies), len(w))
+    y_m = np.empty(shape, dtype=complex)
+    y_p = np.empty(shape, dtype=complex)
+    y_m[...] = coupling[:, None]
+    y_p[...] = np.conj(coupling)[:, None]
     # Both chains share one diagonal buffer, gamma + i(omega - v) and then
     # gamma - i(omega + v), its imaginary part formed as 0 - (omega + v) so
     # that an exact zero comes out +0, as complex subtraction gives it.
-    diag = np.empty(shape[:2], dtype=complex)
+    diag = np.empty(shape, dtype=complex)
     diag.real = damping[:, None]
     d0 = kappa + 1j * (delta - v)
     d1 = kappa - 1j * (delta + v)
@@ -358,34 +355,27 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
     # amplitudes, reported once below.
     with np.errstate(all="ignore"):
         np.subtract(frequencies[:, None], v, out=diag.imag)
-        _chain_solve(diag, 1j * hop, 1j * np.conj(hop), sol_m)
+        _chain_solve(diag, 1j * hop, 1j * np.conj(hop), y_m)
         np.add(frequencies[:, None], v, out=diag.imag)
         np.subtract(0.0, diag.imag, out=diag.imag)
-        _chain_solve(diag, -1j * np.conj(hop), -1j * hop, sol_p)
-        del diag  # freed before the z copies below
-        # y: response to the cavity coupling; z: to the mechanical drive,
-        # copied contiguous so that ``@`` contracts it with BLAS (see the
-        # block layout above).
-        y_m, y_p = sol_m[:, :, 0], sol_p[:, :, 0]
+        _chain_solve(diag, -1j * np.conj(hop), -1j * hop, y_p)
+        del diag  # freed before the cavity solve's temporaries
         sigma = coupling @ y_p - np.conj(coupling) @ y_m
         f0, f1 = cavity_rhs
-        if mech_drive is not None:
-            z_m = np.ascontiguousarray(sol_m[:, :, 1])
-            z_p = np.ascontiguousarray(sol_p[:, :, 1])
-            s0 = np.conj(coupling) @ z_m + coupling @ z_p
-            f0 = f0 - 1j * phase * s0
-            f1 = f1 + 1j * np.conj(phase) * s0
-        else:
-            # No drive, no z and no s0; the scalar zero keeps the signed
-            # zeros of 0 - t and 0 + t in _with_mechanics.
-            z_m = z_p = 0.0
+        if m is not None:
+            m_sigma = m * sigma
+            f0 = f0 + phase * m_sigma
+            f1 = f1 - np.conj(phase) * m_sigma
         det = d0 * d1 + 2j * delta * sigma
         a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
         a_plus_conj = ((d0 - sigma) * f1
                        - sigma * np.conj(phase) ** 2 * f0) / det
-        ix = 1j * (np.conj(phase) * a_minus + phase * a_plus_conj)
+        x = np.conj(phase) * a_minus + phase * a_plus_conj
+        # Without a drive X stays as it is: adding a zero m would turn the
+        # signed zeros of the first order's mechanics.
+        ix = 1j * (x if m is None else x + m)
         _require_finite(np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
-    return a_minus, a_plus_conj, (w, ix, y_m, y_p, z_m, z_p)
+    return a_minus, a_plus_conj, (w, ix, y_m, y_p)
 
 
 def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
@@ -394,15 +384,16 @@ def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
 
     Raises SingularSystemError where a mechanical amplitude is not finite.
     """
-    a_minus, a_plus_conj, (w, ix, y_m, y_p, z_m, z_p) = response
-    # B- = z- - (i X) y- and conj(B+) = z+ + (i X) y+, formed over y.
-    # The operand order (i X) * y matters: complex products do not
-    # commute bit for bit, and ``y *= ix`` rounds differently.
+    a_minus, a_plus_conj, (w, ix, y_m, y_p) = response
+    # B- = 0 - (i (X + m)) y- and conj(B+) = 0 + (i (X + m)) y+, formed
+    # over y.  The zero terms keep the signs of exact zeros, and the
+    # operand order (i X) * y matters: complex products do not commute bit
+    # for bit, and ``y *= ix`` rounds differently.
     with np.errstate(all="ignore"):
         b_minus = np.multiply(ix, y_m, out=y_m)
-        np.subtract(z_m, b_minus, out=b_minus)
+        np.subtract(0.0, b_minus, out=b_minus)
         b_plus_conj = np.multiply(ix, y_p, out=y_p)
-        np.add(z_p, b_plus_conj, out=b_plus_conj)
+        np.add(0.0, b_plus_conj, out=b_plus_conj)
     _require_finite(np.isfinite(b_minus).all(axis=0)
                     & np.isfinite(b_plus_conj).all(axis=0), w)
     return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
@@ -422,12 +413,12 @@ def _pump_phase(alpha: complex) -> complex:
 
 
 def _site_response(view: _View, w: np.ndarray, order: int,
-                   cavity_rhs: tuple, mech_drive=None) -> tuple:
+                   cavity_rhs: tuple, m=None) -> tuple:
     """:func:`_sideband_response` for the site-basis chain of ``view``."""
     return _sideband_response(
         view.kappa, view.delta, view.gamma, view.omega,
         view.eta * np.exp(1j * view.theta), view.g * abs(view.alpha),
-        _pump_phase(view.alpha), w, order, cavity_rhs, mech_drive)
+        _pump_phase(view.alpha), w, order, cavity_rhs, m)
 
 
 def _first_order_raw(view: _View, w: np.ndarray) -> tuple:
@@ -441,9 +432,11 @@ def _second_order_raw(view: _View, w: np.ndarray,
     a1m, a1pc, b1m, b1pc = x1
     # Mechanical back-action sum S1 = sum_l g_l (B_l- + conj(B_l+)).
     s1 = (b1m + b1pc) @ view.g
-    drive = 1j * np.outer(view.g, a1pc * a1m)
-    return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1),
-                          drive)
+    # The mechanical drive i g conj(A1+) A1- is i m u with u = g |alpha|.
+    # With the pump off u = 0 and A1+ = 0, so m is 0 rather than 0/0.
+    size = abs(view.alpha)
+    m = a1pc * a1m / size if size > 0.0 else np.zeros_like(a1m)
+    return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1), m)
 
 
 def _amplitudes(parts: tuple[np.ndarray, ...],

@@ -139,9 +139,9 @@ def test_site_and_normal_mode_bases_agree():
         assert np.max(np.abs(site - star)) <= 1e-10 * np.max(np.abs(site))
 
 
-def test_bases_agree_with_the_pump_off():
-    # No pump leaves no intracavity field to take a phase from: both
-    # bases take phase 1 and return the bare-cavity response.
+def _pump_off_chain():
+    """A broken four-mode chain with the pump off and the probe set by
+    power; its steady state and a 41-point grid."""
     base = _chain(4, math.pi / 2)
     cfg = ol.SystemConfig(
         cavity=base.cavity, modes=base.modes, couplings=base.couplings,
@@ -149,7 +149,13 @@ def test_bases_agree_with_the_pump_off():
                            power_probe=1e-6))
     st = ol.solve_steady_state(cfg)
     assert st.alpha == 0.0
-    w = np.linspace(0.85, 1.15, 41) * cfg.omega_ref
+    return cfg, st, np.linspace(0.85, 1.15, 41) * cfg.omega_ref
+
+
+def test_bases_agree_with_the_pump_off():
+    # No pump leaves no intracavity field to take a phase from: both
+    # bases take phase 1 and return the bare-cavity response.
+    cfg, st, w = _pump_off_chain()
     site = ol.compute_spectrum(cfg, w, include_second_order=False,
                                steady=st).amplitude
     star = ol.transmission_via_normal_modes(cfg, st, w)
@@ -157,6 +163,21 @@ def test_bases_agree_with_the_pump_off():
     kap, delta = cfg.cavity.kappa, st.delta_eff
     bare = 1.0 - kap / (kap + 1j * (delta - w))
     assert np.allclose(site, bare, rtol=1e-12, atol=0)
+
+
+def test_second_order_vanishes_with_the_pump_off():
+    # The second order's mechanical drive i g conj(A1+) A1- is folded
+    # into the coupling column g |alpha| by the weight conj(A1+) A1- /
+    # |alpha|.  With the pump off both the column and A1+ vanish, so the
+    # weight is 0 rather than 0/0, and nothing is mixed up to 2 Omega.
+    cfg, st, w = _pump_off_chain()
+    spectrum = ol.compute_spectrum(cfg, w, include_second_order=True,
+                                   steady=st)
+    assert np.all(spectrum.efficiency_percent == 0.0)
+    second = ol.solve_second_order(cfg, st, w)
+    for amplitude in (second.a_minus, second.a_plus_conj, second.b_minus,
+                      second.b_plus_conj):
+        assert np.all(amplitude == 0.0)
 
 
 @pytest.mark.parametrize("grid, probe_ratio", [

@@ -507,18 +507,19 @@ def _traced_peak_mb(fn) -> float:
 
 
 def test_response_builder_working_memory():
-    # The chain solves work in place over the right-hand-side blocks, so
-    # a spectrum holds about 4.2 (N, K) complex arrays at its peak with
-    # the first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB)
-    # and 9.7 with the second order (19.89 MB).  The bounds leave 10 % and
-    # 18 % of margin.  Holding the mechanical drive twice, as (-d, d),
-    # reads 21.93 MB; solving on a copy of the blocks 10.57 / 25.58 MB,
-    # and a builder that keeps its temporaries 19.28 / 36.21 MB.  A
-    # hop-free chain (the star basis, a dark chain) is solved by one
-    # division, without the sweep's (N - 1, K) ratio buffer, and its
-    # cavity-only callers form no mechanical amplitudes: 6.42 MB for the
-    # star route and 6.44 MB for the dark first order, against 8.50 and
-    # 8.52 MB with the sweep; the 7.1 MB bound sits between.
+    # The chain solves work in place over the coupling column, so a
+    # spectrum holds about 4.2 (N, K) complex arrays at its peak with the
+    # first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB) and
+    # 6.5 with the second order (13.23 MB), whose mechanical drive folds
+    # into that column.  The bounds leave 10 % and 17 % of margin.
+    # Solving the drive as a second column of each chain's block read
+    # 19.82 MB; solving the first order on a copy of the blocks 10.57 MB,
+    # and a builder that keeps its temporaries 19.28 MB.  A hop-free
+    # chain (the star basis, a dark chain) is solved by one division,
+    # without the sweep's (N - 1, K) ratio buffer, and its cavity-only
+    # callers form no mechanical amplitudes: 6.42 MB for the star route
+    # and 6.44 MB for the dark first order, against 8.50 and 8.52 MB with
+    # the sweep; the 7.1 MB bound sits between.
     cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
     steady = ol.solve_steady_state(cfg)
     w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
@@ -526,7 +527,7 @@ def test_response_builder_working_memory():
         cfg, w, include_second_order=False, steady=steady))
     both = _traced_peak_mb(lambda: ol.compute_spectrum(
         cfg, w, include_second_order=True, steady=steady))
-    assert first <= 9.4 and both <= 23.5, (first, both)
+    assert first <= 9.4 and both <= 15.5, (first, both)
     star = _traced_peak_mb(lambda: ol.transmission_via_normal_modes(
         cfg, steady, w))
     dark = ol.standard_setup(32)
