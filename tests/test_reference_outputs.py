@@ -48,15 +48,15 @@ CLI_PINS = {
         "fig2_linewidth_vs_power.csv":
             "9ce46cc5552e736e029fcd2107c24f82dd516071ce4f7188a4f293adc66ebf24",
         "fig2_spectrum_standard.csv":
-            "bd7eafd4ddcedfefb23ac83a740906063d59c5a4967c61850b81ca8c24a94029",
+            "b0024222c712b05bd411d1d566fa2da7449186ef9677b1001d36b7a22c6a0d18",
         "fig2_spectrum_two_mode.csv":
-            "c1e228c85def3de2447e87184de49ad15170686cced60960fe789f756ccbc1a7",
+            "b4f5d22967ef0dad75fad11db38136e96940727143718f1b15dc4678d2e910e9",
     },
     "omit-lab figure fig3": {
         "fig3_unbroken.csv":
-            "c1e228c85def3de2447e87184de49ad15170686cced60960fe789f756ccbc1a7",
+            "b4f5d22967ef0dad75fad11db38136e96940727143718f1b15dc4678d2e910e9",
         "fig3_broken.csv":
-            "c75b515fcc0d6f56c0842950d0484ff20814e35ef309284ad879a8b40816e38e",
+            "9acb068f795d0b20e1d0e3f788139649d8c4c07183a6a6c741cca9ec987bf86f",
     },
     "omit-lab figure fig4": {
         "fig4_theta_0p0pi.csv":
@@ -70,11 +70,11 @@ CLI_PINS = {
     },
     "omit-lab figure fig5": {
         "fig5_theta_0p0pi.csv":
-            "dd5cbe379a899a868542bcfde0e34247c7ef6204325356f32e89f1757e343482",
+            "7cdd42fea1e0c8d35169c5fa3ffd98fdcde3f219159d4039911c3e3ca00f4e27",
         "fig5_theta_1p0pi.csv":
-            "c85f0e9480fda90f117d8c7137e2f72ef56f06c4da2b8c966ec86810d21f7880",
+            "1e2831d8d18b963951fb1c5f9e8a91f47f9223604ff20c9589a3cc877d999370",
         "fig5_max_efficiency_vs_theta.csv":
-            "2539e4170a53a12e1562bc06d942c96b47fba46ba6fd6772fad26d99c1d57b73",
+            "9049778c361f4769b1d8fb3a9c92aa0aa035759ecddd088dde835adb4b9c7a70",
     },
     "omit-lab figure fig6": {
         "fig6_spectrum_broken.csv":
@@ -94,16 +94,16 @@ CLI_PINS = {
     },
     f"omit-lab spectrum --config {SPLIT}": {
         "stdout":
-            "c75b515fcc0d6f56c0842950d0484ff20814e35ef309284ad879a8b40816e38e",
+            "9acb068f795d0b20e1d0e3f788139649d8c4c07183a6a6c741cca9ec987bf86f",
     },
     f"omit-lab spectrum --config {SPLIT} --format json": {
         "stdout":
-            "c300d19266338d9d989db99bd2526b573fa571842aa50135f194e040f5693679",
+            "84157dc1b6908f24548a68f483b7d420f1770c0c971f0e6492353133b32d9215",
     },
     f"omit-lab sweep --config {SPLIT} --param theta_pi_units "
     "--range 0:2:61 --lock-delta 1.0": {
         "manifest.json":
-            "afe90c8631ba3b132bfdde0a4222d1542a43753d6f36470314c57d555f49f609",
+            "5321d2914657a1831c46837460e3f5b7c4da341935e40277eac7e7887d9b5557",
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":
@@ -154,13 +154,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fde347c0f3dc5eb736356a33f2aff8dd8686a6e743e5b831d732cd9292894412",
         "A2-":
-            "154a399b5676df03a5b4669db315a90082a08dedb5e151f81cf040712a3f6c59",
+            "a2d6d86ffd773c62f22ed4486f9c2dbfb19fb1b363f04ce39dab1f2ca9ff51eb",
         "conj(A2+)":
-            "3d5d855f9c92c397f729c9cd3993efe548b03dd36171700a49db3d14eeb6e692",
+            "627ec67c182f73eaa1846ec4c329503e4396fe3b246aac5eb0e2aebb61766304",
         "B2-":
-            "160f18e0680edbb894be3bcd7df9972b3a3e715d6b89a6f91f23147d7e0189cb",
+            "826dd998d6857ac38e4f57490552f86ab16628c00d44ff84f223876305b2c7b9",
         "conj(B2+)":
-            "9fded30ae37ba1258557b586807d4bae47fba5af9d0257ee27bf9b3e0f6c99cf",
+            "de1d7075e4952ad541072985c119249e022c4199ded6b7494eb58d5073e8afc3",
         "spectrum t_p":
             "ba3a0cfb57518b5468d6f3eb5f012e311dffc357067e45ff980c295ff8dd8ae0",
     },
@@ -174,13 +174,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fd37cf3a1e05f98b27395abc16f9f3101b214a122a5f8103bade9e9d9bbda60b",
         "A2-":
-            "7df0238ad9b27b14123cb896d4cda6d4583a64a7b28e22aec6d2e10d1e9a5023",
+            "059ba16e9bd035e7174537872beffd7273cdc60e6b12389561b2f56f2ce368ac",
         "conj(A2+)":
-            "ccf0d191ee33a2f34bf38e2723778e509922f3ebaf3d83a72109f6c5cd7d83a5",
+            "523ef31c0e47474792b3d075ab02fd9f059a8ae8c45932d4f16c965d08fc3133",
         "B2-":
-            "6f7eeba0bdbf6609bfe5c3620722d663cb6018217fc49e5c9e96b0755f506a54",
+            "e18381773b6489fa45724dd487cef8ee1cbdee26c22f844b9fea7acd0e89b703",
         "conj(B2+)":
-            "189968f869e153066e2601184e2859dc363141e8308b95c1ae09b072625388fd",
+            "0fdebfb0dac5f98bc7bc2734f3878f307551fbeddebd807784a4da16ff460614",
         "spectrum t_p":
             "77aaef633ef5b52257be5daf2ee4831e18f684f88b38f6145719314e43daebe9",
         "star t_p":
@@ -196,13 +196,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "9d71acc1e426e82c76e6bec69b503aa67707f55ae415451f067f416836099d8a",
         "A2-":
-            "3792b0004f437934ff787a077513bec396efaec1255e42580d8192c3b5371aec",
+            "b6bf72d72acdfa99c57cef9ddb5d8466015293923d4b3582269b7f1887630921",
         "conj(A2+)":
-            "2b7748eb52cd3e7a669a37a60d1e32ad003e93600538ece0384a3e76e8c256da",
+            "28ed26dafca740793787530aba37fd79277f6f1da5cd41847ca5d3c94048cded",
         "B2-":
-            "6bf667384e35fbddf6a6b16d9011eaf10a7571db67b6c48c9764e88dc3a01aaf",
+            "75d3a5cb0fb29127a7fe94a1b10d10b6fb4e23c9ed4cca491d847a4a20321230",
         "conj(B2+)":
-            "81f2648a43f5e3f0ee59ab53e9e840fa3b4b9365cb8c18ebb72ac20805704fc7",
+            "e0fe4119a25b741d73e4e1606ff6f344b3ec6bedcc6ef91cd0ae79b11f5d01fb",
         "spectrum t_p":
             "7dad1b654ba41e62930c7755d4ea25d78225e6c035dd08555c041bc2ecb99c7e",
         "star t_p":
@@ -218,13 +218,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "cf9b4de1d2133bdf348c07a87542551b47ad99b3c957610812cd73cde2912b12",
         "A2-":
-            "fc5241e407bd90f98b7fb9432d93f968fc2f29e9a9b2ba26d5775066c56d9701",
+            "11a8625f99781bb3633dd0c731bc8f139c02fcf6687723106aa9aca1cadcd4cf",
         "conj(A2+)":
-            "bf3f47d46680a1fb7798d6d597641b5197234cecd6ac36de49fd00f791431ed3",
+            "eafd00113ad8f10d9534b29dff67ef94aeb757aa9787c1776b483a14c3bf6e8a",
         "B2-":
-            "c04b1be1610d6b21c54a0b8d609a7de950daaf66da183264c960ccc4b462a082",
+            "6688322154331928a11ce40413b7f1a34c6a5f5c1ecdd688f23f3880aad05ce6",
         "conj(B2+)":
-            "9162f146e7d7a49dab138455d78df366ef30a502bfdb63dedf32a7c13051f4f5",
+            "514f1efab11a0c23a62197ed61674fdb36bd5871cd8f39933945a20f60bc3730",
         "spectrum t_p":
             "3fae663d1910c2d985c31c2ce020b8d5440c4b163f6e898eaece148178a59902",
         "star t_p":
@@ -240,13 +240,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "92894b919d308c2094bdc1c74d0203ead161db80907e35cc558a10e59efe8072",
         "A2-":
-            "08aab834d6595d3c243592a56a5e11b8d2228496e76ea870037f9ab0366b7125",
+            "f48030b5fcd71506c06ffed93fffd58919c5f6245610fd3dfd49f76f257737f3",
         "conj(A2+)":
-            "4aacd11d82db8770678506ebca0e4bfe5e2db78fd37f688f587957f9513cac3b",
+            "81eaeddc6c933b5eb657b0f9baa640c19b50d6352a9fc165250db2b6c3d09efe",
         "B2-":
-            "a0be2f7cc5ea0c5b81569e0bcd7ea4c5fe5d0875199c6bc3b83103b1b8f7603f",
+            "95f6ba6ea394b280c4f07e3b4b52461f3a1d1bf87c8fa1208f9deee9cb1d2e78",
         "conj(B2+)":
-            "b5e81447974a1c1b791fccfdcb2f4ce1ddcbf891ce754e5888de9c2d0b0720a2",
+            "bb724b3e59ad6c3dbe76b8c838b147b02e0b5325124c18e7a7e185d0b705feaa",
         "spectrum t_p":
             "b9386a7caf0d04b86e184737b43565d246ce3c587bcd38f1a7a976863bf4c24a",
         "star t_p":
@@ -262,13 +262,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "6308875de6e9e6b9c847220402e1bbadfb7de14fca3d988050d0616c34a39e38",
         "A2-":
-            "3984ecfc86cb746f5faf4fde176aa8dc19aefe97a052b070641c3cd70408cab2",
+            "6c96952be9a6c4385be9486b079450c8494e6e94ba5b970bae5888316f883b71",
         "conj(A2+)":
-            "8429c6cfa9ca064dc3b575dcee79b32fc3d311f12fd9bd0d025f9ba88c415931",
+            "f8f6e295dc6c647983d6088a3ff7b2837eab4ea4a8c49314709af20bae608ac6",
         "B2-":
-            "ffa9fa1fea98cc4cf0f97be69a39996717deba6e62c541bcf5e0caac222b13d1",
+            "d0448c23c0500af41186bfaf4bf138f286f8d4b644ffd57ca5304ed438103eb3",
         "conj(B2+)":
-            "ec586c84b396e597eef7d5204e2f95ab1285e4fa39199b0e4b0816b6021785fd",
+            "9990ccb24873f50e8413c5e51e39502eb3110d77e130b5860a71bd2d327a5ae2",
         "spectrum t_p":
             "83b2799b3c87741df921cc034c8f381534962188801cd1d189b47f1d926aac12",
         "star t_p":
@@ -284,13 +284,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "29862e1c9739de01ade9f578a088201b1d321f46f48e991e817c42f4a3e4f06c",
         "A2-":
-            "d206ad5834f1935360fad74c8acc933d8c5eecf2cec51b9f9965027d91a51907",
+            "0dea675353ddc3fdc9debe7b71565db95564c0b9012a20e59f7acdc4ef0140a7",
         "conj(A2+)":
-            "28516e7bff5f7fe6293261a1d8645458f3125b179613357c8b0aa7d58133ede7",
+            "182f8734a2870459c1669f67a36be4c3ff61183d7afba6271be5e978250af845",
         "B2-":
-            "742ad58f2501d2f4bc17e99a424c877979be2fd562cce5fdf2508d971549a6ae",
+            "e775bd9fd191fffe8da8154c32c1311c7e90556c196745bf06d47ef9f35d1f51",
         "conj(B2+)":
-            "be92d64da4d217f76fc0c6d3995e7ee71ac8457f14fc98ab6b1be080668bf6a5",
+            "dd72ba93231555e548681654f9abedb1ba401a000df670d7cf8bed9c4eab8bb7",
         "spectrum t_p":
             "729bd3d21b7c21be99558d840bfd038942fb0671f7cc59c3e9adf2d17efeadb0",
         "star t_p":
@@ -306,13 +306,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fe3bf205e2c576f58e79231e5017d8e8f7906e5fca22961b7c4b544d1a85098a",
         "A2-":
-            "ef186b4e9328ede3a8dd2f807795733dbf35c0810deadef2d87145fee5315379",
+            "58e996b139d2c5708905c24522a17c1206f1013c1f2a9fa29e4973d1699ed6ad",
         "conj(A2+)":
-            "66594f5c27b1d22075ffa098516b2a0b651dc3be1ea2e1ea402388b5151642c0",
+            "0536e04710bc3af56514cf2661ae2a6c18a10eb7eb3dbf517514eddc81dbefec",
         "B2-":
-            "ebbd917de1725f2f433a53632727c18b9ed5e8dae8c47f2f4ec5f815e2fb0bc2",
+            "b858e7baef670b5775f7249624290ecab262f3ac4acf8ae7d1e937a54a49adbe",
         "conj(B2+)":
-            "e2a138fbf9b84ffceb079e865b6b311643fccfa24e6b8aed75075001d926e1ac",
+            "587cc10f9046229ca915171464abd57441ea215dfc964d9e3ac1ffcf83fe1251",
         "spectrum t_p":
             "e95ccbb6fc35fed21278dd87b24e73b79f75268c2ac4e4cd8b195b983cde8c48",
         "star t_p":
@@ -328,13 +328,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "99c4e4fb898dd318240c07f21268768d0d21a2d49ac6572698f8f325fb4ac27a",
         "A2-":
-            "5e64ca7b113b57e049aa71d46491c1a38ba22b3b377688e60dce9113a02f1630",
+            "62b5563248a2a00cacd453dcf4119cb86bf42e5f6f64c17bc48aafa942f00e16",
         "conj(A2+)":
-            "6d3299372fec765e40d0d2349dbbc1ce231786a291a234fbe177724a7f609e12",
+            "26f4710c44e1220a22cb515a624e2e2e6a13b52d4fc987cd93342566e6b1c56e",
         "B2-":
-            "6af57a4a31e1c7a99b5621d9085b095a009ed81dc70d760b97f9628c3f21832b",
+            "b5bbd8558d269a56492dbe3b54a4bcd3c06a44c1f4445e969857049a6a1169b9",
         "conj(B2+)":
-            "04e21b69eb1e83b06154538b8a8c751adbb3bfe9feaace6e167c7fdc770b3301",
+            "0b6ce5b8b29f326d04d033ecfb4a104c0c522a676d81a5f07f51d114cdec96a8",
         "spectrum t_p":
             "fcd869bc2fa0a900f0cd3f824e68e634bdd0f83e06c2b1c37be12403e48e40cf",
         "star t_p":
