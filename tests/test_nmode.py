@@ -139,9 +139,12 @@ def test_site_and_normal_mode_bases_agree():
         assert np.max(np.abs(site - star)) <= 1e-10 * np.max(np.abs(site))
 
 
-def _pump_off_chain():
-    """A broken four-mode chain with the pump off and the probe set by
-    power; its steady state and a 41-point grid."""
+def test_bases_agree_with_the_pump_off():
+    # No pump leaves no intracavity field to take a phase from: both
+    # bases take phase 1 and return the bare-cavity response.  Nothing is
+    # mixed up to 2 Omega either: the second order folds its mechanical
+    # drive into the coupling column g |alpha| with the weight conj(A1+)
+    # A1- / |alpha|, which is 0 here, not 0/0.
     base = _chain(4, math.pi / 2)
     cfg = ol.SystemConfig(
         cavity=base.cavity, modes=base.modes, couplings=base.couplings,
@@ -149,13 +152,7 @@ def _pump_off_chain():
                            power_probe=1e-6))
     st = ol.solve_steady_state(cfg)
     assert st.alpha == 0.0
-    return cfg, st, np.linspace(0.85, 1.15, 41) * cfg.omega_ref
-
-
-def test_bases_agree_with_the_pump_off():
-    # No pump leaves no intracavity field to take a phase from: both
-    # bases take phase 1 and return the bare-cavity response.
-    cfg, st, w = _pump_off_chain()
+    w = np.linspace(0.85, 1.15, 41) * cfg.omega_ref
     site = ol.compute_spectrum(cfg, w, include_second_order=False,
                                steady=st).amplitude
     star = ol.transmission_via_normal_modes(cfg, st, w)
@@ -163,14 +160,6 @@ def test_bases_agree_with_the_pump_off():
     kap, delta = cfg.cavity.kappa, st.delta_eff
     bare = 1.0 - kap / (kap + 1j * (delta - w))
     assert np.allclose(site, bare, rtol=1e-12, atol=0)
-
-
-def test_second_order_vanishes_with_the_pump_off():
-    # The second order's mechanical drive i g conj(A1+) A1- is folded
-    # into the coupling column g |alpha| by the weight conj(A1+) A1- /
-    # |alpha|.  With the pump off both the column and A1+ vanish, so the
-    # weight is 0 rather than 0/0, and nothing is mixed up to 2 Omega.
-    cfg, st, w = _pump_off_chain()
     spectrum = ol.compute_spectrum(cfg, w, include_second_order=True,
                                    steady=st)
     assert np.all(spectrum.efficiency_percent == 0.0)
