@@ -228,6 +228,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
+_NODES = C.tolist()
 
 
 def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
@@ -254,12 +255,13 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
         The span of each accepted step, the state ``y`` at its end (a new
         array each step) and its dense output: ``dense(times)`` returns
         the solution at ``times`` in ``[t_old, t]`` as an ndarray of shape
-        ``(n, len(times))``.  It evaluates the interpolant's three extra
-        stages when called, so a step nobody samples costs none; call it
-        before advancing the generator, which reuses the step's storage.
-        Stopping early (closing the generator, or raising from the loop
-        that consumes it) is fine: the steps already taken do not depend
-        on ``t_final``, only the last one is shortened to end on it.
+        ``(n, len(times))``.  It holds the step's own state and a copy of
+        its stages, so it stays valid after the generator has moved on,
+        and evaluates the interpolant's three extra stages when called:
+        a step nobody samples costs none.  Stopping early (closing the
+        generator, or raising from the loop that consumes it) is fine:
+        the steps already taken do not depend on ``t_final``, only the
+        last one is shortened to end on it.
 
     Raises
     ------
@@ -271,9 +273,8 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
     k_ext = np.empty((_N_EXT, n))
     k = k_ext[:_N_STAGES + 1]
     # k_t[s] is the transpose of the first s stages, rows[s] row s of A.
-    k_t = [k_ext[:s].T for s in range(_N_EXT)]
-    rows = [A[s, :s] for s in range(_N_EXT)]
-    nodes = C.tolist()
+    k_t = [k_ext[:s].T for s in range(_N_STAGES + 2)]
+    rows = [A[s, :s] for s in range(_N_STAGES)]
     t = 0.0
     f = fun(t, y)
     h_abs = first_step
@@ -294,7 +295,7 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
 
             k[0] = f
             for s in range(1, _N_STAGES):
-                k[s] = fun(t + nodes[s] * h,
+                k[s] = fun(t + _NODES[s] * h,
                            y + np.dot(k_t[s], rows[s]) * h)
             y_new = y + h * np.dot(k_t[_N_STAGES], B)
             f_new = fun(t + h, y_new)
@@ -326,29 +327,38 @@ def dop853_steps(fun, y0: np.ndarray, t_final: float, *,
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
             rejected = True
 
-        t_old, y_old, f_old = t, y, f
+        yield t, t_new, y_new, _dense_output(fun, t, y, f, t_new, y_new,
+                                             f_new, k_ext.copy())
         t, y, f = t_new, y_new, f_new
 
-        def dense(times: np.ndarray) -> np.ndarray:
-            # Three more stages, then the interpolant
-            # sum_j F_j x^ceil(j/2) (1 - x)^floor(j/2) in Horner form.
-            for s in range(_N_STAGES + 1, _N_EXT):
-                k_ext[s] = fun(t_old + nodes[s] * h,
-                               y_old + np.dot(k_t[s], rows[s]) * h)
-            dy = y - y_old
-            coeffs = np.empty((_N_DENSE, n))
-            coeffs[0] = dy
-            coeffs[1] = h * f_old - dy
-            coeffs[2] = 2 * dy - h * (f + f_old)
-            coeffs[3:] = h * np.dot(D, k_ext)
-            x = ((times - t_old) / (t - t_old))[:, None]
-            x_rest = 1 - x
-            out = np.zeros((len(times), n))
-            for j, c in enumerate(coeffs[::-1]):
-                out += c
-                out *= x if j % 2 == 0 else x_rest
-            out += y_old
-            return out.T
 
-        yield t_old, t, y, dense
+def _dense_output(fun, t_old: float, y_old: np.ndarray, f_old: np.ndarray,
+                  t: float, y: np.ndarray, f: np.ndarray, k_ext: np.ndarray):
+    """The dense output of the step from ``t_old`` to ``t``.  ``k_ext``
+    holds the step's thirteen stages in rows 0-12; the output owns it and
+    fills rows 13-15 when called."""
+    h = t - t_old
+    n = y.size
 
+    def dense(times: np.ndarray) -> np.ndarray:
+        # Three more stages, then the interpolant
+        # sum_j F_j x^ceil(j/2) (1 - x)^floor(j/2) in Horner form.
+        for s in range(_N_STAGES + 1, _N_EXT):
+            k_ext[s] = fun(t_old + _NODES[s] * h,
+                           y_old + np.dot(k_ext[:s].T, A[s, :s]) * h)
+        dy = y - y_old
+        coeffs = np.empty((_N_DENSE, n))
+        coeffs[0] = dy
+        coeffs[1] = h * f_old - dy
+        coeffs[2] = 2 * dy - h * (f + f_old)
+        coeffs[3:] = h * np.dot(D, k_ext)
+        x = ((times - t_old) / h)[:, None]
+        x_rest = 1 - x
+        out = np.zeros((len(times), n))
+        for j, c in enumerate(coeffs[::-1]):
+            out += c
+            out *= x if j % 2 == 0 else x_rest
+        out += y_old
+        return out.T
+
+    return dense

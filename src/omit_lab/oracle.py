@@ -29,8 +29,10 @@ periods, or thousands.  :func:`sideband_closure` does not wait.  It
 solves ``x(T; x) = x`` for the orbit's start by chord-Newton shooting
 (Aprille & Trick, Proc. IEEE 60, 108 (1972); Seydel, *Practical
 Bifurcation and Stability Analysis*, 3rd ed., ch. 7), which takes a
-handful of periods whatever the decay rates, and then demodulates one
-period of that orbit.
+handful of periods whatever the decay rates.  The shooting starts on the
+exact periodic response of the flow linearised at the pump-only steady
+state, so it corrects only the nonlinear part.  The period of the last
+map evaluation is then demodulated from that run's own steps.
 """
 
 from __future__ import annotations
@@ -266,26 +268,32 @@ def _last_sample(t: float, step: float) -> int:
     return i
 
 
-def _integrate(rhs, y0: np.ndarray, t_final: float, step: float,
-               out: np.ndarray, rtol: float, atol: float, check) -> np.ndarray:
-    """The end state of a run over ``[0, t_final]`` from ``y0``; fills
-    ``out[:, i]`` with the first ``len(out)`` components at ``i * step``.
+def _steps(rhs, y0: np.ndarray, t_final: float, step: float, rtol: float,
+           atol: float, check):
+    """The accepted steps of a run over ``[0, t_final]`` from ``y0``, each
+    end state passed to ``check``.
 
     Starting at a fixed point the right-hand side is nearly zero, so an
     automatic first-step guess would overshoot wildly; the first trial
     step is ``step`` instead.
     """
+    for span in dop853_steps(rhs, y0, t_final, first_step=step, rtol=rtol,
+                             atol=atol):
+        check(span[1], span[2])
+        yield span
+
+
+def _sample(steps, step: float, out: np.ndarray) -> None:
+    """Fill ``out[:, i]`` with the first ``len(out)`` components at
+    ``i * step``, each from the dense output of the first of ``steps``
+    that reaches it."""
     rows, count = out.shape
-    y = y0
     done = 0
-    for _, t, y, dense in dop853_steps(rhs, y0, t_final, first_step=step,
-                                       rtol=rtol, atol=atol):
-        check(t, y)
+    for _, t, _, dense in steps:
         upto = min(_last_sample(t, step) + 1, count)
         if upto > done:
             out[:, done:upto] = dense(np.arange(done, upto) * step)[:rows]
             done = upto
-    return y
 
 
 def _check_rtol(rtol: float) -> None:
@@ -392,7 +400,8 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     y0, scale, overflow = _start(config, eps_l, alpha0, betas0)
 
     ys = np.empty((y0.size, _last_sample(t_final, step) + 1))
-    _integrate(rhs, y0, t_final, step, ys, rtol, rtol * scale, overflow)
+    _sample(_steps(rhs, y0, t_final, step, rtol, rtol * scale, overflow),
+            step, ys)
     return TimeTrace(
         times=np.arange(ys.shape[1]) * step,
         cavity=ys[0] + 1j * ys[1],
@@ -483,26 +492,35 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
                     omega: float, rtol: float):
     """Shoot for the probed orbit, then demodulate one period of it.
 
-    Chord Newton on the one-period map ``P``: ``x <- x - (Phi - I)^-1
-    (P(x) - x)``, ``Phi = exp(J T)``.  The period is sampled half-open,
-    so the fit is a DFT.  Returns the fit, the number of map evaluations,
-    the last map residual and ``max |eig Phi|``.
+    The start is ``x0 + Re u``, the orbit's start in the flow linearised
+    at the pump-only state ``x0``: ``(-i Omega I - J) u`` equals the probe
+    drive ``eps_p (1, -i, 0, ...)``, whose real part at ``t`` is the
+    ``(eps_p cos, -eps_p sin)`` of ``rhs``.  Then chord Newton on the
+    one-period map ``P``: ``x <- x - (Phi - I)^-1 (P(x) - x)``,
+    ``Phi = exp(J T)``.  The accepted steps of the last map evaluation are
+    sampled over the half-open period, so the fit is a DFT.  Returns the
+    fit, the number of map evaluations, the last map residual and
+    ``max |eig Phi|``.
     """
-    eps_l = pump_amplitude(config)
-    rhs, jacobian = _mean_field_rhs(config, eps_l, probe_amplitude(config),
-                                    float(omega))
+    eps_l, eps_p = pump_amplitude(config), probe_amplitude(config)
+    rhs, jacobian = _mean_field_rhs(config, eps_l, eps_p, float(omega))
     x, scale, overflow = _start(config, eps_l, complex(steady.alpha),
                                 np.asarray(steady.betas, dtype=complex))
     period = 2.0 * math.pi / omega
     q = math.ceil(_DEFAULT_SAMPLES_PER_PERIOD * _fastest_rate(config, omega)
                   / omega)
     step = period / q
-    phi = _expm(jacobian(x) * period)
+    jac = jacobian(x)
+    phi = _expm(jac * period)
     multiplier = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    drive = np.zeros(x.size, dtype=complex)
+    drive[:2] = eps_p, -1j * eps_p
+    x = x + np.linalg.solve(-1j * omega * np.eye(x.size) - jac, drive).real
     previous = math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        end = _integrate(rhs, x, period, step, np.empty((0, 0)), rtol,
-                         rtol * scale, overflow)
+        steps = list(_steps(rhs, x, period, step, rtol, rtol * scale,
+                            overflow))
+        end = steps[-1][2]
         residual = float(np.linalg.norm(end - x) / np.linalg.norm(x))
         if (residual <= _ORBIT_RTOL or not residual < previous
                 or iterations == _MAX_ITERATIONS):
@@ -511,8 +529,7 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
         x = x - np.linalg.solve(phi - np.eye(x.size), end - x)
     # (Re a, Im a) rows of a sample array that is also the complex cavity.
     samples = np.empty((q, 2))
-    # Integrate x once more, sampled: sampling every shooting span costs more.
-    _integrate(rhs, x, period, step, samples.T, rtol, rtol * scale, overflow)
+    _sample(steps, step, samples.T)
     demod = _fit_harmonics(np.arange(q) * step, samples.view(complex)[:, 0],
                            omega, n_cycles=1)
     return demod, iterations, residual, multiplier
@@ -533,16 +550,18 @@ def sideband_closure(config: SystemConfig, omega: float, *,
 
     The time-domain side does not wait out the transient.  It shoots for
     the probed T-periodic orbit, ``T = 2 pi / omega``: chord Newton on the
-    one-period map from the pump-only steady state, steered by ``exp(J T)``
-    of the linearised flow, until one period moves the state by at most
-    1e-12 relative.  It gives up after 30 periods, or as soon as that
-    residual stops shrinking.  It then demodulates one period from the
-    last state, where the fit is a DFT; the orbit drifts by at most about
-    1e-12 / (1 - multiplier), so longer windows add nothing.  The report
-    is ``reliable=False``, with a ``reason``, when the shooting does not
-    converge, when the largest Floquet multiplier is >= 1 (the orbit is
-    not stable, so no run would settle on it), or when the fit residual
-    is >= 1e-3.
+    one-period map, steered by ``exp(J T)`` of the flow linearised at the
+    pump-only steady state, until one period moves the state by at most
+    1e-12 relative.  It starts from that linearised flow's own periodic
+    response to the probe, solved from ``J`` in closed form.  It gives up
+    after 30 periods, or as soon as that residual stops shrinking.  It
+    then demodulates the period of the last map evaluation, sampled from
+    that run's steps, where the fit is a DFT; the orbit drifts by at most
+    about 1e-12 / (1 - multiplier), so longer windows add nothing.  The
+    report is ``reliable=False``, with a ``reason``, when the shooting
+    does not converge, when the largest Floquet multiplier is >= 1 (the
+    orbit is not stable, so no run would settle on it), or when the fit
+    residual is >= 1e-3.
 
     Parameters
     ----------

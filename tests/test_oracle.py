@@ -290,8 +290,10 @@ def test_integrator_rejects_bad_input(split_config, bad):
 def _scipy_steps(record):
     """A stand-in for ``oracle.dop853_steps`` on SciPy's DOP853 stepper
     (imported only here): ``step()``, then ``dense_output()`` for the
-    samples, which is what ``solve_ivp`` does with ``t_eval``.  Each run
-    stores its count of rejected trial steps in ``record``."""
+    samples, which is what ``solve_ivp`` does with ``t_eval``.  The dense
+    output is taken at yield time, so, like ours, it stays valid after the
+    generator advances.  Each run stores its count of rejected trial steps
+    in ``record``."""
     from scipy.integrate import DOP853
 
     def steps(fun, y0, t_final, *, first_step, rtol, atol):
@@ -304,8 +306,7 @@ def _scipy_steps(record):
             assert solver.status != "failed", message
             # Every trial step costs twelve right-hand-side evaluations.
             record["rejected"] += (solver.nfev - before) // 12 - 1
-            yield (solver.t_old, solver.t, solver.y,
-                   lambda times: solver.dense_output()(times))
+            yield solver.t_old, solver.t, solver.y, solver.dense_output()
     return steps
 
 
@@ -359,6 +360,25 @@ def test_dop853_matches_solve_ivp_bit_for_bit(name, monkeypatch):
         assert record["rejected"] > 0
 
 
+def _recorded_run(name, monkeypatch):
+    """The trace of one parity case and the arguments
+    ``integrate_mean_field`` handed ``dop853_steps`` for it:
+    ``(trace, (fun, y0, t_final, options))``."""
+    config, t_final, kwargs = _parity_case(name)
+    calls = []
+    steps = oracle_mod.dop853_steps
+
+    def recording(fun, y0, t_final, **options):
+        calls.append((fun, y0.copy(), t_final, options))
+        return steps(fun, y0, t_final, **options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_mod, "dop853_steps", recording)
+        trace = ol.integrate_mean_field(config, t_final, **kwargs)
+    (call,) = calls
+    return trace, call
+
+
 @pytest.mark.parametrize("name", ["n2", "ragged_end"])
 def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
     # solve_ivp assigns its t_eval to steps by a search of its own, so this
@@ -366,19 +386,9 @@ def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
     # taken from a neighbouring step differs in its last bits.
     from scipy.integrate import solve_ivp
 
-    config, t_final, kwargs = _parity_case(name)
-    calls = []
-    steps = oracle_mod.dop853_steps
-
-    def recording(fun, y0, t_final, **options):
-        calls.append((fun, y0.copy(), options))
-        return steps(fun, y0, t_final, **options)
-
-    monkeypatch.setattr(oracle_mod, "dop853_steps", recording)
-    ours = ol.integrate_mean_field(config, t_final, **kwargs)
+    ours, (fun, y0, t_final, options) = _recorded_run(name, monkeypatch)
     t_eval = np.arange(0.0, t_final + 0.5 * ours.step, ours.step)
     t_eval = t_eval[t_eval <= t_final]
-    (fun, y0, options), = calls
     sol = solve_ivp(fun, (0.0, t_final), y0, method="DOP853", t_eval=t_eval,
                     **options)
     assert sol.status == 0
@@ -386,6 +396,28 @@ def test_trace_samples_match_solve_ivp_t_eval(name, monkeypatch):
         times=sol.t, cavity=sol.y[0] + 1j * sol.y[1],
         mechanics=sol.y[2::2] + 1j * sol.y[3::2],
         omega_probe=ours.omega_probe, step=ours.step))
+
+
+def test_dense_output_outlives_its_step(monkeypatch):
+    # Every step's dense output evaluated after the generator is
+    # exhausted equals the same output evaluated at once, and SciPy's
+    # dense_output(), bit for bit.  Rejected trial steps overwrite the
+    # stepper's stage storage, which no kept output may share.
+    _, (fun, y0, t_final, options) = _recorded_run("rejections",
+                                                   monkeypatch)
+
+    def at(t_old, t):
+        return np.linspace(t_old, t, 5)
+
+    now = [(t_old, t, y.tobytes(), dense(at(t_old, t)).tobytes())
+           for t_old, t, y, dense in oracle_mod.dop853_steps(
+               fun, y0, t_final, **options)]
+    assert len(now) > 1
+    for steps in (oracle_mod.dop853_steps, _scipy_steps({})):
+        kept = list(steps(fun, y0, t_final, **options))
+        later = [(t_old, t, y.tobytes(), dense(at(t_old, t)).tobytes())
+                 for t_old, t, y, dense in kept]
+        assert later == now
 
 
 def test_shooting_closure_matches_scipy_bit_for_bit(split_config,
@@ -414,37 +446,64 @@ def test_closure_at_window_detuning(split_config):
 
 def test_closure_integrates_one_period_per_map_evaluation(split_config,
                                                           monkeypatch):
-    # The shooting's map evaluations plus the demodulated period.  The
-    # deprecated periods keyword only warns.
-    spans = []
-    integrate = oracle_mod._integrate
+    # One one-period run per map evaluation, each from a new start: the
+    # demodulated period is sampled from the last run, not integrated
+    # again.  The deprecated periods keyword only warns.
+    runs = []
+    steps = oracle_mod.dop853_steps
 
-    def recording(rhs, y0, t_final, *args):
-        spans.append(t_final)
-        return integrate(rhs, y0, t_final, *args)
+    def recording(fun, y0, t_final, **options):
+        runs.append((t_final, y0.tobytes()))
+        return steps(fun, y0, t_final, **options)
 
-    monkeypatch.setattr(oracle_mod, "_integrate", recording)
+    monkeypatch.setattr(oracle_mod, "dop853_steps", recording)
     w = 0.95 * split_config.omega_ref
     with pytest.warns(DeprecationWarning,
                       match="periods keyword of sideband_closure"):
         old = ol.sideband_closure(split_config, w, probe_ratio=0.01,
                                   periods=150)
-    assert spans == [2.0 * math.pi / w] * (old.iterations + 1)
+    assert [span for span, _ in runs] == [2.0 * math.pi / w] * old.iterations
+    assert len({start for _, start in runs}) == old.iterations
     new = ol.sideband_closure(split_config, w, probe_ratio=0.01)
     assert repr(old) == repr(new)
 
 
-def test_closure_across_both_windows(split_config):
-    # A dense detuning grid across both split windows, not three points.
+@pytest.mark.parametrize("frac", [0.95, 1.0, 1.05])
+def test_linear_response_start_shortens_the_shooting(split_config, frac):
+    # Started on the orbit of the linearised flow, the shooting has only
+    # the nonlinear part left to correct: at most 5 map evaluations where
+    # a start at the pump-only steady state took 6.
+    report = ol.sideband_closure(split_config, frac * split_config.omega_ref,
+                                 probe_ratio=0.01)
+    assert report.reliable
+    assert report.iterations <= 5
+
+
+def _grid_failures(config):
+    """The closures on 21 detunings over 0.90-1.10 omega_m that are not
+    reliable or miss the 2e-3 bound on either order."""
     failures = []
     for frac in np.linspace(0.90, 1.10, 21):
-        report = ol.sideband_closure(split_config,
-                                     frac * split_config.omega_ref,
+        report = ol.sideband_closure(config, frac * config.omega_ref,
                                      probe_ratio=0.01)
         if not (report.reliable and report.rel_err_first < 2e-3
                 and report.rel_err_second < 2e-3):
             failures.append((frac, report))
-    assert failures == []
+    return failures
+
+
+def test_closure_across_both_windows(split_config):
+    # A dense detuning grid across both split windows, not three points.
+    assert _grid_failures(split_config) == []
+
+
+@pytest.mark.parametrize("n, theta", [
+    (3, 0.37 * math.pi), (4, 0.0), (4, math.pi / 2),
+], ids=["three_modes", "dark_four_modes", "broken_four_modes"])
+def test_closure_across_dense_grid_of_longer_chains(n, theta):
+    # The same grid on longer chains, dark modes included.
+    config = ol.standard_setup(n, eta_frac=0.05, theta=theta)
+    assert _grid_failures(config) == []
 
 
 def test_closure_beyond_two_modes():
@@ -529,7 +588,7 @@ def test_dark_four_mode_chain_closes():
 
 
 def test_closure_unreliable_at_iteration_cap(split_config, monkeypatch):
-    # One map evaluation from the pump-only steady state is not an orbit.
+    # One map evaluation from the linear response is not an orbit.
     monkeypatch.setattr(oracle_mod, "_MAX_ITERATIONS", 1)
     report = ol.sideband_closure(split_config, 0.95 * split_config.omega_ref,
                                  probe_ratio=0.01)

@@ -107,7 +107,7 @@ CLI_PINS = {
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":
-            "8b5470cbbe631338fb14b10321ed9fbe02fdbff41e1beeb3ce715caf0234ccbc",
+            "e8b5ca6784564db48c4b41d030c63fad06aa864c36c48e4e164ad3f7b6d7b7b1",
     },
 }
 
