@@ -60,6 +60,14 @@ __all__ = [
     "fit_linewidth",
 ]
 
+# A normal mode is optically active ("bright") when its rotated coupling
+# exceeds this fraction of g_plus.
+_BRIGHT_TOL = 1e-6
+
+# fit_linewidth reports peaks whose prominence is at least this fraction
+# of the spectrum's full swing.
+_REL_PROMINENCE = 0.05
+
 
 @dataclass(frozen=True)
 class HybridModeReport:
@@ -207,23 +215,25 @@ def hybridize_two_mode(config: SystemConfig,
     )
 
 
-def dark_mode_broken(config: SystemConfig, steady: SteadyState,
-                     tol: float = 1e-6) -> tuple[bool, float]:
+def dark_mode_broken(config: SystemConfig,
+                     steady: SteadyState) -> tuple[bool, float]:
     """Is the dark mode optically active?
 
     Returns ``(broken, coupling_ratio)`` where ``coupling_ratio`` is the
     smaller rotated coupling ``min(|g_tilde_plus|, |g_tilde_minus|)``
     normalised by ``g_plus``.  The dark mode counts as broken when both
-    normal modes keep an optical coupling above ``tol * g_plus``, which
-    happens exactly when ``theta`` is not an integer multiple of pi (for
-    nonzero ``eta`` and both bare couplings nonzero).
+    normal modes keep an optical coupling above ``_BRIGHT_TOL * g_plus``
+    (``1e-6 * g_plus``).  For degenerate modes with equal nonzero couplings
+    and nonzero ``eta`` that happens exactly when ``theta`` is not an
+    integer multiple of pi; detuned modes or unequal couplings can keep
+    both normal modes coupled at ``theta = 0`` too.
     """
     report = hybridize_two_mode(config, steady)
     if report.g_plus == 0.0:
         return False, 0.0
     ratio = min(abs(report.g_tilde_plus), abs(report.g_tilde_minus))
     ratio /= report.g_plus
-    return bool(ratio > tol), float(ratio)
+    return bool(ratio > _BRIGHT_TOL), float(ratio)
 
 
 def optical_damping_rate(g_lin: float, kappa: float, delta: float,
@@ -405,12 +415,11 @@ def _find_windows(power: np.ndarray, min_prominence: float
     return windows
 
 
-def fit_linewidth(spectrum: Spectrum,
-                  rel_prominence: float = 0.05) -> list[LinewidthFit]:
+def fit_linewidth(spectrum: Spectrum) -> list[LinewidthFit]:
     """Locate transparency windows and measure their widths.
 
-    Peaks of ``|t_p|^2`` with prominence at least ``rel_prominence`` times
-    the full swing of the spectrum are fitted (the threshold is
+    Peaks of ``|t_p|^2`` with prominence at least ``_REL_PROMINENCE``
+    (5 %) of the full swing of the spectrum are fitted (the threshold is
     inclusive); the width is taken at half prominence (the usual FWHM
     convention for peaks on a baseline), interpolated linearly between
     grid points.  A peak is a rise, a run of equal samples and a fall;
@@ -429,12 +438,9 @@ def fit_linewidth(spectrum: Spectrum,
     Raises
     ------
     InvalidParameterError
-        ``rel_prominence`` outside (0, 1), fewer than 5 grid points, a
-        non-uniform grid, or a non-finite transmission value.
+        Fewer than 5 grid points, a non-uniform grid, or a non-finite
+        transmission value.
     """
-    if not 0.0 < rel_prominence < 1.0:
-        raise InvalidParameterError(
-            f"rel_prominence must be in (0, 1), got {rel_prominence}")
     w = spectrum.omega
     if len(w) < 5:
         raise InvalidParameterError("spectrum too short to fit windows")
@@ -453,5 +459,5 @@ def fit_linewidth(spectrum: Spectrum,
     return [
         LinewidthFit(center=float(w[p]), fwhm=float(width * h),
                      height=float(power[p]), prominence=prom)
-        for p, width, prom in _find_windows(power, rel_prominence * swing)
+        for p, width, prom in _find_windows(power, _REL_PROMINENCE * swing)
     ]

@@ -157,10 +157,9 @@ def even_mode_coupling(config: SystemConfig, steady: SteadyState,
                    * math.sin(k * math.pi / (n + 1)))
 
 
-def count_windows(spectrum: Spectrum,
-                  rel_prominence: float = 0.05) -> int:
+def count_windows(spectrum: Spectrum) -> int:
     """Number of transparency windows in a transmission spectrum."""
-    return len(fit_linewidth(spectrum, rel_prominence=rel_prominence))
+    return len(fit_linewidth(spectrum))
 
 
 def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,

@@ -37,7 +37,10 @@ solutions built from a small set of polynomial coefficients; these are
 implemented here as an independent route and cross-checked against the
 chain-elimination solves (the ``route_discrepancy`` column of a spectrum).
 Both routes are exact to rounding; a disagreement indicates a bug, not an
-approximation error.
+approximation error.  Each polynomial is written once: the paper's ``T2 =
+p q`` factors into the determinants ``p`` and ``q`` of the two mechanical
+chains, and with ``cav = kappa - i(Delta + Omega)`` its V-factors are
+``V1 = -q cav**2``, ``V2 = p cav**2`` and ``V3 = -p cav``.
 
 Group delay is the slope of the transmission phase, ``tau = d(arg t_p) /
 d(Omega)``: a five-point central stencil on the unwrapped phase, derived
@@ -504,39 +507,28 @@ def _require_two_modes(config: SystemConfig, what: str) -> None:
             f"got {config.n_modes} modes")
 
 
-def _t_polys(omega_m: np.ndarray, gamma: np.ndarray, eta: float,
-             w: float | np.ndarray) -> tuple:
-    """T1, T2, T3_1, T3_2 of the mechanical pair at ``w``."""
-    o1, o2 = omega_m
-    g1v, g2v = gamma
-    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w) * (g2v - 1j * w)
-    t2 = ((eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w))
-          * (eta ** 2 + (g1v - 1j * (o1 + w)) * (g2v - 1j * (o2 + w))))
-    t3_1 = (g1v ** 2 + o1 ** 2 - w ** 2 - 2j * g1v * w) * o2 - o1 * eta ** 2
-    t3_2 = (g2v ** 2 + o2 ** 2 - w ** 2 - 2j * g2v * w) * o1 - o2 * eta ** 2
-    return t1, t2, t3_1, t3_2
+def _closed_polys(view: _View, w: float | np.ndarray) -> tuple:
+    """The polynomials ``p``, ``q`` and ``s`` of the mechanical pair at ``w``.
 
-
-def _closed_terms(view: _View, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """T2 and the mechanical and loop sums the T-polynomials feed at ``w``."""
-    eta, theta = view.eta[0], view.theta[0]
-    t1, t2, t3_1, t3_2 = _t_polys(view.omega, view.gamma, eta, w)
-    gg1, gg2 = view.g
-    mech = gg2 ** 2 * t3_1 + gg1 ** 2 * t3_2
-    loop = gg1 * gg2 * eta * t1 * math.cos(theta)
-    return t2, mech, loop
-
-
-def _v_factors(view: _View, w: float | np.ndarray) -> tuple:
-    """V1, V2, V3 of the closed-form mechanical amplitudes at ``w``."""
+    ``p = det(gamma + i(H - w))`` and ``q = det(gamma - i(conj(H) + w))``
+    are the determinants of the two mechanical chains and the two factors
+    of the paper's ``T2 = p q``; they carry its V-factors too: with ``cav =
+    kappa - i(Delta + w)``, ``V1 = -q cav**2``, ``V2 = p cav**2`` and ``V3
+    = -p cav``.  ``s = g2**2 T3_1 + g1**2 T3_2 + 2 g1 g2 eta T1 cos(theta)``
+    is the loop-coupled numerator.
+    """
     o1, o2 = view.omega
     g1v, g2v = view.gamma
-    eta = view.eta[0]
-    cav = view.kappa - 1j * (view.delta + w)
-    v1 = (-eta ** 2 + (1j * g1v + o1 + w) * (1j * g2v + o2 + w)) * cav ** 2
-    v2 = (eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w)) * cav ** 2
-    v3 = (-eta ** 2 + (1j * g1v - o1 + w) * (1j * g2v - o2 + w)) * cav
-    return v1, v2, v3
+    gg1, gg2 = view.g
+    eta, theta = view.eta[0], view.theta[0]
+    p = eta ** 2 + (-1j * g1v + o1 - w) * (1j * g2v - o2 + w)
+    q = eta ** 2 + (g1v - 1j * (o1 + w)) * (g2v - 1j * (o2 + w))
+    t1 = -o1 * o2 + eta ** 2 + (g1v - 1j * w) * (g2v - 1j * w)
+    t3_1 = (g1v ** 2 + o1 ** 2 - w ** 2 - 2j * g1v * w) * o2 - o1 * eta ** 2
+    t3_2 = (g2v ** 2 + o2 ** 2 - w ** 2 - 2j * g2v * w) * o1 - o2 * eta ** 2
+    s = (gg2 ** 2 * t3_1 + gg1 ** 2 * t3_2
+         + 2.0 * gg1 * gg2 * eta * t1 * math.cos(theta))
+    return p, q, s
 
 
 def _closed_first_arrays(view: _View, w: np.ndarray
@@ -548,32 +540,22 @@ def _closed_first_arrays(view: _View, w: np.ndarray
     o1, o2 = view.omega
     g1v, g2v = view.gamma
     gg1, gg2 = view.g
-    eta, theta = view.eta[0], view.theta[0]
+    hop = view.eta[0] * np.exp(1j * view.theta[0])
     kap, delta, eps_p = view.kappa, view.delta, view.eps_p
     asq = abs(view.alpha) ** 2
     ac = np.conj(view.alpha)
 
-    t2, mech, loop = _closed_terms(view, w)
-    denom = (-t2 * (delta ** 2 + (kap - 1j * w) ** 2)
-             + 4.0 * asq * delta * mech + 8.0 * loop * asq * delta)
-    a1m = (t2 * (-kap + 1j * (delta + w)) - 2j * asq * mech
-           - 4j * loop * asq) / denom * eps_p
-    shared = (1j * kap + delta + w) * denom
-    a1pc = (-2.0 * ac ** 2 * (kap - 1j * (delta + w))
-            * (2.0 * loop + mech)) / shared * eps_p
-
-    v1, v2, v3 = _v_factors(view, w)
-    b1m = (gg1 * ac * v1 * (g2v + 1j * (o2 - w))
-           - 1j * gg2 * ac * v1 * eta * np.exp(1j * theta)) / shared * eps_p
-    b2m = (gg2 * ac * v1 * (g1v + 1j * (o1 - w))
-           - 1j * gg1 * ac * v1 * eta * np.exp(-1j * theta)) / shared * eps_p
-    b1pc = (-1j * v2 * (gg1 * ac * (1j * g2v + o2 + w)
-                        - gg2 * ac * eta * np.exp(-1j * theta))) / shared * eps_p
-    # Note the +denom here: the naive sign on this lone amplitude is
-    # inconsistent with the governing linear system (it flips the sign of
-    # conj(B2+)); the matrix solve fixes the convention.
-    b2pc = (-np.exp(1j * theta) * gg1 * ac * eta * v3
-            + gg2 * ac * v3 * (1j * g1v + o1 + w)) / denom * eps_p
+    p, q, s = _closed_polys(view, w)
+    t2 = p * q
+    cav = kap - 1j * (delta + w)
+    denom = -t2 * (delta ** 2 + (kap - 1j * w) ** 2) + 4.0 * asq * delta * s
+    a1m = -(t2 * cav + 2j * asq * s) / denom * eps_p
+    a1pc = 2j * ac ** 2 * s / denom * eps_p
+    k = ac * cav * eps_p / denom
+    b1m = 1j * q * k * (gg1 * (g2v + 1j * (o2 - w)) - 1j * gg2 * hop)
+    b2m = 1j * q * k * (gg2 * (g1v + 1j * (o1 - w)) - 1j * gg1 * np.conj(hop))
+    b1pc = -p * k * (gg1 * (1j * g2v + o2 + w) - gg2 * np.conj(hop))
+    b2pc = -p * k * (gg2 * (1j * g1v + o1 + w) - gg1 * hop)
     return a1m, a1pc, b1m, b2m, b1pc, b2pc
 
 
@@ -593,34 +575,28 @@ def first_order_closed_form(config: SystemConfig, steady: SteadyState,
                         np.stack([b1pc, b2pc], axis=-1)), scalar)
 
 
-def _chi_pair(view: _View, w: np.ndarray, fo: tuple[np.ndarray, ...]
-              ) -> tuple[np.ndarray, ...]:
-    """chi1, chi2 at the doubled detuning, and the back-action sum S1.
+def _closed_second_arrays(view: _View, w: np.ndarray,
+                          fo: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Closed-form second-order cavity amplitude A2m on a grid.
 
-    ``fo`` is the closed-form first order at ``w``.
+    ``fo`` is the closed-form first order at ``w``; the response is the
+    first order's, with its polynomials evaluated at ``2 w``.
     """
     kap, delta, alpha = view.kappa, view.delta, view.alpha
     asq = abs(alpha) ** 2
     gg1, gg2 = view.g
-    a1m, _, b1m, b2m, b1pc, b2pc = fo
-    w2 = 2.0 * w
-    t2, mech, loop = _closed_terms(view, w2)
-    s_comb = gg1 * (b1m + b1pc) + gg2 * (b2m + b2pc)
-    chi1 = (2j * alpha * (alpha * s_comb - a1m * (1j * kap + delta + w2))
-            * (2.0 * loop + mech)
-            / ((1j * kap + delta + w2) * t2 - 2.0 * asq * mech
-               - 4.0 * loop * asq))
-    chi2 = 1.0 / (1.0 / (kap - 1j * (delta + w2))
-                  - 1j * t2 / (2.0 * asq * (mech + 2.0 * loop)))
-    return chi1, chi2, s_comb
-
-
-def _closed_second_arrays(view: _View, w: np.ndarray,
-                          fo: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Closed-form second-order cavity amplitude A2m on a grid."""
-    chi1, chi2, s_comb = _chi_pair(view, w, fo)
-    return ((chi1 * fo[1] + 1j * s_comb * fo[0])
-            / (chi2 - (view.kappa + 1j * (view.delta - 2.0 * w))))
+    a1m, a1pc, b1m, b2m, b1pc, b2pc = fo
+    p, q, s = _closed_polys(view, 2.0 * w)
+    cav = kap - 1j * (delta + 2.0 * w)
+    # Back-action sum S1 = sum_l g_l (B_l- + conj(B_l+)).
+    s1 = gg1 * (b1m + b1pc) + gg2 * (b2m + b2pc)
+    # chi1 and chi2 over their shared denominator, which stays nonzero
+    # with the pump off.
+    shared = 2.0 * asq * s - 1j * cav * p * q
+    chi1 = -2j * alpha * (alpha * s1 - 1j * cav * a1m) * s / shared
+    chi2 = 2.0 * asq * s * cav / shared
+    return ((chi1 * a1pc + 1j * s1 * a1m)
+            / (chi2 - (kap + 1j * (delta - 2.0 * w))))
 
 
 def second_order_closed_form(config: SystemConfig, steady: SteadyState,

@@ -48,37 +48,37 @@ CLI_PINS = {
         "fig2_linewidth_vs_power.csv":
             "9ce46cc5552e736e029fcd2107c24f82dd516071ce4f7188a4f293adc66ebf24",
         "fig2_spectrum_standard.csv":
-            "b0024222c712b05bd411d1d566fa2da7449186ef9677b1001d36b7a22c6a0d18",
+            "fca864780b152c10080d6f7cbd4613a976600c53e0bcf1ebcd1a4b333b76cda5",
         "fig2_spectrum_two_mode.csv":
-            "b4f5d22967ef0dad75fad11db38136e96940727143718f1b15dc4678d2e910e9",
+            "00e8da499faa8c75b5c50d77c3e7a0b6c08c07ceff373dd7ea5e8e4a27dd7d23",
     },
     "omit-lab figure fig3": {
         "fig3_unbroken.csv":
-            "b4f5d22967ef0dad75fad11db38136e96940727143718f1b15dc4678d2e910e9",
+            "00e8da499faa8c75b5c50d77c3e7a0b6c08c07ceff373dd7ea5e8e4a27dd7d23",
         "fig3_broken.csv":
-            "9acb068f795d0b20e1d0e3f788139649d8c4c07183a6a6c741cca9ec987bf86f",
+            "d74ac8529837fef37e7830c99f6b73ec4a951c2146afb0d0a0defbd632a3ba62",
     },
     "omit-lab figure fig4": {
         "fig4_theta_0p0pi.csv":
-            "e2772b9178a2484d335bce5e3a17d59834352a60271f88fddb37379e7b4f1600",
+            "48b8b64867dfcbcd2a2c8ff22f0c55b540968568c8fae77c7f6442c8154750a7",
         "fig4_theta_0p5pi.csv":
-            "39e65e642dfffa36d75f3018490d7ea4030f4e2b77ed76e5651780251f19e32a",
+            "a4d099be845967e51aa4722b338fbee1e6233b9c8cfd32139d62bdbe0db68710",
         "fig4_theta_1p0pi.csv":
-            "aebf6fe34a18081011efabdf8419873ce20868631c6dbf76bfc7f8603ce47c87",
+            "32787ab2f2bec61637e26f65f20dc1319e8970982498444ceac30e7d30bd1da8",
         "fig4_windows_vs_theta.csv":
             "85bd898d652cd9fa83f6e2e20901d5be339488bf4f0db3f51ff3f655321938cb",
     },
     "omit-lab figure fig5": {
         "fig5_theta_0p0pi.csv":
-            "7cdd42fea1e0c8d35169c5fa3ffd98fdcde3f219159d4039911c3e3ca00f4e27",
+            "3814cff1bba64c8d38534725332021e489b2ae7adf820947abc52620d62737ad",
         "fig5_theta_1p0pi.csv":
-            "1e2831d8d18b963951fb1c5f9e8a91f47f9223604ff20c9589a3cc877d999370",
+            "bad246552b270b2d0760956a60fcb87b0834a6f182f1f69e7c768b8b4fef2cda",
         "fig5_max_efficiency_vs_theta.csv":
             "9049778c361f4769b1d8fb3a9c92aa0aa035759ecddd088dde835adb4b9c7a70",
     },
     "omit-lab figure fig6": {
         "fig6_spectrum_broken.csv":
-            "39e65e642dfffa36d75f3018490d7ea4030f4e2b77ed76e5651780251f19e32a",
+            "a4d099be845967e51aa4722b338fbee1e6233b9c8cfd32139d62bdbe0db68710",
         "fig6_delay_vs_theta.csv":
             "b5413a7e3004771cc6d34d902c8f25e7ef7c674d99915adba22fe2f63ea838b0",
     },
@@ -94,16 +94,16 @@ CLI_PINS = {
     },
     f"omit-lab spectrum --config {SPLIT}": {
         "stdout":
-            "9acb068f795d0b20e1d0e3f788139649d8c4c07183a6a6c741cca9ec987bf86f",
+            "d74ac8529837fef37e7830c99f6b73ec4a951c2146afb0d0a0defbd632a3ba62",
     },
     f"omit-lab spectrum --config {SPLIT} --format json": {
         "stdout":
-            "84157dc1b6908f24548a68f483b7d420f1770c0c971f0e6492353133b32d9215",
+            "0fd70210e2c08a5043d8ab9573518688506d83dc3fef8ca9203ef806b1cc3fd0",
     },
     f"omit-lab sweep --config {SPLIT} --param theta_pi_units "
     "--range 0:2:61 --lock-delta 1.0": {
         "manifest.json":
-            "5321d2914657a1831c46837460e3f5b7c4da341935e40277eac7e7887d9b5557",
+            "476f97596a84d129fe2d1411cdb170ca2bd8522330eeb5fcd95ec5fc20468bb1",
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":

@@ -92,9 +92,9 @@ def test_routes_agree_over_random_draws():
 
 
 def test_closed_form_respects_linear_system_sign_convention():
-    # The lone conj(B_2^+) amplitude is the one whose naive closed form
-    # comes out with an inverted overall sign; the implementation must
-    # agree with the matrix solve, not merely up to sign.
+    # The closed form's conj(B_2^+) must agree with the matrix solve in
+    # sign as well as in size: a slip in the conjugation or sign
+    # convention of the upper sideband would show here.
     rng = np.random.default_rng(99)
     for _ in range(20):
         cfg, steady, w = random_two_mode(rng)
@@ -318,6 +318,22 @@ def test_closed_forms_require_two_modes_second_order_does_not():
     for closed in (ol.first_order_closed_form, ol.second_order_closed_form):
         with pytest.raises(ol.UnsupportedTopologyError):
             closed(three, st, w)
+
+
+def test_closed_forms_with_the_pump_off():
+    # With the pump off nothing is mixed up to 2 Omega: the closed second
+    # order is 0, as the chain solve gives it, not 0/0, and the route check
+    # stays finite.
+    base = ol.standard_setup(2, eta_frac=0.05, theta=math.pi / 2)
+    cfg = dataclasses.replace(base, drive=ol.DriveSpec(
+        power_pump=0.0, probe_ratio=None, power_probe=1e-6))
+    st = ol.solve_steady_state(cfg)
+    w = np.linspace(0.85, 1.15, 41) * cfg.omega_ref
+    with np.errstate(all="raise"):
+        a2 = ol.second_order_closed_form(cfg, st, w)
+        spectrum = ol.compute_spectrum(cfg, w, steady=st)
+    assert np.all(a2 == 0.0)
+    assert spectrum.metadata["route_discrepancy_max"] <= 1e-12
 
 
 def test_zero_detuning_point_is_regular():
