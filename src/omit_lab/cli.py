@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .config_io import load_config
 from .darkmode import (
+    _BRIGHT_TOL,
     adiabatic_elimination,
     dark_mode_broken,
     hybridize_two_mode,
@@ -195,9 +196,10 @@ def _cmd_nmode(args: argparse.Namespace) -> int:
     if args.basis:
         steady = solve_steady_state(config)
         basis = build_normal_modes(config, steady)
-        scale = float(np.max(np.abs(basis.couplings)))
-        dark = [int(k + 1) for k in range(basis.n)
-                if abs(basis.couplings[k]) < 1e-9 * max(scale, 1.0)]
+        # Dark as dark_mode_broken counts it: relative to g_+ = ||c||.
+        bright = _BRIGHT_TOL * float(np.linalg.norm(basis.couplings))
+        dark = [k + 1 for k, c in enumerate(basis.couplings)
+                if abs(c) <= bright]
         _emit_json({
             "n": basis.n,
             "frequencies_rad_s": basis.frequencies,

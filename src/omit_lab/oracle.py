@@ -1,8 +1,8 @@
 """Time-domain cross-check of the frequency-domain sideband solution.
 
 The sideband amplitudes of :mod:`omit_lab.sidebands` come from a
-perturbative ansatz.  This module integrates the *full nonlinear*
-mean-field equations ::
+perturbative ansatz.  :func:`sideband_closure` checks them against the
+*full nonlinear* mean-field equations ::
 
     da/dt   = -(kappa + i Delta_c) a - i a sum_l g_l (b_l + b_l^*)
               + eps_L + eps_p exp(-i Omega t)
@@ -10,15 +10,15 @@ mean-field equations ::
               - i eta_{l-1} e^{-i theta_{l-1}} b_{l-1}
               - i eta_l e^{+i theta_l} b_{l+1}
 
-with the explicit eighth-order Dormand-Prince scheme DOP853 (a numpy
-stepper in :mod:`omit_lab._dop853` whose steps equal SciPy's bit for bit)
-and reads the sideband amplitudes back out by least-squares demodulation
-of the cavity trace at ``+-Omega`` and ``+-2 Omega``.  Samples lie on a
-uniform grid, ``i * step``, and each comes from the dense output of the
-first step that reaches it.  Since this route shares no algebra with the
-linear-system solves, agreement (to the accuracy the finite probe allows)
-validates the whole frequency-domain stack; it also quantifies the error
-of truncating the sideband hierarchy at a finite probe strength.
+integrated with the explicit eighth-order Dormand-Prince scheme DOP853 (a
+numpy stepper in :mod:`omit_lab._dop853` whose steps equal SciPy's bit for
+bit), and reads the sideband amplitudes back out by least-squares
+demodulation of the cavity at ``+-Omega`` and ``+-2 Omega``.  Samples lie
+on a uniform grid, ``i * step``, and each comes from the dense output of
+the first step that reaches it.  Since the integration shares no algebra
+with the linear-system solves, agreement (to the accuracy the finite probe
+allows) validates the whole frequency-domain stack; it also quantifies the
+error of truncating the sideband hierarchy at a finite probe strength.
 
 A practical note on time scales: in the pump frame the probed equations
 are exactly periodic in ``T = 2 pi / Omega``, so the driven steady
@@ -33,6 +33,8 @@ handful of periods whatever the decay rates.  The shooting starts on the
 exact periodic response of the flow linearised at the pump-only steady
 state, so it corrects only the nonlinear part.  The period of the last
 map evaluation is then demodulated from that run's own steps.
+:func:`integrate_mean_field` and :func:`demodulate` keep only a plain
+fixed-settle run and fit, which the closure does not use.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .errors import InvalidParameterError, UnstableIntegrationError
 from .model import (
     SteadyState,
     SystemConfig,
+    _drift_matrix,
     probe_amplitude,
     pump_amplitude,
     solve_steady_state,
@@ -64,9 +67,9 @@ __all__ = [
     "sideband_closure",
 ]
 
-# Resample no coarser than this many samples per fastest period.
-_MIN_SAMPLES_PER_PERIOD = 50
-_DEFAULT_SAMPLES_PER_PERIOD = 64
+_SAMPLES_PER_PERIOD = 64
+# Integrator tolerance of every run unless sideband_closure is given one.
+_RTOL = 1e-10
 _OVERFLOW_FACTOR = 1e6
 # Tighter relative tolerances are below what double precision resolves.
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
@@ -85,18 +88,10 @@ _TAYLOR_TERMS = 14
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Uniformly sampled mean-field trajectory.
-
-    ``cavity[i]`` and ``mechanics[l, i]`` hold the complex amplitudes at
-    ``times[i]``; ``omega_probe`` records the probe detuning used (None
-    for a pump-only run).
-    """
+    """Uniformly sampled cavity amplitude: ``cavity[i]`` at ``times[i]``."""
 
     times: np.ndarray
     cavity: np.ndarray
-    mechanics: np.ndarray
-    omega_probe: float | None
-    step: float
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,7 @@ class DemodResult:
     frequency), ``a1_upper`` multiplies ``exp(+i Omega t)``, and the
     ``a2_*`` pair the same at ``2 Omega``.  ``residual`` is the rms of the
     part of the signal the five-term model does not explain, relative to
-    the rms of the oscillating part.  Too few cycles make
-    :func:`demodulate` raise, so every result spans enough of them.
+    the rms of the oscillating part.
     """
 
     mean: complex
@@ -117,7 +111,6 @@ class DemodResult:
     a2_lower: complex
     a2_upper: complex
     residual: float
-    n_cycles: int
 
     @property
     def reliable(self) -> bool:
@@ -136,10 +129,12 @@ class ClosureReport:
     ``iterations`` counts the one-period map evaluations of the shooting,
     ``map_residual`` is the last one's ``||x(T) - x|| / ||x||`` (at most
     1e-12 once converged), and ``multiplier`` is the largest Floquet
-    multiplier ``|eig exp(J T)|`` of the flow linearised at the pump-only
-    steady state.  ``reliable`` is False when the shooting found no orbit,
-    the multiplier is >= 1 or the fit residual is >= 1e-3; ``reason``
-    names each of these that holds, and is empty for a reliable report.
+    multiplier ``|eig exp(J T)| = exp(-T margin)`` of the flow linearised
+    at the pump-only steady state, whose stability margin comes from
+    :func:`~omit_lab.model.solve_steady_state`.  ``reliable`` is False when
+    the shooting found no orbit, the multiplier is >= 1 or the fit residual
+    is >= 1e-3; ``reason`` names each of these that holds, and is empty
+    for a reliable report.
     """
 
     omega: float
@@ -158,24 +153,19 @@ class ClosureReport:
     reason: str
 
 
-def _fastest_rate(config: SystemConfig, omega_probe: float | None) -> float:
+def _fastest_rate(config: SystemConfig, omega_probe: float) -> float:
     omega, _, _ = config.mode_arrays()
-    rates = [float(np.max(omega)), abs(config.cavity.delta_c),
-             config.cavity.kappa]
-    if omega_probe is not None:
-        rates.append(2.0 * abs(omega_probe))
-    return max(rates)
+    return max(float(np.max(omega)), abs(config.cavity.delta_c),
+               config.cavity.kappa, 2.0 * omega_probe)
 
 
 def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
                     w_probe: float):
-    """Right-hand side of the mean-field equations on real coordinates.
+    """Right-hand side ``rhs(t, y)`` of the mean-field equations on real
+    coordinates ``y = (Re a, Im a, Re b_1, Im b_1, ...)``.
 
-    ``y = (Re a, Im a, Re b_1, Im b_1, ...)``.  The linear part (decay,
-    detunings, hopping) is one real operator built here once; the returned
-    ``rhs(t, y)`` adds the radiation-pressure terms and the drives, and
-    ``jacobian(y)`` is ``d rhs / dy`` from the same pieces: the drives do
-    not depend on ``y``, the ``|a|^2`` push and ``-i a x`` are linearised.
+    The linear part (decay, detunings, hopping) is one real operator built
+    here once; ``rhs`` adds the radiation-pressure terms and the drives.
     """
     n = config.n_modes
     omega, gamma, g = config.mode_arrays()
@@ -208,17 +198,7 @@ def _mean_field_rhs(config: SystemConfig, eps_l: float, eps_p: float,
         out[1] -= ar * x + eps_p * math.sin(wt)
         return out
 
-    def jacobian(y: np.ndarray) -> np.ndarray:
-        ar, ai = y[:2].tolist()
-        x = gx.dot(y)
-        jac = op.copy()
-        jac[:, :2] += np.outer(push, [2.0 * ar, 2.0 * ai])
-        jac[:2] += np.outer([ai, -ar], gx)
-        jac[0, 1] += x
-        jac[1, 0] -= x
-        return jac
-
-    return rhs, jacobian
+    return rhs
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -296,18 +276,13 @@ def _sample(steps, step: float, out: np.ndarray) -> None:
             done = upto
 
 
-def _check_rtol(rtol: float) -> None:
-    if not _MIN_RTOL <= rtol < 1.0:
-        raise InvalidParameterError(
-            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
-
-
 def integrate_mean_field(config: SystemConfig, t_final: float, *,
-                         omega_probe: float | None = None,
-                         step: float | None = None,
-                         initial="steady",
-                         rtol: float = 1e-10) -> TimeTrace:
-    """Integrate the nonlinear mean-field equations.
+                         omega_probe: float, initial) -> TimeTrace:
+    """Integrate the nonlinear mean-field equations from given amplitudes.
+
+    The cavity is sampled every 1/64 of the fastest period in the problem
+    (mechanical, cavity and doubled probe frequencies, cavity decay), at
+    :func:`sideband_closure`'s default integrator tolerance, 1e-10.
 
     Parameters
     ----------
@@ -315,30 +290,16 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     t_final : float
         End time (s), integration starts at 0; at least one sampling
         step.
-    omega_probe : float, optional
-        Probe-pump detuning Omega (rad/s); required whenever the probe
-        amplitude is nonzero.  A config with ``probe_ratio = 0`` integrates
-        the pump-only problem.
-    step : float, optional
-        Output sample step (s).  Defaults to 1/64 of the fastest period in
-        the problem; must resolve it with at least 50 samples.
-    initial : "steady", "vacuum", or (alpha0, betas0)
-        Start from the pump-only steady state (default), from zero fields,
-        or from explicit amplitudes.
-    rtol : float
-        Relative tolerance of the adaptive DOP853 integrator, in
-        ``[100 eps, 1)``; the absolute tolerance is ``rtol`` times the
-        cavity amplitude scale.  The scheme is explicit and eighth order,
-        and has no algebra in common with the frequency-domain route;
-        ``tests/test_oracle.py`` checks its output against SciPy's
-        ``solve_ivp(method="DOP853", t_eval=...)`` bit for bit.
+    omega_probe : float
+        Probe-pump detuning Omega (rad/s), finite and > 0.
+    initial : (alpha0, betas0)
+        Cavity and mechanical amplitudes at ``t = 0``.
 
     Raises
     ------
     InvalidParameterError
-        ``t_final``, ``step`` or ``rtol`` is out of range, an initial
-        amplitude is not finite, or the probe amplitude is nonzero without
-        ``omega_probe``.
+        ``t_final`` or ``omega_probe`` is out of range, or an initial
+        amplitude has the wrong shape or is not finite.
     UnstableIntegrationError
         The cavity amplitude ran away (parametric instability); the error
         message reports the end of the first step past the limit.
@@ -348,67 +309,33 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     if not 0.0 < t_final < math.inf:
         raise InvalidParameterError(
             f"t_final must be finite and > 0, got {t_final}")
-    _check_rtol(rtol)
-    eps_l = pump_amplitude(config)
-    eps_p = probe_amplitude(config)
-    if eps_p > 0.0 and omega_probe is None:
+    if not 0.0 < omega_probe < math.inf:
         raise InvalidParameterError(
-            "omega_probe is required when the probe amplitude is nonzero")
-
-    fastest = _fastest_rate(config, omega_probe if eps_p > 0 else None)
-    shortest_period = 2.0 * math.pi / fastest
-    if step is None:
-        step = shortest_period / _DEFAULT_SAMPLES_PER_PERIOD
-    elif not step > 0.0:
-        raise InvalidParameterError(f"step must be > 0, got {step}")
-    elif step > shortest_period / _MIN_SAMPLES_PER_PERIOD:
-        raise InvalidParameterError(
-            f"step {step:.3e} s undersamples the fastest period "
-            f"{shortest_period:.3e} s (need >= {_MIN_SAMPLES_PER_PERIOD} "
-            "samples per period)")
+            f"omega_probe must be finite and > 0, got {omega_probe}")
+    step = 2.0 * math.pi / (_fastest_rate(config, omega_probe)
+                            * _SAMPLES_PER_PERIOD)
     if t_final < step:
         raise InvalidParameterError(
             f"t_final {t_final:.3e} s is shorter than one sampling step "
             f"{step:.3e} s")
+    alpha0, betas0 = initial
+    alpha0 = complex(alpha0)
+    betas0 = np.asarray(betas0, dtype=complex)
+    if betas0.shape != (config.n_modes,):
+        raise InvalidParameterError(
+            f"initial mechanical amplitudes need shape ({config.n_modes},)")
+    if not np.all(np.isfinite(np.append(betas0, alpha0))):
+        raise InvalidParameterError("initial amplitudes must be finite")
 
-    n = config.n_modes
-    w_probe = float(omega_probe) if omega_probe is not None else 0.0
-
-    if isinstance(initial, str):
-        if initial == "steady":
-            ss = solve_steady_state(config)
-            alpha0 = ss.alpha
-            betas0 = np.asarray(ss.betas, dtype=complex)
-        elif initial == "vacuum":
-            alpha0 = 0.0 + 0.0j
-            betas0 = np.zeros(n, dtype=complex)
-        else:
-            raise InvalidParameterError(
-                f"initial must be 'steady', 'vacuum', or amplitudes, "
-                f"got {initial!r}")
-    else:
-        alpha0, betas0 = initial
-        alpha0 = complex(alpha0)
-        betas0 = np.asarray(betas0, dtype=complex)
-        if betas0.shape != (n,):
-            raise InvalidParameterError(
-                f"initial mechanical amplitudes must have shape ({n},)")
-        if not np.all(np.isfinite(np.append(betas0, alpha0))):
-            raise InvalidParameterError("initial amplitudes must be finite")
-
-    rhs, _ = _mean_field_rhs(config, eps_l, eps_p, w_probe)
+    eps_l = pump_amplitude(config)
+    rhs = _mean_field_rhs(config, eps_l, probe_amplitude(config),
+                          float(omega_probe))
     y0, scale, overflow = _start(config, eps_l, alpha0, betas0)
-
-    ys = np.empty((y0.size, _last_sample(t_final, step) + 1))
-    _sample(_steps(rhs, y0, t_final, step, rtol, rtol * scale, overflow),
+    ys = np.empty((2, _last_sample(t_final, step) + 1))
+    _sample(_steps(rhs, y0, t_final, step, _RTOL, _RTOL * scale, overflow),
             step, ys)
-    return TimeTrace(
-        times=np.arange(ys.shape[1]) * step,
-        cavity=ys[0] + 1j * ys[1],
-        mechanics=ys[2::2] + 1j * ys[3::2],
-        omega_probe=omega_probe if eps_p > 0.0 else None,
-        step=float(step),
-    )
+    return TimeTrace(times=np.arange(ys.shape[1]) * step,
+                     cavity=ys[0] + 1j * ys[1])
 
 
 def demodulate(trace: TimeTrace, omega: float, *,
@@ -424,8 +351,8 @@ def demodulate(trace: TimeTrace, omega: float, *,
     ----------
     trace : TimeTrace
     omega : float
-        Demodulation frequency (rad/s, finite and > 0); normally
-        ``trace.omega_probe``.
+        Demodulation frequency (rad/s, finite and > 0); normally the
+        trace's probe detuning.
     settle : float, optional
         Transient to discard (s, finite and >= 0).  The default discards
         the first half of the record, or less if that would not leave
@@ -460,11 +387,11 @@ def demodulate(trace: TimeTrace, omega: float, *,
             f"settle time; {min_cycles} required")
     window_start = t_end - n_cycles * period
     mask = times >= window_start - 1e-9 * period
-    return _fit_harmonics(times[mask], trace.cavity[mask], omega, n_cycles)
+    return _fit_harmonics(times[mask], trace.cavity[mask], omega)
 
 
-def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
-                   n_cycles: int) -> DemodResult:
+def _fit_harmonics(ts: np.ndarray, ys: np.ndarray,
+                   omega: float) -> DemodResult:
     """The least-squares fit of :func:`demodulate` on one window."""
     columns = np.column_stack([
         np.ones_like(ts, dtype=complex),
@@ -484,7 +411,6 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray, omega: float,
         a2_lower=complex(coef[3]),
         a2_upper=complex(coef[4]),
         residual=residual,
-        n_cycles=n_cycles,
     )
 
 
@@ -492,27 +418,26 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
                     omega: float, rtol: float):
     """Shoot for the probed orbit, then demodulate one period of it.
 
-    The start is ``x0 + Re u``, the orbit's start in the flow linearised
-    at the pump-only state ``x0``: ``(-i Omega I - J) u`` equals the probe
-    drive ``eps_p (1, -i, 0, ...)``, whose real part at ``t`` is the
-    ``(eps_p cos, -eps_p sin)`` of ``rhs``.  Then chord Newton on the
-    one-period map ``P``: ``x <- x - (Phi - I)^-1 (P(x) - x)``,
-    ``Phi = exp(J T)``.  The accepted steps of the last map evaluation are
-    sampled over the half-open period, so the fit is a DFT.  Returns the
-    fit, the number of map evaluations, the last map residual and
-    ``max |eig Phi|``.
+    ``J`` is the drift matrix of the flow linearised at the pump-only
+    state ``x0`` (:func:`~omit_lab.model._drift_matrix`).  The start is
+    ``x0 + Re u``, the orbit's start in that linearised flow:
+    ``(-i Omega I - J) u`` equals the probe drive ``eps_p (1, -i, 0,
+    ...)``, whose real part at ``t`` is the ``(eps_p cos, -eps_p sin)`` of
+    ``rhs``.  Then chord Newton on the one-period map ``P``: ``x <- x -
+    (Phi - I)^-1 (P(x) - x)``, ``Phi = exp(J T)``.  The accepted steps of
+    the last map evaluation are sampled over the half-open period, so the
+    fit is a DFT.  Returns the fit, the number of map evaluations and the
+    last map residual.
     """
     eps_l, eps_p = pump_amplitude(config), probe_amplitude(config)
-    rhs, jacobian = _mean_field_rhs(config, eps_l, eps_p, float(omega))
+    rhs = _mean_field_rhs(config, eps_l, eps_p, float(omega))
     x, scale, overflow = _start(config, eps_l, complex(steady.alpha),
                                 np.asarray(steady.betas, dtype=complex))
     period = 2.0 * math.pi / omega
-    q = math.ceil(_DEFAULT_SAMPLES_PER_PERIOD * _fastest_rate(config, omega)
-                  / omega)
+    q = math.ceil(_SAMPLES_PER_PERIOD * _fastest_rate(config, omega) / omega)
     step = period / q
-    jac = jacobian(x)
+    jac = _drift_matrix(config, steady.delta_eff)
     phi = _expm(jac * period)
-    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi))))
     drive = np.zeros(x.size, dtype=complex)
     drive[:2] = eps_p, -1j * eps_p
     x = x + np.linalg.solve(-1j * omega * np.eye(x.size) - jac, drive).real
@@ -531,14 +456,14 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
     samples = np.empty((q, 2))
     _sample(steps, step, samples.T)
     demod = _fit_harmonics(np.arange(q) * step, samples.view(complex)[:, 0],
-                           omega, n_cycles=1)
-    return demod, iterations, residual, multiplier
+                           omega)
+    return demod, iterations, residual
 
 
 def sideband_closure(config: SystemConfig, omega: float, *,
                      probe_ratio: float = 0.01,
                      periods: int | None = None,
-                     rtol: float = 1e-10) -> ClosureReport:
+                     rtol: float = _RTOL) -> ClosureReport:
     """Compare frequency-domain and time-domain sideband amplitudes.
 
     Runs both routes at one probe detuning and reports the relative
@@ -552,16 +477,18 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     the probed T-periodic orbit, ``T = 2 pi / omega``: chord Newton on the
     one-period map, steered by ``exp(J T)`` of the flow linearised at the
     pump-only steady state, until one period moves the state by at most
-    1e-12 relative.  It starts from that linearised flow's own periodic
-    response to the probe, solved from ``J`` in closed form.  It gives up
-    after 30 periods, or as soon as that residual stops shrinking.  It
-    then demodulates the period of the last map evaluation, sampled from
-    that run's steps, where the fit is a DFT; the orbit drifts by at most
-    about 1e-12 / (1 - multiplier), so longer windows add nothing.  The
-    report is ``reliable=False``, with a ``reason``, when the shooting
-    does not converge, when the largest Floquet multiplier is >= 1 (the
-    orbit is not stable, so no run would settle on it), or when the fit
-    residual is >= 1e-3.
+    1e-12 relative; ``J`` is the drift matrix whose eigenvalues gave that
+    state its stability margin.  It starts from that linearised flow's own
+    periodic response to the probe, solved from ``J`` in closed form.  It
+    gives up after 30 periods, or as soon as that residual stops
+    shrinking.  It then demodulates the period of the last map evaluation,
+    sampled from that run's steps, where the fit is a DFT; the orbit
+    drifts by at most about 1e-12 / (1 - multiplier), so longer windows
+    add nothing.  As ``eig exp(J T) = exp(eig(J) T)``, the largest Floquet
+    multiplier is ``exp(-T margin)``.  The report is ``reliable=False``,
+    with a ``reason``, when the shooting does not converge, when that
+    multiplier is >= 1 (the orbit is not stable, so no run would settle on
+    it), or when the fit residual is >= 1e-3.
 
     Parameters
     ----------
@@ -576,7 +503,7 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         Deprecated and ignored: passing it warns ``DeprecationWarning``.
         One period of the orbit is always demodulated.
     rtol : float
-        Integrator tolerance, in ``[100 eps, 1)``.
+        Integrator tolerance, in ``[100 eps, 1)`` (default 1e-10).
 
     Raises
     ------
@@ -594,7 +521,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
         warnings.warn("The periods keyword of sideband_closure is deprecated "
                       "and ignored: one period of the orbit is demodulated",
                       DeprecationWarning, stacklevel=2)
-    _check_rtol(rtol)
+    if not _MIN_RTOL <= rtol < 1.0:
+        raise InvalidParameterError(
+            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
     config = replace(config,
                      drive=replace(config.drive, probe_ratio=probe_ratio,
                                    power_probe=None))
@@ -602,8 +531,9 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     first = solve_first_order(config, steady, omega)
     second = solve_second_order(config, steady, omega, first)
 
-    demod, iterations, map_residual, multiplier = _periodic_orbit(
-        config, steady, omega, rtol)
+    demod, iterations, map_residual = _periodic_orbit(config, steady, omega,
+                                                      rtol)
+    multiplier = math.exp(-2.0 * math.pi / omega * steady.margin)
     reasons = []
     if not map_residual <= _ORBIT_RTOL:
         reasons.append(f"no periodic orbit after {iterations} of at most "

@@ -10,6 +10,7 @@ hand evaluations of their defining formulas before freezing.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ FROZEN_OMEGA_TILDE_MINUS = 5652667.661604115
 # Three-mode chain (eta = 0.05*omega_m, theta_1 = pi/2).
 FROZEN_N3_FREQS = (6370917.500142666, 5950176.485899068, 5529435.471655471)
 FROZEN_N3_C2 = 298907.484819773 - 298907.484819773j
+
+
+def random_chain(rng, n):
+    """A chain of ``n`` modes with every parameter drawn at random: the
+    cavity detuning, each mode's frequency, damping and coupling, and each
+    link's rate and phase."""
+    base = ol.standard_setup(n)
+    omega_m = base.omega_ref
+    return replace(
+        base,
+        cavity=replace(base.cavity,
+                       delta_c=rng.uniform(-2.0, 2.0) * omega_m),
+        modes=tuple(
+            replace(m, omega=m.omega * rng.uniform(0.8, 1.2),
+                    gamma=m.gamma * rng.uniform(0.5, 2.0),
+                    g=m.g * rng.uniform(0.5, 2.0))
+            for m in base.modes),
+        couplings=tuple(
+            ol.PhononCoupling(eta=rng.uniform(0.0, 0.1) * omega_m,
+                              theta=rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(n - 1)))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -127,6 +128,20 @@ def test_nmode_basis_json(capsys):
     assert data["n"] == 2
     assert len(data["frequencies_rad_s"]) == 2
     assert data["dark_mode_indices"] == [2]
+
+
+@pytest.mark.parametrize("theta_pi", [0.0, 0.5, 1.0])
+def test_nmode_basis_dark_list_agrees_with_dark_mode_broken(theta_pi,
+                                                            capsys):
+    # One definition of a dark mode: --basis lists none exactly when
+    # dark_mode_broken reports the two-mode chain broken.
+    assert cli.main(["nmode", "--n", "2", "--theta-pi", str(theta_pi),
+                     "--basis"]) == 0
+    dark = json.loads(capsys.readouterr().out)["dark_mode_indices"]
+    config = ol.standard_setup(2, eta_frac=0.05, theta=theta_pi * math.pi)
+    broken, _ = ol.dark_mode_broken(config, ol.solve_steady_state(config))
+    assert (dark == []) == broken
+    assert len(dark) == (0 if theta_pi == 0.5 else 1)
 
 
 def test_sweep_cli_writes_bundle(config_file, tmp_path, capsys):

@@ -71,6 +71,15 @@ def test_dark_mode_broken_at_quarter_turn(split_config, split_steady):
     assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
+def test_dark_mode_broken_without_optical_coupling(split_config):
+    # With every g_l zero there is no bright mode to compare against: the
+    # ratio is 0 and nothing counts as broken.
+    cfg = dataclasses.replace(split_config, modes=tuple(
+        dataclasses.replace(m, g=0.0) for m in split_config.modes))
+    assert ol.dark_mode_broken(cfg, ol.solve_steady_state(cfg)) == \
+        (False, 0.0)
+
+
 def test_coupling_weight_conservation():
     # |G~+|^2 + |G~-|^2 == G1^2 + G2^2 for any theta, eta: the hybrid
     # basis is a rotation.
@@ -197,6 +206,18 @@ def test_fit_linewidth_featureless_spectrum(split_config):
         efficiency_percent=sp.efficiency_percent,
         route_discrepancy=sp.route_discrepancy, metadata=dict(sp.metadata))
     assert ol.fit_linewidth(flat) == []
+
+
+@pytest.mark.parametrize("fractions, match", [
+    pytest.param(np.linspace(0.9, 1.1, 4), "too short", id="four_points"),
+    pytest.param(0.9 + 0.2 * np.linspace(0.0, 1.0, 41) ** 2, "uniform grid",
+                 id="non_uniform_grid"),
+])
+def test_fit_linewidth_refusals(split_config, fractions, match):
+    sp = ol.compute_spectrum(split_config, fractions * split_config.omega_ref,
+                             include_second_order=False)
+    with pytest.raises(ol.InvalidParameterError, match=match):
+        ol.fit_linewidth(sp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -124,6 +124,28 @@ def test_nonuniform_chain_rejected():
         ol.build_normal_modes(cfg, st)
 
 
+def _hopping_varies(n):
+    base = ol.standard_setup(n, eta_frac=0.05)
+    couplings = (base.couplings[0],
+                 ol.PhononCoupling(eta=2.0 * base.couplings[1].eta,
+                                   theta=base.couplings[1].theta))
+    return ol.SystemConfig(cavity=base.cavity, modes=base.modes,
+                           couplings=couplings, drive=base.drive)
+
+
+@pytest.mark.parametrize("config, match", [
+    pytest.param(lambda: ol.standard_setup(1), "at least 2 modes",
+                 id="one_mode"),
+    pytest.param(lambda: _hopping_varies(3), "uniform hopping",
+                 id="non_uniform_hopping"),
+])
+def test_build_normal_modes_refusals(config, match):
+    cfg = config()
+    st = ol.solve_steady_state(cfg)
+    with pytest.raises(ol.UnsupportedTopologyError, match=match):
+        ol.build_normal_modes(cfg, st)
+
+
 def test_site_and_normal_mode_bases_agree():
     # Same physics in two bases: transmission from the chain (site basis)
     # and from the rotated star system must agree pointwise.

@@ -107,7 +107,7 @@ CLI_PINS = {
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":
-            "e8b5ca6784564db48c4b41d030c63fad06aa864c36c48e4e164ad3f7b6d7b7b1",
+            "f486b083ab30f13c4f070058bac40870ddcf8954b438fd7336b056315989b4f7",
     },
 }
 

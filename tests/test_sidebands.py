@@ -265,6 +265,51 @@ def test_group_delay_refuses_one_point_grid(split_config):
         ol.group_delay(one, 0.95 * split_config.omega_ref)
 
 
+def _non_uniform_spectrum(config):
+    """A 41-point first-order spectrum on a grid that bunches to the left."""
+    grid = (0.9 + 0.2 * np.linspace(0.0, 1.0, 41) ** 2) * config.omega_ref
+    return ol.compute_spectrum(config, grid, include_second_order=False)
+
+
+def _zero_at_centre(config):
+    """A uniform spectrum whose t_p vanishes at its centre point."""
+    sp = ol.compute_spectrum(config, points=41, span=(0.9, 1.1),
+                             include_second_order=False)
+    amp = sp.amplitude.copy()
+    amp[20] = 0.0
+    return dataclasses.replace(sp, amplitude=amp)
+
+
+def _second_order_on_other_grid(config):
+    steady = ol.solve_steady_state(config)
+    grid = np.linspace(0.9, 1.1, 11) * config.omega_ref
+    first = ol.solve_first_order(config, steady, grid[:5])
+    ol.solve_second_order(config, steady, grid, first)
+
+
+def _spectrum_without_probe(config):
+    ol.compute_spectrum(dataclasses.replace(config, drive=dataclasses.replace(
+        config.drive, probe_ratio=0.0, power_probe=None)), points=11)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda c: ol.group_delay(_non_uniform_spectrum(c),
+                                          c.omega_ref),
+                 ol.InvalidParameterError, "uniform grid",
+                 id="group_delay_non_uniform_grid"),
+    pytest.param(lambda c: ol.group_delay(_zero_at_centre(c), c.omega_ref),
+                 ol.DegeneratePointError, "vanishes",
+                 id="group_delay_vanishing_tp"),
+    pytest.param(_second_order_on_other_grid, ol.InvalidParameterError,
+                 "different grid", id="second_order_first_from_other_grid"),
+    pytest.param(_spectrum_without_probe, ol.InvalidParameterError,
+                 "probe amplitude must be > 0", id="spectrum_probe_ratio_0"),
+])
+def test_sideband_refusals(split_config, call, error, match):
+    with pytest.raises(error, match=match):
+        call(split_config)
+
+
 def test_spectrum_grid_validation(split_config):
     with pytest.raises(ol.InvalidParameterError):
         ol.compute_spectrum(split_config, points=1)
