@@ -116,6 +116,34 @@ def test_mean_field_rhs_matches_equations(n):
                     1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_jacobian_matches_central_differences(n):
+    # The shooting steers by model._drift_matrix at the pump-only steady
+    # state.  The probe is an additive drive, so that matrix must be the
+    # Jacobian of the probed right-hand side there at every time.  The
+    # equations are quadratic in the fields, so central differences are
+    # exact up to rounding.
+    rng = np.random.default_rng(200 + n)
+    omega_m = ol.standard_setup(n).omega_ref
+    for _ in range(4):
+        config = random_chain(rng, n)
+        steady = ol.solve_steady_state(config)
+        eps_l = ol.pump_amplitude(config)
+        rhs = oracle_mod._mean_field_rhs(config, eps_l,
+                                         rng.uniform(1e7, 1e8),
+                                         rng.uniform(0.5, 1.5) * omega_m)
+        y, _, _ = oracle_mod._start(config, eps_l, steady.alpha,
+                                    np.asarray(steady.betas))
+        t = rng.uniform(0.0, 1e-3)
+        fd = np.empty((y.size, y.size))
+        for j in range(y.size):
+            h = np.zeros_like(y)
+            h[j] = 1e-3 * max(abs(y[j]), 1.0)
+            fd[:, j] = (rhs(t, y + h) - rhs(t, y - h)) / (2.0 * h[j])
+        jac = _drift_matrix(config, steady.delta_eff)
+        assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
+
+
 @pytest.mark.parametrize("n, chain, frac", [
     (2, {"eta_frac": 0.05, "theta": math.pi / 2}, 0.95),
     (4, {"eta_frac": 0.05, "theta": 0.0}, 0.97),
@@ -208,8 +236,14 @@ def test_overflow_guard_trips_on_non_finite_state(split_config, split_steady,
         overflow(1e-6, y)
 
 
-# Explicit ids keep the cases' names; the gaps were removed arguments'.
+# Explicit ids keep the cases' names; the gap was the removed step's.
 @pytest.mark.parametrize("bad", [
+    pytest.param({"rtol": 0.0}, id="bad0"),
+    pytest.param({"rtol": 1e-15}, id="bad1"),
+    pytest.param({"rtol": -1.0}, id="bad2"),
+    pytest.param({"rtol": 1.0}, id="bad3"),
+    pytest.param({"rtol": math.nan}, id="bad4"),
+    pytest.param({"rtol": math.inf}, id="bad5"),
     pytest.param({"t_final": 0.0}, id="bad9"),
     pytest.param({"t_final": math.nan}, id="bad10"),
     pytest.param({"t_final": math.inf}, id="bad11"),
@@ -222,12 +256,23 @@ def test_overflow_guard_trips_on_non_finite_state(split_config, split_steady,
     pytest.param({"omega_probe": math.nan}, id="bad18"),
     pytest.param({"omega_probe": math.inf}, id="bad19"),
 ])
-def test_integrator_rejects_bad_input(split_config, split_steady, bad):
+def test_integrator_rejects_bad_input(split_config, split_steady, bad,
+                                      monkeypatch):
     # Refused up front as InvalidParameterError (exit 2 from the CLI): a
-    # span that is not finite or shorter than one sampling step, initial
-    # amplitudes of the wrong shape or not finite, and a probe detuning
-    # that is not finite and positive.
-    kwargs = {"t_final": 1e-4, "omega_probe": 0.95 * split_config.omega_ref,
+    # tolerance outside [100 eps, 1), a span that is not finite or shorter
+    # than one sampling step, initial amplitudes of the wrong shape or not
+    # finite, and a probe detuning that is not finite and positive.  Only
+    # sideband_closure takes a tolerance; it must refuse one before any
+    # integration starts.
+    w = 0.95 * split_config.omega_ref
+    if "rtol" in bad:
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("tolerance check came after integrating")
+        monkeypatch.setattr(oracle_mod, "dop853_steps", must_not_run)
+        with pytest.raises(ol.InvalidParameterError, match="rtol"):
+            ol.sideband_closure(split_config, w, **bad)
+        return
+    kwargs = {"t_final": 1e-4, "omega_probe": w,
               "initial": (split_steady.alpha, split_steady.betas)}
     kwargs.update(bad)
     with pytest.raises(ol.InvalidParameterError):
