@@ -117,37 +117,37 @@ def synthetic_steady(alpha: complex, delta: float,
                           alt_delta=float(delta))
 
 
-def random_two_mode(rng: np.random.Generator):
-    """Random two-mode working point for route-equivalence style tests.
+def random_working_point(rng: np.random.Generator, n: int = 2, *,
+                         hopping: bool = True, points: int | None = None):
+    """Random ``n``-mode working point for route-equivalence style tests.
 
     Rates are drawn log-uniformly, angles and detunings uniformly; the
     probe detuning spans +-3 mechanical frequencies so both sidebands and
-    far-off-resonance behaviour get exercised.
+    far-off-resonance behaviour get exercised.  With ``hopping=False``
+    every link has eta = 0.  ``omega`` is one detuning, or ``points`` of
+    them.
 
     Returns (config, steady, omega).
     """
     om1 = 6e6 * float(rng.uniform(0.5, 2.0))
-    om2 = om1 * float(rng.uniform(0.8, 1.25))
+    oms = [om1] + [om1 * float(rng.uniform(0.8, 1.25)) for _ in range(n - 1)]
     cfg = ol.SystemConfig(
         cavity=ol.CavityParams(
             kappa=om1 * 10 ** float(rng.uniform(-2.0, -0.2)),
             delta_c=float(rng.uniform(-3.0, 3.0)) * om1),
-        modes=(
-            ol.MechanicalMode(omega=om1,
-                              gamma=om1 * 10 ** float(rng.uniform(-5, -2)),
-                              g=10 ** float(rng.uniform(0.0, 1.8))),
-            ol.MechanicalMode(omega=om2,
-                              gamma=om2 * 10 ** float(rng.uniform(-5, -2)),
-                              g=10 ** float(rng.uniform(0.0, 1.8))),
-        ),
-        couplings=(
-            ol.PhononCoupling(eta=float(rng.uniform(0.0, 0.15)) * om1,
-                              theta=float(rng.uniform(0.0, TWO_PI))),
-        ),
+        modes=tuple(
+            ol.MechanicalMode(omega=om,
+                              gamma=om * 10 ** float(rng.uniform(-5, -2)),
+                              g=10 ** float(rng.uniform(0.0, 1.8)))
+            for om in oms),
+        couplings=tuple(
+            ol.PhononCoupling(eta=(float(rng.uniform(0.0, 0.15)) * om1
+                                   if hopping else 0.0),
+                              theta=float(rng.uniform(0.0, TWO_PI)))
+            for _ in range(n - 1)),
         drive=ol.DriveSpec(power_pump=1.5e-3, omega_pump=1.77e15),
     )
     alpha = 10 ** float(rng.uniform(2, 5)) * np.exp(
         1j * float(rng.uniform(0.0, TWO_PI)))
-    delta = cfg.cavity.delta_c
-    omega = float(rng.uniform(-3.0, 3.0)) * om1
-    return cfg, synthetic_steady(alpha, delta, 2), omega
+    omega = rng.uniform(-3.0, 3.0, points) * om1
+    return cfg, synthetic_steady(alpha, cfg.cavity.delta_c, n), omega

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 import omit_lab as ol
-from conftest import random_two_mode
+from conftest import random_working_point
 
 PI = math.pi
 OM = ol.standard_setup(1).omega_ref
@@ -46,7 +46,7 @@ def test_criterion_01_route_equivalence():
     rng = np.random.default_rng(20260814)
     worst1 = worst2 = 0.0
     for _ in range(1000):
-        cfg, steady, omega = random_two_mode(rng)
+        cfg, steady, omega = random_working_point(rng)
         d1 = ol.solve_first_order(cfg, steady, omega)
         c1 = ol.first_order_closed_form(cfg, steady, omega)
         d2 = ol.solve_second_order(cfg, steady, omega)

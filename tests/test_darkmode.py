@@ -172,6 +172,14 @@ def test_adiabatic_elimination_requires_uncoupled_pair(split_config,
 def test_predict_linewidth_guards(split_config, split_steady):
     with pytest.raises(ol.RegimeViolationError):
         ol.predict_linewidth(split_config, split_steady)
+    unequal = ol.standard_setup(2, g_scales=(1.0, 1.1))
+    with pytest.raises(ol.UnsupportedTopologyError, match="identical"):
+        ol.predict_linewidth(unequal, ol.solve_steady_state(unequal))
+    # The optical terms it sums are refused without a cavity linewidth.
+    om = split_config.omega_ref
+    for rate in (ol.optical_damping_rate, ol.optical_spring_shift):
+        with pytest.raises(ol.InvalidParameterError, match="kappa"):
+            rate(1e5, 0.0, om, 0.9 * om)
 
 
 # ---------------------------------------------------------------------------

@@ -326,22 +326,25 @@ def test_selection_rule_first_stable_branch_nearest_bare_detuning():
     assert select([0.0, 2.0], [0.0, 5.0], 0.1) == 1
 
 
-def _central_jacobian(cfg, delta):
+def _central_jacobian(cfg, delta, rng):
     """Central differences of the time-domain oracle's right-hand side at
-    the fixed point with effective detuning ``delta``.  The equations are
-    quadratic in the fields, so the difference quotient is exact up to
-    rounding."""
+    the fixed point with effective detuning ``delta``, with the probe on
+    at a drawn amplitude, detuning and time.  The probe is an additive
+    drive, so it must not enter the Jacobian; the equations are quadratic
+    in the fields, so the difference quotient is exact up to rounding."""
     eps_l = ol.pump_amplitude(cfg)
     alpha = eps_l / (cfg.cavity.kappa + 1j * delta)
     betas = solve_mechanical_displacements(cfg, abs(alpha) ** 2)
-    rhs = _mean_field_rhs(cfg, eps_l, 0.0, 0.0)
+    rhs = _mean_field_rhs(cfg, eps_l, rng.uniform(1e7, 1e8),
+                          rng.uniform(0.5, 1.5) * cfg.omega_ref)
+    t = rng.uniform(0.0, 1e-3)
     y0 = np.array([alpha, *betas]).view(float)
     jac = np.empty((len(y0), len(y0)))
     for j in range(len(y0)):
         h = 1e-3 * max(abs(y0[j]), 1.0)
         step = np.zeros_like(y0)
         step[j] = h
-        jac[:, j] = (rhs(0.0, y0 + step) - rhs(0.0, y0 - step)) / (2.0 * h)
+        jac[:, j] = (rhs(t, y0 + step) - rhs(t, y0 - step)) / (2.0 * h)
     return jac
 
 
@@ -350,21 +353,22 @@ def test_drift_matrix_is_jacobian_of_mean_field_rhs(n):
     # Independent route: the oracle's right-hand side, at the solver's
     # branch of a uniform chain and at every branch, stable or not, of
     # random non-uniform chains (per-site omega, gamma, g; per-link eta,
-    # theta).
+    # theta).  The shooting steers by this matrix at the pump-only steady
+    # state while the probe is on.
+    rng = np.random.default_rng(300 + n)
     cfg = ol.standard_setup(n, eta_frac=0.05, theta=0.3 * math.pi)
     st = ol.solve_steady_state(cfg)
-    jac = _central_jacobian(cfg, st.delta_eff)
+    jac = _central_jacobian(cfg, st.delta_eff, rng)
     drift = model._drift_matrix(cfg, st.delta_eff)
     assert np.max(np.abs(jac - drift)) <= 1e-9 * np.max(np.abs(drift))
     margin_fd = -np.max(np.linalg.eigvals(jac).real)
     assert margin_fd == pytest.approx(st.margin, rel=1e-6)
-    rng = np.random.default_rng(300 + n)
     signs = {st.margin > 0.0}
     for _ in range(6):
         cfg = random_chain(rng, n)
         for delta in ol.solve_steady_state(cfg).branches:
             drift = model._drift_matrix(cfg, delta)
-            assert np.max(np.abs(_central_jacobian(cfg, delta) - drift)) \
+            assert np.max(np.abs(_central_jacobian(cfg, delta, rng) - drift)) \
                 <= 1e-9 * np.max(np.abs(drift))
             signs.add(ol.stability_margin(cfg, delta) > 0.0)
     assert signs == {True, False}

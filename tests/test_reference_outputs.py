@@ -4,7 +4,8 @@
 files it writes; ``stdout`` is what a command prints when it is given no
 ``--out``.  ``CONFIG_PINS`` holds the digests of ``emit_config`` texts.
 ``ARRAY_PINS`` holds the digests of the bytes of the solver arrays of
-benchmark chains (see its comment).  Each test produces every output,
+benchmark chains (see its comment).  A figure or sweep command must print
+exactly the paths it wrote.  Each test produces every output,
 collects every one whose digest is not the recorded one, and then fails
 once.  Its message lists each such output under its command or chain, with
 the recorded digest in a comment and the produced one as a table entry, so
@@ -347,25 +348,33 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli_digests(command: str, out: Path) -> dict[str, str]:
-    """Run ``command`` in this process; the digest of each file it wrote."""
+def _cli_digests(command: str, out: Path, capsys) -> dict[str, str]:
+    """Run ``command`` in this process; the digest of each file it wrote.
+
+    A figure or sweep command prints exactly the paths it wrote; a command
+    given ``--out`` prints nothing."""
     argv = shlex.split(command)[1:]
-    if argv[0] in ("figure", "sweep"):
+    lists_files = argv[0] in ("figure", "sweep")
+    if lists_files:
         argv += ["--out-dir", str(out)]
     else:
         argv += ["--out", str(out / "stdout")]
     out.mkdir()
     assert cli.main(argv) == 0, command
+    wrote = [str(p) for p in out.iterdir()] if lists_files else []
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(wrote), \
+        command
     return {p.name: _digest(p.read_bytes()) for p in out.iterdir()}
 
 
 def test_reference_outputs_keep_their_bytes(split_config, tmp_path,
                                             monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
+    # Sweeps are serial: the former worker-count variable is ignored.
+    monkeypatch.setenv("OMIT_LAB_JOBS", "many")
     produced = {}
     for i, command in enumerate(CLI_PINS):
-        produced[command] = _cli_digests(command, tmp_path / str(i))
-    capsys.readouterr()  # the figure and sweep commands list their files
+        produced[command] = _cli_digests(command, tmp_path / str(i), capsys)
     produced["emit_config"] = {
         key: _digest(ol.emit_config(
             split_config if key == "split_config"
