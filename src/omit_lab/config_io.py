@@ -59,7 +59,8 @@ from .model import (
 __all__ = ["load_config", "loads_config", "emit_config", "save_config"]
 
 # Section kind -> key -> (dataclass field, factor to package units).  A
-# factor of None marks a formula: q_factor sets gamma = omega / Q, and
+# factor of None marks a formula: q_factor sets gamma = 2*pi * (omega_hz /
+# Q), scaled like a gamma_hz key so that emitting it round-trips, and
 # mass_kg records the mass and derives g from it and the cavity geometry.
 # A field is emitted under the first key that names it.
 _KEYS = {
@@ -153,7 +154,7 @@ def _load_section(parser: configparser.ConfigParser, section: str, cls,
     if "q_factor" in given:
         if given["q_factor"] <= 0.0:
             raise ConfigError(f"[{section}] q_factor must be > 0")
-        fields["gamma"] = fields["omega"] / given["q_factor"]
+        fields["gamma"] = math.tau * (given["omega_hz"] / given["q_factor"])
     if "mass_kg" in given:
         if cavity.wavelength is None or cavity.cavity_length is None:
             raise ConfigError(
@@ -235,8 +236,10 @@ def emit_config(config: SystemConfig) -> str:
     Each field is written under the first key that names it (damping as
     ``gamma_hz``, the phase as ``theta_rad``), and the coupling as
     ``mass_kg`` when the mode records a mass.  The text reloads to an equal
-    config when each value survives ``/ factor * factor``; a gamma derived
-    from ``q_factor`` or a value set in Python can miss by one ulp.
+    config when each value survives ``/ factor * factor``.  A value loaded
+    from text is ``factor`` times a float, a gamma derived from
+    ``q_factor`` included, and such values survived every random check; a
+    value set in Python can miss by one ulp.
     """
     sections = {"cavity": config.cavity, "drive": config.drive}
     sections.update((f"mode{i}", mode)

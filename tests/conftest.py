@@ -10,7 +10,6 @@ hand evaluations of their defining formulas before freezing.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,27 +61,6 @@ FROZEN_N3_FREQS = (6370917.500142666, 5950176.485899068, 5529435.471655471)
 FROZEN_N3_C2 = 298907.484819773 - 298907.484819773j
 
 
-def random_chain(rng, n):
-    """A chain of ``n`` modes with every parameter drawn at random: the
-    cavity detuning, each mode's frequency, damping and coupling, and each
-    link's rate and phase."""
-    base = ol.standard_setup(n)
-    omega_m = base.omega_ref
-    return replace(
-        base,
-        cavity=replace(base.cavity,
-                       delta_c=rng.uniform(-2.0, 2.0) * omega_m),
-        modes=tuple(
-            replace(m, omega=m.omega * rng.uniform(0.8, 1.2),
-                    gamma=m.gamma * rng.uniform(0.5, 2.0),
-                    g=m.g * rng.uniform(0.5, 2.0))
-            for m in base.modes),
-        couplings=tuple(
-            ol.PhononCoupling(eta=rng.uniform(0.0, 0.1) * omega_m,
-                              theta=rng.uniform(0.0, 2.0 * math.pi))
-            for _ in range(n - 1)))
-
-
 @pytest.fixture(scope="session")
 def split_config() -> ol.SystemConfig:
     return ol.standard_setup(2, eta_frac=0.05, theta=math.pi / 2)
@@ -117,21 +95,18 @@ def synthetic_steady(alpha: complex, delta: float,
                           alt_delta=float(delta))
 
 
-def random_working_point(rng: np.random.Generator, n: int = 2, *,
-                         hopping: bool = True, points: int | None = None):
-    """Random ``n``-mode working point for route-equivalence style tests.
+def random_config(rng: np.random.Generator, n: int = 2, *,
+                  hopping: bool = True) -> ol.SystemConfig:
+    """Random ``n``-mode chain: the one random-configuration builder.
 
-    Rates are drawn log-uniformly, angles and detunings uniformly; the
-    probe detuning spans +-3 mechanical frequencies so both sidebands and
-    far-off-resonance behaviour get exercised.  With ``hopping=False``
-    every link has eta = 0.  ``omega`` is one detuning, or ``points`` of
-    them.
-
-    Returns (config, steady, omega).
+    Rates are drawn log-uniformly, angles and detunings uniformly: mode 1
+    at 6e6 * U(0.5, 2) rad/s, each later mode at that times U(0.8, 1.25),
+    and the cavity detuning in +-3 times mode 1's frequency.  With
+    ``hopping=False`` every link has eta = 0.
     """
     om1 = 6e6 * float(rng.uniform(0.5, 2.0))
     oms = [om1] + [om1 * float(rng.uniform(0.8, 1.25)) for _ in range(n - 1)]
-    cfg = ol.SystemConfig(
+    return ol.SystemConfig(
         cavity=ol.CavityParams(
             kappa=om1 * 10 ** float(rng.uniform(-2.0, -0.2)),
             delta_c=float(rng.uniform(-3.0, 3.0)) * om1),
@@ -147,6 +122,21 @@ def random_working_point(rng: np.random.Generator, n: int = 2, *,
             for _ in range(n - 1)),
         drive=ol.DriveSpec(power_pump=1.5e-3, omega_pump=1.77e15),
     )
+
+
+def random_working_point(rng: np.random.Generator, n: int = 2, *,
+                         hopping: bool = True, points: int | None = None):
+    """A :func:`random_config` chain with a random working point.
+
+    The intracavity field is drawn log-uniformly in magnitude with a
+    uniform phase; the probe detuning spans +-3 times mode 1's frequency
+    so both sidebands and far-off-resonance behaviour get exercised.
+    ``omega`` is one detuning, or ``points`` of them.
+
+    Returns (config, steady, omega).
+    """
+    cfg = random_config(rng, n, hopping=hopping)
+    om1 = cfg.modes[0].omega
     alpha = 10 ** float(rng.uniform(2, 5)) * np.exp(
         1j * float(rng.uniform(0.0, TWO_PI)))
     omega = rng.uniform(-3.0, 3.0, points) * om1

@@ -11,7 +11,7 @@ import pytest
 
 import omit_lab as ol
 from omit_lab import cli
-from omit_lab.sweep import CSV_COLUMNS
+from omit_lab.sweep import CSV_COLUMNS, _spectrum_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,7 +64,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
 def test_bad_grid_exits_2(config_file, tmp_path):
     assert cli.main(["spectrum", "--config", config_file,
                      "--omega-grid", "0.9:1.1"]) == 2
-    for grid in ("0.9:1.1:1", "1.1:0.9:51"):
+    for grid in ("0.9:1.1:1", "1.1:0.9:51", "0.9:1.1:many"):
         assert cli.main(["spectrum", "--config", config_file,
                          "--omega-grid", grid]) == 2
         assert cli.main(["sweep", "--config", config_file,
@@ -122,6 +122,16 @@ def test_nmode_count_only(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_nmode_spectrum_csv(capsys):
+    # Without --basis or --count-only, nmode prints the first-order
+    # spectrum of the uniform chain.
+    assert cli.main(["nmode", "--n", "3", "--omega-grid", "0.9:1.1:201"]) == 0
+    spectrum = ol.compute_spectrum(
+        ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2),
+        include_second_order=False, span=(0.9, 1.1), points=201)
+    assert capsys.readouterr().out == _spectrum_text(spectrum, "csv")
+
+
 def test_nmode_basis_json(capsys):
     assert cli.main(["nmode", "--n", "2", "--theta-pi", "0", "--basis"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -162,6 +172,19 @@ def test_sweep_values_range_exclusive(config_file, tmp_path):
                      "--param", "power_pump_w", "--values", "1e-3",
                      "--range", "1e-4:1e-3:3",
                      "--out-dir", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--values", "0,half", "--values expects comma-separated numbers"),
+    ("--range", "0:1:0", "--range COUNT must be >= 1"),
+])
+def test_sweep_bad_values_exit_2(config_file, tmp_path, capsys, flag, text,
+                                 message):
+    out_dir = tmp_path / "bad_values"
+    assert cli.main(["sweep", "--config", config_file, "--param",
+                     "theta_rad", flag, text, "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_sweep_out_of_range_index_exits_2(config_file, tmp_path, capsys):

@@ -25,7 +25,7 @@ from conftest import (
     FROZEN_GAMMA_OPT,
     FROZEN_OMEGA_TILDE_MINUS,
     FROZEN_OMEGA_TILDE_PLUS,
-    TWO_PI,
+    random_config,
     synthetic_steady,
 )
 
@@ -82,29 +82,24 @@ def test_dark_mode_broken_without_optical_coupling(split_config):
 
 def test_coupling_weight_conservation():
     # |G~+|^2 + |G~-|^2 == G1^2 + G2^2 for any theta, eta: the hybrid
-    # basis is a rotation.
+    # basis is a rotation.  Without hopping it is the identity or a swap,
+    # whichever makes the higher-frequency mode the + mode.
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        om1 = 6e6 * float(rng.uniform(0.8, 1.2))
-        om2 = om1 * float(rng.uniform(0.85, 1.18))
-        cfg = ol.SystemConfig(
-            cavity=ol.CavityParams(kappa=1.3e6, delta_c=om1),
-            modes=(
-                ol.MechanicalMode(omega=om1, gamma=900.0,
-                                  g=float(rng.uniform(5, 30))),
-                ol.MechanicalMode(omega=om2, gamma=900.0,
-                                  g=float(rng.uniform(5, 30))),
-            ),
-            couplings=(ol.PhononCoupling(
-                eta=float(rng.uniform(0.0, 0.1)) * om1,
-                theta=float(rng.uniform(0.0, TWO_PI))),),
-            drive=ol.DriveSpec(power_pump=1.5e-3, omega_pump=1.77e15),
-        )
+    orders = set()
+    for k in range(50):
+        hopping = k % 2 == 0
+        cfg = random_config(rng, hopping=hopping)
+        om1, om2 = (m.omega for m in cfg.modes)
         st = synthetic_steady(2e4 * np.exp(0.3j), om1, 2)
         rep = ol.hybridize_two_mode(cfg, st)
         left = abs(rep.g_tilde_plus) ** 2 + abs(rep.g_tilde_minus) ** 2
         right = rep.g1 ** 2 + rep.g2 ** 2
         assert left == pytest.approx(right, rel=1e-12)
+        if not hopping:
+            orders.add(om1 > om2)
+            assert (rep.f, rep.h) == ((1.0, 0.0) if om1 > om2
+                                      else (0.0, -1.0))
+    assert orders == {True, False}
 
 
 def test_hybrid_degenerate_conventions(plain_config, plain_steady):
@@ -157,6 +152,15 @@ def test_adiabatic_parameters_frozen(plain_config, plain_steady):
     assert ad.gamma_eff == pytest.approx(FROZEN_GAMMA_EFF, rel=1e-11)
     assert ol.predict_linewidth(plain_config, plain_steady) == pytest.approx(
         FROZEN_GAMMA_EFF, rel=1e-11)
+
+
+def test_adiabatic_elimination_warns_outside_its_regime():
+    # At 5 mW G exceeds kappa / 2, so kappa >> G no longer holds.
+    cfg = ol.standard_setup(2, power_w=5e-3)
+    st = ol.solve_steady_state(cfg)
+    assert ol.linearized_couplings(cfg, st)[0] > 0.5 * cfg.cavity.kappa
+    with pytest.warns(UserWarning, match="indicative only"):
+        ol.adiabatic_elimination(cfg, st)
 
 
 def test_adiabatic_elimination_requires_uncoupled_pair(split_config,

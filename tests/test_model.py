@@ -26,7 +26,7 @@ from conftest import (
     FROZEN_OMEGA_L,
     FROZEN_OMEGA_M,
     TWO_PI,
-    random_chain,
+    random_config,
 )
 
 
@@ -69,9 +69,15 @@ def test_probe_amplitude_scales_with_ratio(split_config):
         0.05 * eps_l, rel=1e-15)
 
 
-def test_probe_ratio_guardrails():
+def test_probe_ratio_guardrails(split_config):
     with pytest.warns(UserWarning):
         ol.DriveSpec(power_pump=1e-3, probe_ratio=0.08)
+    # A probe power is checked as the amplitude ratio sqrt(P_p / P), here
+    # 0.08, once the probe amplitude is computed.
+    probed = replace(split_config, drive=ol.DriveSpec(
+        power_pump=1e-3, probe_ratio=None, power_probe=6.4e-6))
+    with pytest.warns(UserWarning, match="ratio 0.08 above"):
+        ol.probe_amplitude(probed)
     with pytest.raises(ol.InvalidParameterError):
         ol.DriveSpec(power_pump=1e-3, probe_ratio=0.2)
 
@@ -84,6 +90,8 @@ def test_drive_spec_exclusive_probe_definitions():
 def test_parameter_validation():
     with pytest.raises(ol.InvalidParameterError):
         ol.CavityParams(kappa=-1.0, delta_c=0.0)
+    with pytest.raises(ol.InvalidParameterError, match="finite"):
+        ol.CavityParams(kappa=math.nan, delta_c=0.0)
     with pytest.raises(ol.InvalidParameterError):
         ol.MechanicalMode(omega=1e6, gamma=0.0, g=10.0)
     with pytest.raises(ol.InvalidParameterError):
@@ -95,6 +103,30 @@ def test_parameter_validation():
             couplings=(),  # needs exactly n-1 couplings
             drive=ol.DriveSpec(power_pump=1e-3, omega_pump=1.8e15),
         )
+    with pytest.raises(ol.InvalidParameterError, match="at least one"):
+        ol.SystemConfig(cavity=ol.CavityParams(kappa=1e6, delta_c=0.0),
+                        modes=(), couplings=(),
+                        drive=ol.DriveSpec(power_pump=1e-3))
+    # Neither a pump frequency nor a wavelength to derive it from.
+    unknown = ol.SystemConfig(
+        cavity=ol.CavityParams(kappa=1e6, delta_c=0.0),
+        modes=(ol.MechanicalMode(omega=1e6, gamma=1.0, g=1.0),),
+        couplings=(), drive=ol.DriveSpec(power_pump=1e-3))
+    with pytest.raises(ol.InvalidParameterError, match="pump frequency"):
+        ol.pump_frequency(unknown)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ol.standard_setup(0), "n_modes must be >= 1",
+                 id="no_modes"),
+    pytest.param(lambda: ol.standard_setup(3, g_scales=(1.0, 1.0)),
+                 "g_scales must have length 3", id="g_scales_length"),
+    pytest.param(lambda: ol.run_figure_preset("fig9", "unused"),
+                 "unknown figure preset", id="unknown_preset"),
+])
+def test_preset_refusals(call, match):
+    with pytest.raises(ol.InvalidParameterError, match=match):
+        call()
 
 
 def test_theta_canonicalized_into_principal_interval():
@@ -118,30 +150,6 @@ def test_steady_state_frozen_values(split_config, split_steady):
 
 def test_fixed_point_residual_below_tolerance(split_config, split_steady):
     assert ol.steady_state_residual(split_config, split_steady) < 1e-12
-
-
-def test_residuals_over_random_draws():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        om = float(rng.uniform(4e6, 8e6))
-        n = int(rng.integers(1, 5))
-        modes = tuple(
-            ol.MechanicalMode(omega=om * float(rng.uniform(0.95, 1.05)),
-                              gamma=om / float(rng.uniform(3e3, 1e4)),
-                              g=float(rng.uniform(5, 25)))
-            for _ in range(n))
-        couplings = tuple(
-            ol.PhononCoupling(eta=float(rng.uniform(0, 0.08)) * om,
-                              theta=float(rng.uniform(0, TWO_PI)))
-            for _ in range(n - 1))
-        cfg = ol.SystemConfig(
-            cavity=ol.CavityParams(kappa=om * float(rng.uniform(0.15, 0.35)),
-                                   delta_c=om * float(rng.uniform(0.9, 1.2))),
-            modes=modes, couplings=couplings,
-            drive=ol.DriveSpec(power_pump=float(rng.uniform(1e-4, 1.5e-3)),
-                               omega_pump=1.77e15))
-        st = ol.solve_steady_state(cfg)
-        assert ol.steady_state_residual(cfg, st) < 1e-12
 
 
 def test_steady_state_bit_identical_under_theta_shift():
@@ -227,33 +235,16 @@ def test_unpolished_root_is_refused(monkeypatch):
     assert err.value.residual > 1e-12
 
 
-def _random_chain(rng, n):
-    om = float(rng.uniform(4e6, 8e6))
-    modes = tuple(
-        ol.MechanicalMode(omega=om * float(rng.uniform(0.95, 1.05)),
-                          gamma=om / float(rng.uniform(3e3, 1e4)),
-                          g=float(rng.uniform(5, 25)))
-        for _ in range(n))
-    couplings = tuple(
-        ol.PhononCoupling(eta=float(rng.uniform(0, 0.08)) * om,
-                          theta=float(rng.uniform(0, TWO_PI)))
-        for _ in range(n - 1))
-    return ol.SystemConfig(
-        cavity=ol.CavityParams(kappa=om * float(rng.uniform(0.15, 0.35)),
-                               delta_c=om * float(rng.uniform(0.9, 1.6))),
-        modes=modes, couplings=couplings,
-        drive=ol.DriveSpec(power_pump=float(rng.uniform(1e-4, 3e-3)),
-                           omega_pump=1.77e15))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
 def test_every_branch_is_a_fixed_point(n):
     # Each reported branch, re-substituted through a fresh chain solve at
-    # its own photon number, reproduces its detuning.
+    # its own photon number, reproduces its detuning, and the chosen state
+    # meets the full fixed-point equations.
     rng = np.random.default_rng(700 + n)
     for _ in range(4):
-        cfg = _random_chain(rng, n)
+        cfg = random_config(rng, n)
         st = ol.solve_steady_state(cfg)
+        assert ol.steady_state_residual(cfg, st) < 1e-12
         assert st.branches == tuple(sorted(st.branches))
         assert st.delta_eff == pytest.approx(st.branches[st.branch_index],
                                              rel=1e-12)
@@ -364,8 +355,8 @@ def test_drift_matrix_is_jacobian_of_mean_field_rhs(n):
     margin_fd = -np.max(np.linalg.eigvals(jac).real)
     assert margin_fd == pytest.approx(st.margin, rel=1e-6)
     signs = {st.margin > 0.0}
-    for _ in range(6):
-        cfg = random_chain(rng, n)
+    for _ in range(10):
+        cfg = random_config(rng, n)
         for delta in ol.solve_steady_state(cfg).branches:
             drift = model._drift_matrix(cfg, delta)
             assert np.max(np.abs(_central_jacobian(cfg, delta, rng) - drift)) \

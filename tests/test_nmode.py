@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ def _chain(n: int, theta1: float, *, etas: float = 0.05) -> ol.SystemConfig:
     return ol.standard_setup(n, eta_frac=etas, theta=theta1)
 
 
-def _random_phase_chain(rng: np.random.Generator, n: int) -> ol.SystemConfig:
-    """Uniform chain with an independent random phase on every link."""
-    base = ol.standard_setup(n, eta_frac=0.05)
-    couplings = tuple(
-        ol.PhononCoupling(eta=c.eta, theta=float(rng.uniform(0.0, TWO_PI)))
-        for c in base.couplings)
-    return ol.SystemConfig(cavity=base.cavity, modes=base.modes,
-                           couplings=couplings, drive=base.drive)
+def _phase_chain(thetas) -> ol.SystemConfig:
+    """Uniform chain of ``len(thetas) + 1`` modes with the given phase on
+    each link.  The normal-mode basis takes only uniform chains, so tests
+    draw the phases rather than a whole configuration."""
+    base = ol.standard_setup(len(thetas) + 1, eta_frac=0.05)
+    return replace(base, couplings=tuple(
+        replace(c, theta=float(theta))
+        for c, theta in zip(base.couplings, thetas)))
 
 
 def test_normal_mode_frequencies_frozen():
@@ -54,7 +55,7 @@ def test_transform_unitary_up_to_n64():
     # working point serves; no self-consistent solve is needed.
     rng = np.random.default_rng(17)
     for n in (2, 3, 8, 16, 33, 64):
-        cfg = _random_phase_chain(rng, n)
+        cfg = _phase_chain(rng.uniform(0.0, TWO_PI, n - 1))
         st = synthetic_steady(2.0e4 * np.exp(0.41j), cfg.omega_ref, n)
         basis = ol.build_normal_modes(cfg, st)
         m = basis.transform
@@ -97,7 +98,7 @@ def test_even_mode_coupling_guards():
     with pytest.raises(ol.InvalidParameterError):
         ol.even_mode_coupling(cfg, st, 6)  # out of range
     rng = np.random.default_rng(1)
-    multi = _random_phase_chain(rng, 4)
+    multi = _phase_chain(rng.uniform(0.0, TWO_PI, 3))
     st2 = ol.solve_steady_state(multi)
     with pytest.raises(ol.UnsupportedTopologyError):
         ol.even_mode_coupling(multi, st2, 2)
@@ -143,7 +144,7 @@ def test_site_and_normal_mode_bases_agree():
     rng = np.random.default_rng(31)
     grid_frac = np.linspace(0.85, 1.15, 41)
     for n in (2, 3, 4, 6, 16):
-        cfg = _random_phase_chain(rng, n)
+        cfg = _phase_chain(rng.uniform(0.0, TWO_PI, n - 1))
         st = ol.solve_steady_state(cfg)
         w = grid_frac * cfg.omega_ref
         site = ol.compute_spectrum(cfg, w, include_second_order=False,

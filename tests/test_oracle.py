@@ -14,7 +14,7 @@ import omit_lab as ol
 from omit_lab import oracle as oracle_mod
 from omit_lab.model import _drift_matrix, solve_mechanical_displacements
 
-from conftest import random_chain
+from conftest import random_config
 
 
 def _pump_only(config):
@@ -92,11 +92,10 @@ def _equations(config, eps_l, eps_p, w_probe, t, a, b):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_mean_field_rhs_matches_equations(n):
     rng = np.random.default_rng(100 + n)
-    omega_m = ol.standard_setup(n).omega_ref
     for _ in range(4):
-        config = random_chain(rng, n)
+        config = random_config(rng, n)
         eps_l = rng.uniform(1e9, 1e10)
-        w_probe = rng.uniform(0.5, 1.5) * omega_m
+        w_probe = rng.uniform(0.5, 1.5) * config.omega_ref
         for eps_p in (0.0, rng.uniform(1e7, 1e8)):
             rhs = oracle_mod._mean_field_rhs(config, eps_l, eps_p, w_probe)
             for _ in range(5):
