@@ -296,11 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     nm.add_argument("--power-w", type=float, default=None)
     nm.add_argument("--probe-ratio", type=float, default=None)
     nm.add_argument("--omega-grid", metavar="LO:HI:COUNT")
-    nm.add_argument("--basis", action="store_true",
-                    help="print the normal-mode basis as JSON instead of "
-                         "a spectrum")
-    nm.add_argument("--count-only", action="store_true",
-                    help="print only the transparency window count")
+    shown = nm.add_mutually_exclusive_group()
+    shown.add_argument("--basis", action="store_true",
+                       help="print the normal-mode basis as JSON instead "
+                            "of a spectrum")
+    shown.add_argument("--count-only", action="store_true",
+                       help="print only the transparency window count")
     nm.add_argument("--format", choices=("csv", "json"), default="csv")
     nm.add_argument("--out", help="output file (default: stdout)")
     nm.set_defaults(handler=_cmd_nmode)

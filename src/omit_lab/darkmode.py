@@ -19,15 +19,18 @@ exactly -- a dark mode survives -- while any other phase makes both normal
 modes optically active ("dark-mode breaking"), splitting the single
 transparency window in two.
 
-The adiabatic-elimination helpers integrate out a fast cavity
-(``omega >> kappa >> G >> gamma``) and give each mode an optically induced
-damping ``gamma_opt`` and spring shift ``omega_opt``; for ``N`` identical
-modes sharing one bright mode the effective decay rate is
-``gamma_eff = gamma_m + N * gamma_opt``.  Like ``kappa`` and ``gamma``
-this is an amplitude decay rate, so it is the half width (HWHM) of the
-transparency window; in the weak-coupling limit the window's full width
-is ``2 * gamma_eff``.  ``fit_linewidth`` measures the actual window FWHM
-from a computed spectrum, to be compared with ``2 * gamma_eff``.
+:func:`adiabatic_elimination` integrates out a fast cavity
+(``omega >> kappa >> G >> gamma``) for any number of modes without
+phonon exchange and gives each mode an optically induced damping
+``gamma_opt`` and spring shift ``omega_opt``, one entry per mode; it is
+the one place these rates are computed.  For ``N`` identical modes
+sharing one bright mode the effective decay rate is ``gamma_eff =
+gamma_m + N * gamma_opt``, returned once, by :func:`predict_linewidth`,
+which sums those entries.  Like ``kappa`` and ``gamma`` this is an
+amplitude decay rate, so it is the half width (HWHM) of the transparency
+window; in the weak-coupling limit the window's full width is ``2 *
+gamma_eff``.  ``fit_linewidth`` measures the actual window FWHM from a
+computed spectrum, to be compared with ``2 * gamma_eff``.
 """
 
 from __future__ import annotations
@@ -115,21 +118,15 @@ class HybridModeReport:
 class AdiabaticParams:
     """Per-mode optically induced rates after eliminating the cavity.
 
-    ``gamma_eff`` and ``omega_eff`` are the bright-mode decay rate and
-    frequency for identical modes: mean bare value plus/minus the summed
-    optical contributions.  ``gamma_eff`` is an amplitude decay rate, the
-    half width (HWHM) of the transparency window; the weak-coupling FWHM
-    is ``2 * gamma_eff``.
+    One entry per mode, in mode order, for any number of modes without
+    phonon exchange: mode ``l`` decays at ``gamma_l + gamma_opt[l]`` and
+    oscillates at ``omega_l - omega_opt[l]``.  For identical modes the
+    window's effective decay rate ``gamma_eff = gamma_m + sum(gamma_opt)``
+    is :func:`predict_linewidth`, the half width (HWHM) of the window.
     """
 
     gamma_opt: tuple[float, ...]
     omega_opt: tuple[float, ...]
-    gamma_total: tuple[float, ...]
-    omega_shifted: tuple[float, ...]
-    xi1: complex
-    xi2: complex
-    gamma_eff: float
-    omega_eff: float
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class LinewidthFit:
 
     center: float       # window centre (rad/s)
     fwhm: float         # full width at half prominence (rad/s)
-    height: float       # |t_p|^2 at the window top
     prominence: float   # peak prominence in |t_p|^2
 
 
@@ -265,62 +261,41 @@ def optical_spring_shift(g_lin: float, kappa: float, delta: float,
         + (delta - omega) / (kappa ** 2 + (delta - omega) ** 2))
 
 
-def _cross_damping(g_a: float, g_b: float, kappa: float, delta: float,
-                   omega_b: float) -> complex:
-    """Cavity-mediated cross term xi feeding mode a from mode b."""
-    num1 = g_a * g_b * complex(kappa, delta + omega_b)
-    num2 = g_a * g_b * complex(kappa, -(delta - omega_b))
-    return (num1 / (kappa ** 2 + (delta + omega_b) ** 2)
-            - num2 / (kappa ** 2 + (delta - omega_b) ** 2))
-
-
 def adiabatic_elimination(config: SystemConfig,
                           steady: SteadyState) -> AdiabaticParams:
-    """Effective mechanical rates with the cavity integrated out.
+    """Optical damping and spring shift of each mode, cavity integrated out.
 
-    Valid for the two-mode system without phonon exchange in the resolved
+    Valid for any number of modes without phonon exchange in the resolved
     sideband, weak-coupling regime ``omega >> kappa >> G >> gamma``; the
     numbers are still computed outside that regime, with a warning.
 
     Raises
     ------
-    UnsupportedTopologyError
-        More or fewer than two modes.
     RegimeViolationError
-        Nonzero phonon exchange (the elimination below does not include
-        the hopping term).
+        Nonzero phonon exchange on any link (the elimination below does
+        not include the hopping term).
     """
-    _require_two_modes(config, "adiabatic elimination")
-    if config.couplings[0].eta != 0.0:
+    eta, _ = config.coupling_arrays()
+    if np.any(eta != 0.0):
         raise RegimeViolationError(
             "adiabatic elimination is derived without phonon exchange; "
             "set eta = 0 or use the full sideband solve")
-    (o1, o2), (gm1, gm2), _ = config.mode_arrays()
-    g1, g2 = linearized_couplings(config, steady)
+    omega, gamma, _ = config.mode_arrays()
+    g_lin = linearized_couplings(config, steady)
     kappa = config.cavity.kappa
     delta = steady.delta_eff
 
-    if not (min(o1, o2) > 2.0 * kappa and kappa > 2.0 * max(g1, g2)
-            and (min(g1, g2) > 2.0 * max(gm1, gm2) or max(g1, g2) == 0.0)):
+    if not (omega.min() > 2.0 * kappa and kappa > 2.0 * g_lin.max()
+            and (g_lin.min() > 2.0 * gamma.max() or g_lin.max() == 0.0)):
         warnings.warn(
             "parameters violate omega >> kappa >> G >> gamma; "
             "adiabatic rates are indicative only", stacklevel=2)
 
-    gamma_opt = (optical_damping_rate(g1, kappa, delta, o1),
-                 optical_damping_rate(g2, kappa, delta, o2))
-    omega_opt = (optical_spring_shift(g1, kappa, delta, o1),
-                 optical_spring_shift(g2, kappa, delta, o2))
-    gamma_total = (gm1 + gamma_opt[0], gm2 + gamma_opt[1])
-    omega_shifted = (o1 - omega_opt[0], o2 - omega_opt[1])
-    xi1 = _cross_damping(g1, g2, kappa, delta, o2)
-    xi2 = _cross_damping(g2, g1, kappa, delta, o1)
-    gamma_eff = 0.5 * (gm1 + gm2) + gamma_opt[0] + gamma_opt[1]
-    omega_eff = 0.5 * (o1 + o2) - omega_opt[0] - omega_opt[1]
     return AdiabaticParams(
-        gamma_opt=gamma_opt, omega_opt=omega_opt,
-        gamma_total=gamma_total, omega_shifted=omega_shifted,
-        xi1=xi1, xi2=xi2,
-        gamma_eff=float(gamma_eff), omega_eff=float(omega_eff),
+        gamma_opt=tuple(float(optical_damping_rate(gl, kappa, delta, om))
+                        for gl, om in zip(g_lin, omega)),
+        omega_opt=tuple(float(optical_spring_shift(gl, kappa, delta, om))
+                        for gl, om in zip(g_lin, omega)),
     )
 
 
@@ -328,7 +303,9 @@ def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
     """Effective decay rate ``gamma_eff = gamma_m + N * gamma_opt``.
 
     Applies to ``N`` identical modes sharing a single bright mode, i.e. no
-    phonon exchange and degenerate (omega, gamma, g) across the chain.
+    phonon exchange and degenerate (omega, gamma, g) across the chain: the
+    bare rate plus the ``gamma_opt`` of :func:`adiabatic_elimination`,
+    summed in mode order, with that function's regime warning.
 
     The result is an amplitude decay rate: the half width (HWHM) of the
     transparency window, not its full width.  Compare ``2 * gamma_eff``
@@ -344,24 +321,12 @@ def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
     UnsupportedTopologyError
         Modes are not identical.
     """
-    eta, _ = config.coupling_arrays()
-    if np.any(eta != 0.0):
-        raise RegimeViolationError(
-            "linewidth prediction assumes no phonon exchange (eta = 0)")
+    gamma_opt = adiabatic_elimination(config, steady).gamma_opt
     omega, gamma, g = config.mode_arrays()
     if (np.ptp(omega) != 0.0 or np.ptp(gamma) != 0.0 or np.ptp(g) != 0.0):
         raise UnsupportedTopologyError(
             "linewidth prediction assumes identical mechanical modes")
-    return float(gamma[0] + _total_optical_damping(config, steady))
-
-
-def _total_optical_damping(config: SystemConfig,
-                           steady: SteadyState) -> float:
-    """Sum of the modes' optical damping rates, added in mode order."""
-    omega, _, _ = config.mode_arrays()
-    return sum(
-        optical_damping_rate(gl, config.cavity.kappa, steady.delta_eff, om)
-        for gl, om in zip(linearized_couplings(config, steady), omega))
+    return float(gamma[0] + sum(gamma_opt))
 
 
 def _find_windows(power: np.ndarray, min_prominence: float
@@ -458,6 +423,6 @@ def fit_linewidth(spectrum: Spectrum) -> list[LinewidthFit]:
         return []
     return [
         LinewidthFit(center=float(w[p]), fwhm=float(width * h),
-                     height=float(power[p]), prominence=prom)
+                     prominence=prom)
         for p, width, prom in _find_windows(power, _REL_PROMINENCE * swing)
     ]

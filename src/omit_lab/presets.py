@@ -244,7 +244,7 @@ def _fig6(out: Path) -> list[Path]:
                             (target + 0.002) * _OMEGA_M, 41)
         spectra = _theta_sweep(0.05, thetas, omega=local,
                                include_second_order=False)
-        delays.append([group_delay(sp, target * _OMEGA_M).delay
+        delays.append([group_delay(sp, target * _OMEGA_M)
                        for sp in spectra])
     written.append(_table_file(
         out / "fig6_delay_vs_theta.csv",

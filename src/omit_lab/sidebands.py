@@ -45,7 +45,7 @@ chains, and with ``cav = kappa - i(Delta + Omega)`` its V-factors are
 Group delay is the slope of the transmission phase, ``tau = d(arg t_p) /
 d(Omega)``: a five-point central stencil on the unwrapped phase, derived
 like ``|t_p|^2`` from the ``t_p`` a :class:`Spectrum` stores.
-:func:`group_delay` reads one point of that column.
+:func:`group_delay` returns one point of that column as a number.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .model import (
 __all__ = [
     "SidebandAmplitudes",
     "Spectrum",
-    "GroupDelayEstimate",
     "solve_first_order",
     "solve_second_order",
     "first_order_closed_form",
@@ -107,20 +106,6 @@ class SidebandAmplitudes:
     a_plus_conj: complex | np.ndarray
     b_minus: np.ndarray
     b_plus_conj: np.ndarray
-
-
-@dataclass(frozen=True)
-class GroupDelayEstimate:
-    """Group delay at one grid point.
-
-    ``delay`` in seconds (positive = slow light), ``omega`` the detuning it
-    was evaluated at, ``step`` the grid step used by the stencil.
-    """
-
-    delay: float
-    omega: float
-    index: int
-    step: float
 
 
 @dataclass(frozen=True)
@@ -746,12 +731,14 @@ def compute_spectrum(config: SystemConfig,
     )
 
 
-def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
+def group_delay(spectrum: Spectrum, at: float) -> float:
     """Group delay ``d(arg t_p)/d(omega)`` at the grid point nearest ``at``.
 
-    Reads the spectrum's ``group_delay`` column, the five-point central
-    stencil on the unwrapped phase, after checking that the target sits at
-    least five grid points away from either edge of a uniform grid.
+    Returns the number in seconds (positive = slow light): the spectrum's
+    ``group_delay`` column, the five-point central stencil on the
+    unwrapped phase, at ``spectrum.nearest_index(at)``, after checking
+    that the target sits at least five grid points away from either edge
+    of a uniform grid.
 
     Raises
     ------
@@ -767,13 +754,11 @@ def group_delay(spectrum: Spectrum, at: float) -> GroupDelayEstimate:
         raise InvalidParameterError(
             f"target {at:.6e} rad/s sits {min(idx, k - 1 - idx)} points from "
             "the grid edge; at least 5 are required")
-    h = _uniform_step(w)
-    if h is None:
+    if _uniform_step(w) is None:
         raise InvalidParameterError("group delay requires a uniform grid")
     scale = float(np.max(np.abs(spectrum.amplitude)))
     if abs(spectrum.amplitude[idx]) < 1e-12 * max(scale, 1.0):
         raise DegeneratePointError(
             f"transmission amplitude vanishes at omega = {w[idx]:.6e} rad/s; "
             "phase slope is undefined there")
-    return GroupDelayEstimate(delay=float(spectrum.group_delay[idx]),
-                              omega=float(w[idx]), index=idx, step=h)
+    return float(spectrum.group_delay[idx])

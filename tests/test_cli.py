@@ -103,6 +103,22 @@ def test_darkmode_report_steady_branches(config_file, split_config, capsys):
     assert steady["stability_margin_per_s"] > 0.0
 
 
+def test_darkmode_report_without_hopping(tmp_path, capsys):
+    # At eta = 0 the report carries the per-mode adiabatic rates and the
+    # one linewidth prediction built from them.
+    config = ol.standard_setup(2)
+    path = tmp_path / "plain.cfg"
+    path.write_text(ol.emit_config(config), encoding="utf-8")
+    assert cli.main(["darkmode", "--config", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["adiabatic"]) == {"gamma_opt", "omega_opt"}
+    assert len(data["adiabatic"]["gamma_opt"]) == 2
+    assert len(data["adiabatic"]["omega_opt"]) == 2
+    loaded = ol.load_config(path)
+    assert data["predicted_linewidth_rad_s"] == ol.predict_linewidth(
+        loaded, ol.solve_steady_state(loaded))
+
+
 def test_darkmode_three_modes_exits_4(tmp_path, capsys):
     path = tmp_path / "chain3.cfg"
     ol.save_config(ol.standard_setup(3, eta_frac=0.05), path)
@@ -120,6 +136,15 @@ def test_nmode_count_only(capsys):
     assert cli.main(["nmode", "--n", "2", "--theta-pi", "0",
                      "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_nmode_basis_and_count_only_exclusive(capsys):
+    # Each flag picks what nmode prints; the pair is refused at parse time
+    # instead of one of them being dropped.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nmode", "--n", "3", "--basis", "--count-only"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_nmode_spectrum_csv(capsys):

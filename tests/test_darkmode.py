@@ -149,7 +149,6 @@ def test_optical_damping_sideband_asymmetry():
 def test_adiabatic_parameters_frozen(plain_config, plain_steady):
     ad = ol.adiabatic_elimination(plain_config, plain_steady)
     assert ad.gamma_opt[0] == pytest.approx(FROZEN_GAMMA_OPT, rel=1e-11)
-    assert ad.gamma_eff == pytest.approx(FROZEN_GAMMA_EFF, rel=1e-11)
     assert ol.predict_linewidth(plain_config, plain_steady) == pytest.approx(
         FROZEN_GAMMA_EFF, rel=1e-11)
 
@@ -161,16 +160,24 @@ def test_adiabatic_elimination_warns_outside_its_regime():
     assert ol.linearized_couplings(cfg, st)[0] > 0.5 * cfg.cavity.kappa
     with pytest.warns(UserWarning, match="indicative only"):
         ol.adiabatic_elimination(cfg, st)
+    with pytest.warns(UserWarning, match="indicative only"):
+        ol.predict_linewidth(cfg, st)
 
 
 def test_adiabatic_elimination_requires_uncoupled_pair(split_config,
                                                        split_steady):
     with pytest.raises(ol.RegimeViolationError):
         ol.adiabatic_elimination(split_config, split_steady)
-    three = ol.standard_setup(3, eta_frac=0.0)
-    st3 = ol.solve_steady_state(three)
-    with pytest.raises(ol.UnsupportedTopologyError):
-        ol.adiabatic_elimination(three, st3)
+    # Any number of uncoupled modes; identical modes get equal rates, and
+    # the linewidth prediction is their sum in mode order.
+    for n in (1, 3, 5):
+        cfg = ol.standard_setup(n, eta_frac=0.0)
+        st = ol.solve_steady_state(cfg)
+        ad = ol.adiabatic_elimination(cfg, st)
+        assert len(ad.gamma_opt) == len(ad.omega_opt) == n
+        assert len(set(ad.gamma_opt)) == 1
+        _, gamma, _ = cfg.mode_arrays()
+        assert ol.predict_linewidth(cfg, st) == gamma[0] + sum(ad.gamma_opt)
 
 
 def test_predict_linewidth_guards(split_config, split_steady):

@@ -383,6 +383,26 @@ def test_dense_output_outlives_its_step():
         assert later == now
 
 
+def test_dop853_refuses_a_vanishing_step():
+    # A bounded but near-singular slope at t = 1 shrinks the step without
+    # end; the stepper stops at its floor of 10 ulp of t with a typed error
+    # (after about 1 700 evaluations) instead of retrying there for ever,
+    # which the evaluation budget turns into a failure.
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        assert len(calls) < 100_000, "the step floor never stopped the run"
+        return np.array([1.0 / math.sqrt((1.0 - t) ** 2 + 1e-30)])
+
+    steps = oracle_mod.dop853_steps(fun, np.zeros(1), 2.0, first_step=1e-3,
+                                    rtol=1e-6, atol=1e-6)
+    with pytest.raises(ol.NonConvergentError,
+                       match=r"step size fell below .* at t = 1\.0000"):
+        for _ in steps:
+            pass
+
+
 def test_replay_call_shape_runs(split_config, split_steady):
     # The benchmark's traced replay makes exactly these two calls, with
     # these keywords, on a longer span.

@@ -113,6 +113,26 @@ def test_run_sweep_records_failures(split_config):
     assert bundle.errors[0] is None and bundle.errors[2] is None
 
 
+def test_preset_theta_sweep_refuses_failed_points(monkeypatch):
+    # A figure is never drawn from a partial sweep: the preset helper
+    # raises, naming how many points failed and the first error.
+    real = sweep.compute_spectrum
+
+    def failing(config, *args, **kwargs):
+        theta = config.couplings[0].theta
+        if theta in (1.0, 2.0):
+            raise ol.SingularSystemError(f"no response at theta = {theta}")
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "compute_spectrum", failing)
+    with pytest.raises(ol.InvalidParameterError,
+                       match=r"^2 sweep point\(s\) failed; first error: "
+                             r"SingularSystemError: no response at "
+                             r"theta = 1\.0$"):
+        ol.presets._theta_sweep(0.05, (0.0, 1.0, 2.0), points=11,
+                                include_second_order=False)
+
+
 def test_run_sweep_rejects_out_of_range_index(split_config):
     # An index past the chain would fail every point alike, so the sweep
     # raises before computing any point instead of returning a dead bundle.
