@@ -154,8 +154,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_darkmode(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     steady = solve_steady_state(config)
-    report = hybridize_two_mode(config, steady)
-    broken, ratio = dark_mode_broken(config, steady)
+    try:
+        hybrid = asdict(hybridize_two_mode(config, steady))
+        broken, ratio = dark_mode_broken(config, steady)
+        hybrid_skipped = None
+    except UnsupportedTopologyError as exc:
+        hybrid = broken = ratio = None
+        hybrid_skipped = str(exc)
     payload = {
         "steady": {
             "alpha": complex(steady.alpha),
@@ -167,7 +172,8 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
             "branch_index": steady.branch_index,
             "stability_margin_per_s": steady.margin,
         },
-        "hybrid": asdict(report),
+        "hybrid": hybrid,
+        "hybrid_skipped": hybrid_skipped,
         "dark_mode_broken": broken,
         "coupling_ratio": ratio,
     }

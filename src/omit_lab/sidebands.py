@@ -15,12 +15,13 @@ hierarchy of linear systems:
   normal-mode basis, ``eta = 0`` on every link, one mode) is diagonal and
   takes one division instead of the sweep.  The mechanical amplitudes
   follow by back-substitution, formed only for callers that read them;
-* order 2: the same operator evaluated at ``2*Omega``, driven by
-  quadratic combinations of the first-order amplitudes, on the cavity and
-  on the mechanics.  The mechanical drive ``i g conj(A1p) A1m`` is
-  parallel to the coupling column ``g |alpha|``, so it folds into the
-  cavity drive and the back-substitution as one weight per frequency, and
-  the second order solves the same single column per chain as the first.
+* order 2: the same operator evaluated at ``2*Omega``, driven on the
+  cavity and on the mechanics by products of the first order's cavity
+  amplitudes, whose ``conj(A1p)`` row fixes the mechanical back-action
+  sum.  The mechanical drive ``i g conj(A1p) A1m`` is parallel to the
+  coupling column ``g |alpha|``, so it folds into the cavity drive and the
+  back-substitution as one weight per frequency, and the second order
+  solves the same single column per chain as the first.
 
 Both orders go through the same solve, so both hold for any number of
 modes and return the same :class:`SidebandAmplitudes` layout.
@@ -413,17 +414,18 @@ def _first_order_raw(view: _View, w: np.ndarray) -> tuple:
     return _site_response(view, w, 1, (view.eps_p, 0.0))
 
 
-def _second_order_raw(view: _View, w: np.ndarray,
-                      x1: tuple[np.ndarray, ...]) -> tuple:
-    """:func:`_sideband_response` triple of the second order; ``x1`` is the
-    first order ``(A-, conj(A+), B-, conj(B+))``."""
-    a1m, a1pc, b1m, b1pc = x1
-    # Mechanical back-action sum S1 = sum_l g_l (B_l- + conj(B_l+)).
-    s1 = (b1m + b1pc) @ view.g
-    # The mechanical drive i g conj(A1+) A1- is i m u with u = g |alpha|.
-    # With the pump off u = 0 and A1+ = 0, so m is 0 rather than 0/0.
-    size = abs(view.alpha)
-    m = a1pc * a1m / size if size > 0.0 else np.zeros_like(a1m)
+def _second_order_raw(view: _View, w: np.ndarray, a1m: np.ndarray,
+                      a1pc: np.ndarray) -> tuple:
+    """Second-order :func:`_sideband_response` from A1- and conj(A1+)."""
+    # The first order's conj(A+) row, (kappa - i(Delta + w)) conj(A1+) =
+    # i conj(alpha) S1, gives S1 = sum_l g_l (B_l- + conj(B_l+)); the drive
+    # i g conj(A1+) A1- is i m u with u = g |alpha|.  With the pump off
+    # u = 0 and A1+ = 0, so S1 and m are 0 rather than 0/0.
+    s1 = m = np.zeros_like(a1m)
+    if view.alpha != 0.0:
+        s1 = (-1j * (view.kappa - 1j * (view.delta + w)) * a1pc
+              / np.conj(view.alpha))
+        m = a1pc * a1m / abs(view.alpha)
     return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1), m)
 
 
@@ -459,26 +461,19 @@ def solve_first_order(config: SystemConfig, steady: SteadyState,
 
 def solve_second_order(config: SystemConfig, steady: SteadyState,
                        omega: float | np.ndarray,
-                       first: SidebandAmplitudes | None = None,
-                       ) -> SidebandAmplitudes:
+                       first: SidebandAmplitudes) -> SidebandAmplitudes:
     """Solve the second-order sideband system (any mode count).
 
-    The second-order system is driven by products of first-order
-    amplitudes; pass ``first`` (computed on the same grid) to reuse it,
-    otherwise it is solved internally.
+    It is driven by products of first-order amplitudes and reads only the
+    cavity pair ``first.a_minus``, ``first.a_plus_conj`` on the same grid.
     """
     w, scalar = _as_grid(omega)
-    view = _view(config, steady)
-    if first is None:
-        x1 = _with_mechanics(_first_order_raw(view, w))
-    else:
-        x1 = (*np.atleast_1d(first.a_minus, first.a_plus_conj),
-              *np.atleast_2d(first.b_minus, first.b_plus_conj))
-        if len(x1[0]) != len(w):
-            raise InvalidParameterError(
-                "first-order amplitudes were computed on a different grid")
-    return _amplitudes(_with_mechanics(_second_order_raw(view, w, x1)),
-                       scalar)
+    a1m, a1pc = np.atleast_1d(first.a_minus, first.a_plus_conj)
+    if len(a1m) != len(w):
+        raise InvalidParameterError(
+            "first-order amplitudes were computed on a different grid")
+    return _amplitudes(_with_mechanics(
+        _second_order_raw(_view(config, steady), w, a1m, a1pc)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +676,18 @@ def compute_spectrum(config: SystemConfig,
         raise InvalidParameterError(
             "probe amplitude must be > 0 to compute a spectrum")
 
-    # The first order's mechanics are formed only to drive the second, and
-    # the second order's not at all: the spectrum reads A1- and A2-.
-    first = _first_order_raw(view, w)
-    t_p, _ = transmission(first[0], view.eps_p, view.kappa)
+    # The spectrum reads A1- and A2-, and the second order reads only the
+    # first order's cavity amplitudes, so no mechanics are formed.
+    a1m, a1pc = _first_order_raw(view, w)[:2]
+    t_p, _ = transmission(a1m, view.eps_p, view.kappa)
 
     discrepancy = np.full(len(w), np.nan)
     efficiency = np.full(len(w), np.nan)
     if config.n_modes == 2:
         fo_closed = _closed_first_arrays(view, w)
-        discrepancy = _relative_gap(first[0], fo_closed[0])
+        discrepancy = _relative_gap(a1m, fo_closed[0])
     if include_second_order:
-        a2m = _second_order_raw(view, w, _with_mechanics(first))[0]
+        a2m = _second_order_raw(view, w, a1m, a1pc)[0]
         efficiency = 100.0 * second_order_efficiency(
             a2m, view.eps_p, view.kappa)
         if config.n_modes == 2:

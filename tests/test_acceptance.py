@@ -49,7 +49,7 @@ def test_criterion_01_route_equivalence():
         cfg, steady, omega = random_working_point(rng)
         d1 = ol.solve_first_order(cfg, steady, omega)
         c1 = ol.first_order_closed_form(cfg, steady, omega)
-        d2 = ol.solve_second_order(cfg, steady, omega)
+        d2 = ol.solve_second_order(cfg, steady, omega, d1)
         c2 = ol.second_order_closed_form(cfg, steady, omega)
         pairs = ((d1.a_minus, c1.a_minus),
                  (d1.a_plus_conj, c1.a_plus_conj),

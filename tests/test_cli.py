@@ -86,6 +86,7 @@ def test_darkmode_report(config_file, capsys):
     assert cli.main(["darkmode", "--config", config_file]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["dark_mode_broken"] is True
+    assert data["hybrid_skipped"] is None
     assert data["steady"]["photon_number"] > 0
     assert data["hybrid"]["g_plus"] > 0
     assert data["predicted_linewidth_rad_s"] is None  # needs eta == 0
@@ -119,11 +120,39 @@ def test_darkmode_report_without_hopping(tmp_path, capsys):
         loaded, ol.solve_steady_state(loaded))
 
 
-def test_darkmode_three_modes_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("n", [1, 3])
+def test_darkmode_report_beyond_two_modes(tmp_path, capsys, n):
+    # The hybrid basis is the two-mode pair's; the adiabatic rates and the
+    # linewidth prediction take any number of uncoupled modes.
+    path = tmp_path / f"chain{n}.cfg"
+    path.write_text(ol.emit_config(ol.standard_setup(n)), encoding="utf-8")
+    assert cli.main(["darkmode", "--config", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["hybrid"] is None
+    assert data["dark_mode_broken"] is None and data["coupling_ratio"] is None
+    assert "two-mode layout only" in data["hybrid_skipped"]
+    assert len(data["adiabatic"]["gamma_opt"]) == n
+    loaded = ol.load_config(path)
+    assert data["predicted_linewidth_rad_s"] == ol.predict_linewidth(
+        loaded, ol.solve_steady_state(loaded))
+
+
+def test_darkmode_hopping_chain_skips_hybrid(tmp_path, capsys, monkeypatch):
+    # A three-mode chain with hopping has neither a hybrid pair nor an
+    # adiabatic elimination, and is still reported; a numerical failure
+    # of the hybrid report is not a skip.
     path = tmp_path / "chain3.cfg"
     ol.save_config(ol.standard_setup(3, eta_frac=0.05), path)
-    assert cli.main(["darkmode", "--config", str(path)]) == 4
-    assert "two" in capsys.readouterr().err
+    assert cli.main(["darkmode", "--config", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "two" in data["hybrid_skipped"]
+    assert data["adiabatic"] is None and data["adiabatic_skipped"]
+
+    def boom(*args):
+        raise ol.SingularSystemError("hybrid report failed")
+    monkeypatch.setattr(cli, "hybridize_two_mode", boom)
+    assert cli.main(["darkmode", "--config", str(path)]) == 3
+    assert "hybrid report failed" in capsys.readouterr().err
 
 
 def test_nmode_count_only(capsys):

@@ -177,7 +177,8 @@ def test_bases_agree_with_the_pump_off():
     spectrum = ol.compute_spectrum(cfg, w, include_second_order=True,
                                    steady=st)
     assert np.all(spectrum.efficiency_percent == 0.0)
-    second = ol.solve_second_order(cfg, st, w)
+    second = ol.solve_second_order(cfg, st, w,
+                                   ol.solve_first_order(cfg, st, w))
     for amplitude in (second.a_minus, second.a_plus_conj, second.b_minus,
                       second.b_plus_conj):
         assert np.all(amplitude == 0.0)

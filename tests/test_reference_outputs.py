@@ -14,7 +14,11 @@ entries, in the same change whose ``CHANGES.md`` line says why.
 
 The digests were recorded with the Python and numpy versions in
 ``RECORDED_WITH``; the message names both, because another version may
-format a float differently.
+format a float differently.  They also hold only in the numeric
+environment they were recorded in: OpenBLAS's kernel and thread count and
+numpy's SIMD dispatch can each move a result at rounding level.  The
+message prints the variables in ``NUMERIC_ENV``, which select those and
+were all unset when the digests were recorded.
 
 The θ sweep's ``manifest.json`` holds the digest of each point file and
 of ``bundle.json``, so pinning the manifest pins the bundle.  Only its CSV
@@ -28,11 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import omit_lab as ol
 from omit_lab import cli
@@ -40,6 +46,8 @@ from omit_lab import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6"}
+NUMERIC_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE",
+               "NPY_DISABLE_CPU_FEATURES")
 
 SPLIT = "demos/configs/split_window.cfg"
 
@@ -49,15 +57,15 @@ CLI_PINS = {
         "fig2_linewidth_vs_power.csv":
             "9ce46cc5552e736e029fcd2107c24f82dd516071ce4f7188a4f293adc66ebf24",
         "fig2_spectrum_standard.csv":
-            "fca864780b152c10080d6f7cbd4613a976600c53e0bcf1ebcd1a4b333b76cda5",
+            "027b6298abe557e859d55a2645fbd596b1cef68673189b7e122227832aac8173",
         "fig2_spectrum_two_mode.csv":
-            "00e8da499faa8c75b5c50d77c3e7a0b6c08c07ceff373dd7ea5e8e4a27dd7d23",
+            "4b431dc9d6c8cb7f95ca7466f9b566b8f81caf6d0ef9728a355400372ad385c6",
     },
     "omit-lab figure fig3": {
         "fig3_unbroken.csv":
-            "00e8da499faa8c75b5c50d77c3e7a0b6c08c07ceff373dd7ea5e8e4a27dd7d23",
+            "4b431dc9d6c8cb7f95ca7466f9b566b8f81caf6d0ef9728a355400372ad385c6",
         "fig3_broken.csv":
-            "d74ac8529837fef37e7830c99f6b73ec4a951c2146afb0d0a0defbd632a3ba62",
+            "5035eaba6d3503a3d74e748b6a0b0369402c6b970e24dd2d7252f10bf0cb7780",
     },
     "omit-lab figure fig4": {
         "fig4_theta_0p0pi.csv":
@@ -71,11 +79,11 @@ CLI_PINS = {
     },
     "omit-lab figure fig5": {
         "fig5_theta_0p0pi.csv":
-            "3814cff1bba64c8d38534725332021e489b2ae7adf820947abc52620d62737ad",
+            "20d1c5a1cabbedc7013aff254813b639d1b0cee8c9edd3ace9f71f9dd4ae8f4f",
         "fig5_theta_1p0pi.csv":
-            "bad246552b270b2d0760956a60fcb87b0834a6f182f1f69e7c768b8b4fef2cda",
+            "c25ba7b2de518b2d2328af946543662fe69b657013d237c1d8ce81c7a7abdd82",
         "fig5_max_efficiency_vs_theta.csv":
-            "9049778c361f4769b1d8fb3a9c92aa0aa035759ecddd088dde835adb4b9c7a70",
+            "02cd7716ce8c07df9e7f3bdca75b573c43b324100e0523931f551d0aefd931c5",
     },
     "omit-lab figure fig6": {
         "fig6_spectrum_broken.csv":
@@ -95,20 +103,20 @@ CLI_PINS = {
     },
     f"omit-lab spectrum --config {SPLIT}": {
         "stdout":
-            "d74ac8529837fef37e7830c99f6b73ec4a951c2146afb0d0a0defbd632a3ba62",
+            "5035eaba6d3503a3d74e748b6a0b0369402c6b970e24dd2d7252f10bf0cb7780",
     },
     f"omit-lab spectrum --config {SPLIT} --format json": {
         "stdout":
-            "0fd70210e2c08a5043d8ab9573518688506d83dc3fef8ca9203ef806b1cc3fd0",
+            "5fcb94c11671d258b29045ea2b56b736cb9fc1343542de827e5b8f541d40e3e9",
     },
     f"omit-lab sweep --config {SPLIT} --param theta_pi_units "
     "--range 0:2:61 --lock-delta 1.0": {
         "manifest.json":
-            "476f97596a84d129fe2d1411cdb170ca2bd8522330eeb5fcd95ec5fc20468bb1",
+            "3a028023b2cf231a24b2213f761db4ad69e951c5a30749aba0f7e8d721e3f582",
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":
-            "f486b083ab30f13c4f070058bac40870ddcf8954b438fd7336b056315989b4f7",
+            "efe88747ea6305c01d821dc5546ab2a0942b74f950ba28fa5fd68a5a743738c5",
     },
 }
 
@@ -155,13 +163,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fde347c0f3dc5eb736356a33f2aff8dd8686a6e743e5b831d732cd9292894412",
         "A2-":
-            "a2d6d86ffd773c62f22ed4486f9c2dbfb19fb1b363f04ce39dab1f2ca9ff51eb",
+            "38aba72b814787210a6b03968792a21a59b52937d9c24136ee1f75402890df25",
         "conj(A2+)":
-            "627ec67c182f73eaa1846ec4c329503e4396fe3b246aac5eb0e2aebb61766304",
+            "0a052d55076e09820ed077eeb59432f589c0d317f85ec2d2d6734f7fd04642ea",
         "B2-":
-            "826dd998d6857ac38e4f57490552f86ab16628c00d44ff84f223876305b2c7b9",
+            "ea28c38ed60c55c75b8938ff6500f1026482e773b3060b5e6fdef76592d209a5",
         "conj(B2+)":
-            "de1d7075e4952ad541072985c119249e022c4199ded6b7494eb58d5073e8afc3",
+            "5e3d289048878385b3bba0dc58bd629f7ba36f5952d9054d42767afa601b6bed",
         "spectrum t_p":
             "ba3a0cfb57518b5468d6f3eb5f012e311dffc357067e45ff980c295ff8dd8ae0",
     },
@@ -175,13 +183,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fd37cf3a1e05f98b27395abc16f9f3101b214a122a5f8103bade9e9d9bbda60b",
         "A2-":
-            "059ba16e9bd035e7174537872beffd7273cdc60e6b12389561b2f56f2ce368ac",
+            "6407c2504573cacd56bc676287f738533b3ef6032ddd4069258825876929715a",
         "conj(A2+)":
-            "523ef31c0e47474792b3d075ab02fd9f059a8ae8c45932d4f16c965d08fc3133",
+            "98da618f1276ffc47799a584df7f8d060d2a7cdf37459e18273dccf1bb641cff",
         "B2-":
-            "e18381773b6489fa45724dd487cef8ee1cbdee26c22f844b9fea7acd0e89b703",
+            "156f3948d93d49d65fcf218563ff99e6e1b2b1dba2051117b801748c8c4e1b10",
         "conj(B2+)":
-            "0fdebfb0dac5f98bc7bc2734f3878f307551fbeddebd807784a4da16ff460614",
+            "b7a253892e4b2aeccf340376a4b12775e21f469ce7ea00c4537d974d84497fc6",
         "spectrum t_p":
             "77aaef633ef5b52257be5daf2ee4831e18f684f88b38f6145719314e43daebe9",
         "star t_p":
@@ -197,13 +205,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "9d71acc1e426e82c76e6bec69b503aa67707f55ae415451f067f416836099d8a",
         "A2-":
-            "b6bf72d72acdfa99c57cef9ddb5d8466015293923d4b3582269b7f1887630921",
+            "6fe8f39ccf552390a90b1b4d4bd016e847cca9ce183f91660754d06330271c0c",
         "conj(A2+)":
-            "28ed26dafca740793787530aba37fd79277f6f1da5cd41847ca5d3c94048cded",
+            "61cf84fe6a8aa83b7da71d54ce1c4aab3a004e885b2da2fe90d6f6c51ca30197",
         "B2-":
-            "75d3a5cb0fb29127a7fe94a1b10d10b6fb4e23c9ed4cca491d847a4a20321230",
+            "6e05fa7d27f030a03995ef153d1966b61af5248333db91f3b34f9d52862fc70a",
         "conj(B2+)":
-            "e0fe4119a25b741d73e4e1606ff6f344b3ec6bedcc6ef91cd0ae79b11f5d01fb",
+            "d97b94ecf92e947bea1c5f447002bb1f9f459bdfdfbdde4449af3160fa7bb2f6",
         "spectrum t_p":
             "7dad1b654ba41e62930c7755d4ea25d78225e6c035dd08555c041bc2ecb99c7e",
         "star t_p":
@@ -219,13 +227,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "cf9b4de1d2133bdf348c07a87542551b47ad99b3c957610812cd73cde2912b12",
         "A2-":
-            "11a8625f99781bb3633dd0c731bc8f139c02fcf6687723106aa9aca1cadcd4cf",
+            "64079ce92252163e0ed3ab8081ce405abdee0027915f03c7d1c80d859c968bfc",
         "conj(A2+)":
-            "eafd00113ad8f10d9534b29dff67ef94aeb757aa9787c1776b483a14c3bf6e8a",
+            "7c40b874161debb981dd26a5c0cc0dfc7b6bfa4ac498f7a7f94ceecb7070dc99",
         "B2-":
-            "6688322154331928a11ce40413b7f1a34c6a5f5c1ecdd688f23f3880aad05ce6",
+            "597656c4a8955fd2d25cc19ad376a63cd7cb4985116b0af965cad9e5546b08e9",
         "conj(B2+)":
-            "514f1efab11a0c23a62197ed61674fdb36bd5871cd8f39933945a20f60bc3730",
+            "279df146581b4d383803ffe0bf8411d18f233a17b20c2a107133f1c55bed53e3",
         "spectrum t_p":
             "3fae663d1910c2d985c31c2ce020b8d5440c4b163f6e898eaece148178a59902",
         "star t_p":
@@ -241,13 +249,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "92894b919d308c2094bdc1c74d0203ead161db80907e35cc558a10e59efe8072",
         "A2-":
-            "f48030b5fcd71506c06ffed93fffd58919c5f6245610fd3dfd49f76f257737f3",
+            "083641144a9d93bbf164cd24fbbb6a7091772de003604788e2124759812bd411",
         "conj(A2+)":
-            "81eaeddc6c933b5eb657b0f9baa640c19b50d6352a9fc165250db2b6c3d09efe",
+            "a4e830fcd12755c7f09b16ca9060ea23154e96731b635b604765d7d4e321561a",
         "B2-":
-            "95f6ba6ea394b280c4f07e3b4b52461f3a1d1bf87c8fa1208f9deee9cb1d2e78",
+            "02517b1fa4c984dafd90be94fa4b419edc4eb1ef0e4d831d1d194cdb995bf36e",
         "conj(B2+)":
-            "bb724b3e59ad6c3dbe76b8c838b147b02e0b5325124c18e7a7e185d0b705feaa",
+            "13f1daf407aaf0ea0d406fe45617c0760e7c44472956ae09e005514fba4c76f9",
         "spectrum t_p":
             "b9386a7caf0d04b86e184737b43565d246ce3c587bcd38f1a7a976863bf4c24a",
         "star t_p":
@@ -263,13 +271,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "6308875de6e9e6b9c847220402e1bbadfb7de14fca3d988050d0616c34a39e38",
         "A2-":
-            "6c96952be9a6c4385be9486b079450c8494e6e94ba5b970bae5888316f883b71",
+            "d9000e57bc887cff156936ec581dafb89a4ba8473b4acbeee87be6d6ecf8cd4c",
         "conj(A2+)":
-            "f8f6e295dc6c647983d6088a3ff7b2837eab4ea4a8c49314709af20bae608ac6",
+            "5583a1cf395fc7509073968e762c2c8a5f20d3af0cdc9f928c7453174a25a072",
         "B2-":
-            "d0448c23c0500af41186bfaf4bf138f286f8d4b644ffd57ca5304ed438103eb3",
+            "099c7125b434bf9a1f128deb4997d162d6b9cd7547a5113b1d4d5034c46b1725",
         "conj(B2+)":
-            "9990ccb24873f50e8413c5e51e39502eb3110d77e130b5860a71bd2d327a5ae2",
+            "c68eb63968d3822f60618f2ead963b7858bc81dae4e6073e3d6d8ee91236cde1",
         "spectrum t_p":
             "83b2799b3c87741df921cc034c8f381534962188801cd1d189b47f1d926aac12",
         "star t_p":
@@ -285,13 +293,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "29862e1c9739de01ade9f578a088201b1d321f46f48e991e817c42f4a3e4f06c",
         "A2-":
-            "0dea675353ddc3fdc9debe7b71565db95564c0b9012a20e59f7acdc4ef0140a7",
+            "a46a496d64342a4408ecdff0ca76d8c03298a8249d2a72b68095051504bacaec",
         "conj(A2+)":
-            "182f8734a2870459c1669f67a36be4c3ff61183d7afba6271be5e978250af845",
+            "2e7cb734700989d51353513ef51e577d531b6f9b06ad6a602c56bfe8fb319ac3",
         "B2-":
-            "e775bd9fd191fffe8da8154c32c1311c7e90556c196745bf06d47ef9f35d1f51",
+            "833cb45a896f5a27e8fc91f1da690d8003f343f305b6609201ddd0eeae58e669",
         "conj(B2+)":
-            "dd72ba93231555e548681654f9abedb1ba401a000df670d7cf8bed9c4eab8bb7",
+            "a67ca68392d28aa6c5e3a97f9d88aa0fcb8d4b3ddd471faa26e6de38341f2426",
         "spectrum t_p":
             "729bd3d21b7c21be99558d840bfd038942fb0671f7cc59c3e9adf2d17efeadb0",
         "star t_p":
@@ -307,13 +315,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "fe3bf205e2c576f58e79231e5017d8e8f7906e5fca22961b7c4b544d1a85098a",
         "A2-":
-            "58e996b139d2c5708905c24522a17c1206f1013c1f2a9fa29e4973d1699ed6ad",
+            "0e53433d900ce8fef1a31e3d0810523a8c8f8c3221224f542ce4e5d2217dbbcb",
         "conj(A2+)":
-            "0536e04710bc3af56514cf2661ae2a6c18a10eb7eb3dbf517514eddc81dbefec",
+            "b2ebc72d79d4805458b58ad51e48e71b80c9d29a0fc4b6f86bddd33c4db03289",
         "B2-":
-            "b858e7baef670b5775f7249624290ecab262f3ac4acf8ae7d1e937a54a49adbe",
+            "0be577341896dab86c70ac39946bbaa99bdc2aa25ba85a7f21affb3d39c497b3",
         "conj(B2+)":
-            "587cc10f9046229ca915171464abd57441ea215dfc964d9e3ac1ffcf83fe1251",
+            "dc849006658718600d957481eced0b120d51a3078f18dcc98e0ac5f02088ab3f",
         "spectrum t_p":
             "e95ccbb6fc35fed21278dd87b24e73b79f75268c2ac4e4cd8b195b983cde8c48",
         "star t_p":
@@ -329,13 +337,13 @@ ARRAY_PINS = {
         "conj(B1+)":
             "99c4e4fb898dd318240c07f21268768d0d21a2d49ac6572698f8f325fb4ac27a",
         "A2-":
-            "62b5563248a2a00cacd453dcf4119cb86bf42e5f6f64c17bc48aafa942f00e16",
+            "dd2b87d0c1f3e9ba353941d44f54484dcc5bc36aa7123455a62a6da60322a22f",
         "conj(A2+)":
-            "26f4710c44e1220a22cb515a624e2e2e6a13b52d4fc987cd93342566e6b1c56e",
+            "4a509ba4cae52c95020e1c0b58b0b5c6c13efa3106041e55198f0753329a3524",
         "B2-":
-            "b5bbd8558d269a56492dbe3b54a4bcd3c06a44c1f4445e969857049a6a1169b9",
+            "4ff7f678ed0a30ea1ab32e91ded93ae8125f8920bef4d0104768a699116be26c",
         "conj(B2+)":
-            "0b6ce5b8b29f326d04d033ecfb4a104c0c522a676d81a5f07f51d114cdec96a8",
+            "e5e24d97b525b3bc8dc9873ecf2a40911a6158e58f3f0723e66c0fac4e2352e4",
         "spectrum t_p":
             "fcd869bc2fa0a900f0cd3f824e68e634bdd0f83e06c2b1c37be12403e48e40cf",
         "star t_p":
@@ -431,4 +439,17 @@ def _assert_pinned(tables, produced) -> None:
         "outputs whose bytes differ from the pinned table:", *report,
         f"recorded with Python {RECORDED_WITH['python']}, numpy "
         f"{RECORDED_WITH['numpy']}; produced with Python "
-        f"{sys.version.split()[0]}, numpy {np.__version__}"])
+        f"{sys.version.split()[0]}, numpy {np.__version__}",
+        "numeric environment recorded with each of these unset, produced with "
+        + ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                    for name in NUMERIC_ENV)])
+
+
+def test_pin_failure_names_the_numeric_environment(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    with pytest.raises(AssertionError) as failure:
+        _assert_pinned([("run", {"out": "0" * 64})], {"run": {"out": "1" * 64}})
+    assert ("produced with OPENBLAS_NUM_THREADS=1, OPENBLAS_CORETYPE=unset, "
+            "NPY_DISABLE_CPU_FEATURES=unset") in str(failure.value)

@@ -55,7 +55,8 @@ def test_transmission_frozen(split_config, split_steady):
 
 def test_second_order_frozen(split_config, split_steady):
     w = 0.95 * split_config.omega_ref
-    second = ol.solve_second_order(split_config, split_steady, w)
+    first = ol.solve_first_order(split_config, split_steady, w)
+    second = ol.solve_second_order(split_config, split_steady, w, first)
     assert complex(second.a_minus) == pytest.approx(FROZEN_A2_MINUS,
                                                     rel=1e-12)
     eff = ol.second_order_efficiency(second.a_minus,
@@ -119,8 +120,9 @@ def test_spectrum_second_order_control(split_config):
     three = ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2)
     sp3 = ol.compute_spectrum(three, points=51)
     assert sp3.metadata["second_order"] is True
-    second = ol.solve_second_order(three, ol.solve_steady_state(three),
-                                   sp3.omega)
+    st3 = ol.solve_steady_state(three)
+    second = ol.solve_second_order(
+        three, st3, sp3.omega, ol.solve_first_order(three, st3, sp3.omega))
     want = 100.0 * ol.second_order_efficiency(
         second.a_minus, ol.probe_amplitude(three), three.cavity.kappa)
     assert sp3.efficiency_percent.tobytes() == want.tobytes()
@@ -308,7 +310,8 @@ def test_closed_forms_require_two_modes_second_order_does_not():
     three = ol.standard_setup(3, eta_frac=0.05, theta=math.pi / 2)
     st = ol.solve_steady_state(three)
     w = 0.95 * three.omega_ref
-    second = ol.solve_second_order(three, st, w)
+    second = ol.solve_second_order(three, st, w,
+                                   ol.solve_first_order(three, st, w))
     assert np.isfinite(second.a_minus)
     assert second.b_minus.shape == second.b_plus_conj.shape == (3,)
     for closed in (ol.first_order_closed_form, ol.second_order_closed_form):
@@ -428,7 +431,7 @@ def test_chain_elimination_matches_dense_solve():
         first = sb._with_mechanics(sb._first_order_raw(view, w))
         dense_first, dense_second = _dense_orders(view, w)
         second = sb._with_mechanics(
-            sb._second_order_raw(view, w, dense_first))
+            sb._second_order_raw(view, w, *dense_first[:2]))
         _assert_close_per_point(first + second,
                                 dense_first + dense_second, w)
 
@@ -438,8 +441,8 @@ def test_chain_elimination_matches_dense_solve():
     (3, {"eta_frac": 0.05, "theta": 0.37 * math.pi}),
 ], ids=["n1", "n3_broken"])
 def test_second_order_public_api_beyond_two_modes(n, chain):
-    # solve_second_order on a grid against the dense solve, the scalar
-    # call against the grid, and a passed-in first order against none.
+    # solve_second_order on a grid against the dense solve and the scalar
+    # call against the grid; it reads only the first order's cavity pair.
     cfg = ol.standard_setup(n, **chain)
     steady = ol.solve_steady_state(cfg)
     w = np.linspace(0.9, 1.1, 21) * cfg.omega_ref
@@ -449,9 +452,15 @@ def test_second_order_public_api_beyond_two_modes(n, chain):
     _, dense = _dense_orders(sb._view(cfg, steady), w)
     _assert_close_per_point((second.a_minus, second.a_plus_conj,
                              second.b_minus, second.b_plus_conj), dense, w)
-    again = ol.solve_second_order(cfg, steady, w)
-    assert again.a_minus.tobytes() == second.a_minus.tobytes()
-    point = ol.solve_second_order(cfg, steady, w[7])
+    no_mechanics = dataclasses.replace(
+        first, b_minus=np.full_like(first.b_minus, np.nan),
+        b_plus_conj=np.full_like(first.b_plus_conj, np.nan))
+    again = ol.solve_second_order(cfg, steady, w, no_mechanics)
+    for got, want in zip(dataclasses.astuple(again),
+                         dataclasses.astuple(second)):
+        assert got.tobytes() == want.tobytes()
+    point = ol.solve_second_order(cfg, steady, w[7],
+                                  ol.solve_first_order(cfg, steady, w[7]))
     assert point.a_minus == pytest.approx(second.a_minus[7], rel=1e-12)
     assert np.allclose(point.b_minus, second.b_minus[7], rtol=1e-12, atol=0)
 
@@ -497,8 +506,10 @@ def test_response_builder_working_memory():
     # The chain solves work in place over the coupling column, so a
     # spectrum holds about 4.2 (N, K) complex arrays at its peak with the
     # first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB) and
-    # 6.5 with the second order (13.23 MB), whose mechanical drive folds
-    # into that column.  The bounds leave 10 % and 17 % of margin.
+    # 4.4 with the second order (9.07 MB), whose mechanical drive folds
+    # into that column and which reads only the first order's cavity
+    # amplitudes; forming the first order's mechanics to drive it read
+    # 6.5 arrays (13.23 MB).  The bounds leave 10 % and 16 % of margin.
     # Solving the drive as a second column of each chain's block read
     # 19.82 MB; solving the first order on a copy of the blocks 10.57 MB,
     # and a builder that keeps its temporaries 19.28 MB.  A hop-free
@@ -514,7 +525,7 @@ def test_response_builder_working_memory():
         cfg, w, include_second_order=False, steady=steady))
     both = _traced_peak_mb(lambda: ol.compute_spectrum(
         cfg, w, include_second_order=True, steady=steady))
-    assert first <= 9.4 and both <= 15.5, (first, both)
+    assert first <= 9.4 and both <= 10.5, (first, both)
     star = _traced_peak_mb(lambda: ol.transmission_via_normal_modes(
         cfg, steady, w))
     dark = ol.standard_setup(32)
