@@ -227,9 +227,7 @@ def _cmd_nmode(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     omega = args.omega_frac * config.omega_ref
-    report = sideband_closure(config, omega,
-                              probe_ratio=args.probe_ratio,
-                              rtol=args.rtol)
+    report = sideband_closure(config, omega, probe_ratio=args.probe_ratio)
     _emit_json(asdict(report), args.out)
     return 0
 
@@ -319,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="probe detuning in units of the reference "
                           "mechanical frequency")
     orc.add_argument("--probe-ratio", type=float, default=0.01)
-    orc.add_argument("--rtol", type=float, default=1e-10)
     orc.add_argument("--out", help="output file (default: stdout)")
     orc.set_defaults(handler=_cmd_oracle)
 

@@ -46,7 +46,7 @@ from .errors import (
     RegimeViolationError,
     UnsupportedTopologyError,
 )
-from .model import SteadyState, SystemConfig
+from .model import SteadyState, SystemConfig, _require_positive
 from .sidebands import Spectrum, _require_two_modes, _uniform_step
 
 __all__ = [
@@ -239,8 +239,7 @@ def optical_damping_rate(g_lin: float, kappa: float, delta: float,
     ``gamma_opt = G^2 kappa [1/(kappa^2 + (Delta-omega)^2) -
     1/(kappa^2 + (Delta+omega)^2)]`` -- positive on the red sideband.
     """
-    if kappa <= 0.0:
-        raise InvalidParameterError("kappa must be > 0")
+    _require_positive("kappa", kappa)
     return g_lin ** 2 * kappa * (
         1.0 / (kappa ** 2 + (delta - omega) ** 2)
         - 1.0 / (kappa ** 2 + (delta + omega) ** 2))
@@ -254,8 +253,7 @@ def optical_spring_shift(g_lin: float, kappa: float, delta: float,
     (Delta-omega)/(kappa^2 + (Delta-omega)^2)]``; the shifted mechanical
     frequency is ``omega - omega_opt``.
     """
-    if kappa <= 0.0:
-        raise InvalidParameterError("kappa must be > 0")
+    _require_positive("kappa", kappa)
     return g_lin ** 2 * (
         (delta + omega) / (kappa ** 2 + (delta + omega) ** 2)
         + (delta - omega) / (kappa ** 2 + (delta - omega) ** 2))

@@ -149,10 +149,6 @@ class MechanicalMode:
         if self.mass is not None:
             _require_positive("mass", self.mass)
 
-    @property
-    def quality_factor(self) -> float:
-        return self.omega / self.gamma
-
 
 @dataclass(frozen=True)
 class PhononCoupling:
@@ -271,7 +267,9 @@ class SteadyState:
     ascending.  The operating point is the first stable one in order of
     distance from the bare detuning, or the nearest one when none is
     stable (see :func:`solve_steady_state`).  ``margin`` is its stability
-    margin (:func:`stability_margin`), negative when it is unstable.
+    margin (:func:`stability_margin`), negative when it is unstable;
+    ``multistable`` says that another branch is stable too, and
+    :func:`stability_margin` of each entry of ``branches`` says which.
     """
 
     alpha: complex                # cavity amplitude
@@ -280,7 +278,6 @@ class SteadyState:
     iterations: int               # Newton steps on the chosen root
     residual: float               # its relative fixed-point residual
     multistable: bool             # two or more fixed points are stable
-    alt_delta: float              # nearest other stable point or delta_eff
     branches: tuple[float, ...] = ()   # empty if not from the solver
     margin: float = math.nan           # 1/s; NaN if not from the solver
 
@@ -507,7 +504,6 @@ def solve_steady_state(config: SystemConfig) -> SteadyState:
     branches = [p[0] for p in found]
     margins = [stability_margin(config, d) for d in branches]
     pick = _select_branch(branches, margins, delta_c)
-    stable = [d for d, m in zip(branches, margins) if m > 0.0]
     alpha = eps_l / (kappa + 1j * branches[pick])
     betas = abs(alpha) ** 2 * unit
     delta_eff = effective_detuning(config, betas)
@@ -517,9 +513,7 @@ def solve_steady_state(config: SystemConfig) -> SteadyState:
         delta_eff=delta_eff,
         iterations=found[pick][1],
         residual=found[pick][2],
-        multistable=len(stable) >= 2,
-        alt_delta=min((d for d in stable if d != branches[pick]),
-                      key=lambda d: abs(d - delta_c), default=delta_eff),
+        multistable=sum(m > 0.0 for m in margins) >= 2,
         branches=tuple(branches),
         margin=margins[pick],
     )

@@ -40,7 +40,6 @@ fixed-settle run and fit, which the closure does not use.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -52,6 +51,8 @@ from .model import (
     SteadyState,
     SystemConfig,
     _drift_matrix,
+    _require_nonnegative,
+    _require_positive,
     probe_amplitude,
     pump_amplitude,
     solve_steady_state,
@@ -68,11 +69,9 @@ __all__ = [
 ]
 
 _SAMPLES_PER_PERIOD = 64
-# Integrator tolerance of every run unless sideband_closure is given one.
+# Integrator tolerance of every run.
 _RTOL = 1e-10
 _OVERFLOW_FACTOR = 1e6
-# Tighter relative tolerances are below what double precision resolves.
-_MIN_RTOL = 100.0 * sys.float_info.epsilon
 # A fit leaving this much of the oscillating cavity signal unexplained is
 # unreliable.
 _MAX_FIT_RESIDUAL = 1e-3
@@ -282,7 +281,7 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
 
     The cavity is sampled every 1/64 of the fastest period in the problem
     (mechanical, cavity and doubled probe frequencies, cavity decay), at
-    :func:`sideband_closure`'s default integrator tolerance, 1e-10.
+    the fixed integrator tolerance 1e-10 of every oracle run.
 
     Parameters
     ----------
@@ -306,12 +305,8 @@ def integrate_mean_field(config: SystemConfig, t_final: float, *,
     NonConvergentError
         The adaptive integrator needed a step below ten ulps of t.
     """
-    if not 0.0 < t_final < math.inf:
-        raise InvalidParameterError(
-            f"t_final must be finite and > 0, got {t_final}")
-    if not 0.0 < omega_probe < math.inf:
-        raise InvalidParameterError(
-            f"omega_probe must be finite and > 0, got {omega_probe}")
+    _require_positive("t_final", t_final)
+    _require_positive("omega_probe", omega_probe)
     step = 2.0 * math.pi / (_fastest_rate(config, omega_probe)
                             * _SAMPLES_PER_PERIOD)
     if t_final < step:
@@ -366,9 +361,7 @@ def demodulate(trace: TimeTrace, omega: float, *,
         ``omega``, ``settle`` or ``min_cycles`` is out of range, or the
         trace does not extend ``min_cycles`` cycles past ``settle``.
     """
-    if not 0.0 < omega < math.inf:
-        raise InvalidParameterError(
-            f"omega must be finite and > 0, got {omega}")
+    _require_positive("omega", omega)
     if not min_cycles >= 1:
         raise InvalidParameterError(
             f"min_cycles must be >= 1, got {min_cycles}")
@@ -377,9 +370,7 @@ def demodulate(trace: TimeTrace, omega: float, *,
     t_end = float(times[-1])
     if settle is None:
         settle = max(0.0, min(0.5 * t_end, t_end - min_cycles * period))
-    if not 0.0 <= settle < math.inf:
-        raise InvalidParameterError(
-            f"settle must be finite and >= 0, got {settle}")
+    _require_nonnegative("settle", settle)
     n_cycles = int(math.floor((t_end - settle) / period))
     if n_cycles < min_cycles:
         raise InvalidParameterError(
@@ -415,7 +406,7 @@ def _fit_harmonics(ts: np.ndarray, ys: np.ndarray,
 
 
 def _periodic_orbit(config: SystemConfig, steady: SteadyState,
-                    omega: float, rtol: float):
+                    omega: float):
     """Shoot for the probed orbit, then demodulate one period of it.
 
     ``J`` is the drift matrix of the flow linearised at the pump-only
@@ -443,7 +434,7 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
     x = x + np.linalg.solve(-1j * omega * np.eye(x.size) - jac, drive).real
     previous = math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        steps = list(_steps(rhs, x, period, step, rtol, rtol * scale,
+        steps = list(_steps(rhs, x, period, step, _RTOL, _RTOL * scale,
                             overflow))
         end = steps[-1][2]
         residual = float(np.linalg.norm(end - x) / np.linalg.norm(x))
@@ -462,8 +453,7 @@ def _periodic_orbit(config: SystemConfig, steady: SteadyState,
 
 def sideband_closure(config: SystemConfig, omega: float, *,
                      probe_ratio: float = 0.01,
-                     periods: int | None = None,
-                     rtol: float = _RTOL) -> ClosureReport:
+                     periods: int | None = None) -> ClosureReport:
     """Compare frequency-domain and time-domain sideband amplitudes.
 
     Runs both routes at one probe detuning and reports the relative
@@ -502,28 +492,19 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     periods : int, optional
         Deprecated and ignored: passing it warns ``DeprecationWarning``.
         One period of the orbit is always demodulated.
-    rtol : float
-        Integrator tolerance, in ``[100 eps, 1)`` (default 1e-10).
 
     Raises
     ------
     InvalidParameterError
-        ``omega``, ``probe_ratio`` or ``rtol`` is out of range; checked
-        before any solve.
+        ``omega`` or ``probe_ratio`` is out of range; checked before any
+        solve.
     """
-    if not 0.0 < omega < math.inf:
-        raise InvalidParameterError(
-            f"omega must be finite and > 0, got {omega}")
-    if not 0.0 < probe_ratio < math.inf:
-        raise InvalidParameterError(
-            f"probe_ratio must be finite and > 0, got {probe_ratio}")
+    _require_positive("omega", omega)
+    _require_positive("probe_ratio", probe_ratio)
     if periods is not None:
         warnings.warn("The periods keyword of sideband_closure is deprecated "
                       "and ignored: one period of the orbit is demodulated",
                       DeprecationWarning, stacklevel=2)
-    if not _MIN_RTOL <= rtol < 1.0:
-        raise InvalidParameterError(
-            f"rtol must lie in [{_MIN_RTOL:.3e}, 1), got {rtol}")
     config = replace(config,
                      drive=replace(config.drive, probe_ratio=probe_ratio,
                                    power_probe=None))
@@ -531,8 +512,7 @@ def sideband_closure(config: SystemConfig, omega: float, *,
     first = solve_first_order(config, steady, omega)
     second = solve_second_order(config, steady, omega, first)
 
-    demod, iterations, map_residual = _periodic_orbit(config, steady, omega,
-                                                      rtol)
+    demod, iterations, map_residual = _periodic_orbit(config, steady, omega)
     multiplier = math.exp(-2.0 * math.pi / omega * steady.margin)
     reasons = []
     if not map_residual <= _ORBIT_RTOL:

@@ -66,6 +66,7 @@ from .errors import (
 from .model import (
     SteadyState,
     SystemConfig,
+    _require_positive,
     probe_amplitude,
     pump_amplitude,
     solve_steady_state,
@@ -605,8 +606,7 @@ def transmission(a_minus: complex | np.ndarray, eps_p: float,
 
     ``t_p = 1 - (kappa / eps_p) * A1m``; returns ``(t_p, |t_p|^2)``.
     """
-    if eps_p <= 0.0:
-        raise InvalidParameterError("eps_p must be > 0 to define transmission")
+    _require_positive("eps_p", eps_p)
     t_p = 1.0 - (kappa / eps_p) * np.asarray(a_minus)
     power = np.abs(t_p) ** 2
     if np.ndim(a_minus) == 0:
@@ -621,8 +621,7 @@ def second_order_efficiency(a2_minus: complex | np.ndarray, eps_p: float,
     Returned as a fraction of the probe amplitude (multiply by 100 for the
     percentage used in plots and CSV output).
     """
-    if eps_p <= 0.0:
-        raise InvalidParameterError("eps_p must be > 0 to define efficiency")
+    _require_positive("eps_p", eps_p)
     eff = np.abs(kappa * np.asarray(a2_minus) / eps_p)
     return float(eff) if np.ndim(a2_minus) == 0 else eff
 
@@ -731,29 +730,25 @@ def group_delay(spectrum: Spectrum, at: float) -> float:
 
     Returns the number in seconds (positive = slow light): the spectrum's
     ``group_delay`` column, the five-point central stencil on the
-    unwrapped phase, at ``spectrum.nearest_index(at)``, after checking
-    that the target sits at least five grid points away from either edge
-    of a uniform grid.
+    unwrapped phase, at ``spectrum.nearest_index(at)``.
 
     Raises
     ------
     InvalidParameterError
-        Non-uniform grid, or target too close to the grid edge.
+        The column is NaN there: a non-uniform grid, or a target within
+        two points of the grid edge.
     DegeneratePointError
         ``|t_p|`` vanishes at the target, making the phase undefined.
     """
-    w = spectrum.omega
-    k = len(w)
     idx = spectrum.nearest_index(at)
-    if idx < 5 or idx > k - 6:
+    delay = float(spectrum.group_delay[idx])
+    if math.isnan(delay):
         raise InvalidParameterError(
-            f"target {at:.6e} rad/s sits {min(idx, k - 1 - idx)} points from "
-            "the grid edge; at least 5 are required")
-    if _uniform_step(w) is None:
-        raise InvalidParameterError("group delay requires a uniform grid")
+            f"group delay is undefined at {at:.6e} rad/s: the five-point "
+            "stencil needs a uniform grid and two points on either side")
     scale = float(np.max(np.abs(spectrum.amplitude)))
     if abs(spectrum.amplitude[idx]) < 1e-12 * max(scale, 1.0):
         raise DegeneratePointError(
-            f"transmission amplitude vanishes at omega = {w[idx]:.6e} rad/s; "
-            "phase slope is undefined there")
-    return float(spectrum.group_delay[idx])
+            "transmission amplitude vanishes at omega = "
+            f"{spectrum.omega[idx]:.6e} rad/s; phase slope is undefined there")
+    return delay

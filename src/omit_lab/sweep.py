@@ -33,7 +33,7 @@ import numpy as np
 
 from .config_io import _KEYS, _field_changes
 from .errors import InvalidParameterError, OmitLabError
-from .model import SystemConfig, lock_effective_detuning
+from .model import SystemConfig, _require_finite, lock_effective_detuning
 from .sidebands import (
     Spectrum,
     _check_second_order_flag,
@@ -131,9 +131,8 @@ class SweepSpec:
         if len(values) == 0:
             raise InvalidParameterError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
-        if self.lock_delta is not None and not math.isfinite(self.lock_delta):
-            raise InvalidParameterError(
-                f"lock_delta must be finite, got {self.lock_delta!r}")
+        if self.lock_delta is not None:
+            _require_finite("lock_delta", self.lock_delta)
 
 
 @dataclass(frozen=True)

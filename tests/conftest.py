@@ -91,8 +91,7 @@ def synthetic_steady(alpha: complex, delta: float,
     """
     return ol.SteadyState(alpha=complex(alpha), betas=(0j,) * n_modes,
                           delta_eff=float(delta), iterations=0,
-                          residual=0.0, multistable=False,
-                          alt_delta=float(delta))
+                          residual=0.0, multistable=False)
 
 
 def random_config(rng: np.random.Generator, n: int = 2, *,

@@ -263,9 +263,13 @@ def test_oracle_cli(config_file, tmp_path):
 
 
 def test_oracle_bad_tolerance_exits_2(config_file, capsys):
-    assert cli.main(["oracle", "--config", config_file,
-                     "--omega-frac", "0.95", "--rtol", "-1"]) == 2
-    assert "rtol" in capsys.readouterr().err
+    # The oracle runs at one fixed tolerance: the former flag is an unknown
+    # argument, refused before any solve.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--config", config_file,
+                  "--omega-frac", "0.95", "--rtol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rtol" in capsys.readouterr().err
 
 
 def test_figure_has_no_worker_setting():

@@ -267,7 +267,7 @@ def test_six_mode_chain_has_three_branches_one_stable():
     assert st.delta_eff == pytest.approx(om, rel=1e-12)
     assert st.margin == margins[2]
     assert st.margin == pytest.approx(3.874e3, rel=1e-3)
-    assert not st.multistable and st.alt_delta == st.delta_eff
+    assert not st.multistable
 
 
 def test_long_chain_leaves_unstable_locked_point():
@@ -300,8 +300,7 @@ def test_bistable_drive_reports_both_stable_branches():
     assert margins[0] > 0.0 > margins[1] and margins[2] > 0.0
     assert st.multistable
     assert st.branch_index == 2  # the stable branch nearest Delta_c
-    assert st.alt_delta == st.branches[0]
-    assert st.alt_delta / kappa == pytest.approx(0.0422, abs=1e-4)
+    assert st.branches[0] / kappa == pytest.approx(0.0422, abs=1e-4)
 
 
 def test_selection_rule_first_stable_branch_nearest_bare_detuning():
@@ -363,9 +362,3 @@ def test_drift_matrix_is_jacobian_of_mean_field_rhs(n):
                 <= 1e-9 * np.max(np.abs(drift))
             signs.add(ol.stability_margin(cfg, delta) > 0.0)
     assert signs == {True, False}
-
-
-def test_quality_factor_property():
-    mode = ol.MechanicalMode(omega=FROZEN_OMEGA_M,
-                             gamma=FROZEN_OMEGA_M / 6700.0, g=1.0)
-    assert mode.quality_factor == pytest.approx(6700.0, rel=1e-15)

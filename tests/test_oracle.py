@@ -207,14 +207,9 @@ def test_overflow_guard_trips_on_non_finite_state(split_config, split_steady,
         overflow(1e-6, y)
 
 
-# Explicit ids keep the cases' names; the gap was the removed step's.
+# Explicit ids keep the cases' names; the gaps were a removed step's and
+# a removed tolerance argument's.
 @pytest.mark.parametrize("bad", [
-    pytest.param({"rtol": 0.0}, id="bad0"),
-    pytest.param({"rtol": 1e-15}, id="bad1"),
-    pytest.param({"rtol": -1.0}, id="bad2"),
-    pytest.param({"rtol": 1.0}, id="bad3"),
-    pytest.param({"rtol": math.nan}, id="bad4"),
-    pytest.param({"rtol": math.inf}, id="bad5"),
     pytest.param({"t_final": 0.0}, id="bad9"),
     pytest.param({"t_final": math.nan}, id="bad10"),
     pytest.param({"t_final": math.inf}, id="bad11"),
@@ -227,22 +222,12 @@ def test_overflow_guard_trips_on_non_finite_state(split_config, split_steady,
     pytest.param({"omega_probe": math.nan}, id="bad18"),
     pytest.param({"omega_probe": math.inf}, id="bad19"),
 ])
-def test_integrator_rejects_bad_input(split_config, split_steady, bad,
-                                      monkeypatch):
+def test_integrator_rejects_bad_input(split_config, split_steady, bad):
     # Refused up front as InvalidParameterError (exit 2 from the CLI): a
-    # tolerance outside [100 eps, 1), a span that is not finite or shorter
-    # than one sampling step, initial amplitudes of the wrong shape or not
-    # finite, and a probe detuning that is not finite and positive.  Only
-    # sideband_closure takes a tolerance; it must refuse one before any
-    # integration starts.
+    # span that is not finite or shorter than one sampling step, initial
+    # amplitudes of the wrong shape or not finite, and a probe detuning
+    # that is not finite and positive.
     w = 0.95 * split_config.omega_ref
-    if "rtol" in bad:
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("tolerance check came after integrating")
-        monkeypatch.setattr(oracle_mod, "dop853_steps", must_not_run)
-        with pytest.raises(ol.InvalidParameterError, match="rtol"):
-            ol.sideband_closure(split_config, w, **bad)
-        return
     kwargs = {"t_final": 1e-4, "omega_probe": w,
               "initial": (split_steady.alpha, split_steady.betas)}
     kwargs.update(bad)
@@ -504,20 +489,16 @@ def test_closure_across_dense_grid_of_longer_chains(n, theta):
     assert _grid_failures(config) == []
 
 
-# Explicit ids keep the cases' names; the gaps were a removed argument's.
+# Explicit ids keep the cases' names; the gaps were removed arguments'.
 @pytest.mark.parametrize("bad, name", [
     pytest.param({"omega": 0.0}, "omega", id="bad0-omega"),
     pytest.param({"omega": math.nan}, "omega", id="bad1-omega"),
     pytest.param({"omega": math.inf}, "omega", id="bad2-omega"),
     pytest.param({"omega": -1.0}, "omega", id="bad6-omega"),
-    pytest.param({"rtol": 1.0}, "rtol", id="bad7-rtol"),
     pytest.param({"probe_ratio": math.nan}, "probe_ratio",
                  id="bad8-probe_ratio"),
     pytest.param({"probe_ratio": -0.01}, "probe_ratio",
                  id="bad9-probe_ratio"),
-    pytest.param({"rtol": -1.0}, "rtol", id="bad10-rtol"),
-    pytest.param({"rtol": 0.0}, "rtol", id="bad11-rtol"),
-    pytest.param({"rtol": math.nan}, "rtol", id="bad12-rtol"),
     pytest.param({"probe_ratio": 0.0}, "probe_ratio",
                  id="bad13-probe_ratio"),
     pytest.param({"probe_ratio": math.inf}, "probe_ratio",
@@ -635,15 +616,18 @@ def test_truncation_residual_grows_with_probe(split_config):
 
 
 def test_demodulated_amplitudes_stable_under_tolerance_refinement(
-        split_config):
+        split_config, monkeypatch):
     # The adaptive integrator realises "finer steps" through its error
     # control; the closure's demodulated amplitudes must not move with it
     # beyond a tenth of the long reference's 1e-6 bound.  One period is
     # fitted, so its integration error is not averaged down: the gap
     # falls tenfold per decade of rtol and reads 1.9e-8 / 1.2e-8 here.
     w = 0.95 * split_config.omega_ref
-    coarse, fine = (ol.sideband_closure(split_config, w, rtol=rtol)
-                    for rtol in (1e-11, 1e-12))
+    reports = []
+    for rtol in (1e-11, 1e-12):
+        monkeypatch.setattr(oracle_mod, "_RTOL", rtol)
+        reports.append(ol.sideband_closure(split_config, w))
+    coarse, fine = reports
     assert coarse.reliable and fine.reliable
     for got, want in ((coarse.a1_time, fine.a1_time),
                       (coarse.a2_time, fine.a2_time)):

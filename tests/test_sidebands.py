@@ -201,16 +201,19 @@ def test_group_delay_guards(split_config):
     sp = ol.compute_spectrum(split_config, points=41, span=(0.9, 1.1))
     with pytest.raises(ol.InvalidParameterError):
         ol.group_delay(sp, sp.omega[0])  # too close to the edge
+    # Two points from either edge suffice: the stencil's own reach.
     tiny = ol.compute_spectrum(split_config, points=9, span=(0.94, 0.96))
+    at = 0.95 * split_config.omega_ref
+    assert ol.group_delay(tiny, at) == tiny.group_delay[4]
     with pytest.raises(ol.InvalidParameterError):
-        ol.group_delay(tiny, 0.95 * split_config.omega_ref)
+        ol.group_delay(tiny, tiny.omega[1])
 
 
 def test_group_delay_refuses_one_point_grid(split_config):
-    # The edge guard runs before the grid-step check, which needs two points.
+    # The column is NaN on a grid too short for the stencil.
     one = ol.compute_spectrum(split_config, [0.95 * split_config.omega_ref])
     assert np.isnan(one.group_delay).all()
-    with pytest.raises(ol.InvalidParameterError, match="grid edge"):
+    with pytest.raises(ol.InvalidParameterError, match="undefined"):
         ol.group_delay(one, 0.95 * split_config.omega_ref)
 
 
@@ -261,6 +264,22 @@ def _spectrum_without_probe(config):
 def test_sideband_refusals(split_config, call, error, match):
     with pytest.raises(error, match=match):
         call(split_config)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0],
+                         ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: ol.optical_damping_rate(1e5, x, 1e7, 1e7), "kappa"),
+    (lambda x: ol.optical_spring_shift(1e5, x, 1e7, 1e7), "kappa"),
+    (lambda x: ol.transmission(1 + 1j, x, 1e6), "eps_p"),
+    (lambda x: ol.second_order_efficiency(1 + 1j, x, 1e6), "eps_p"),
+], ids=["damping_kappa", "spring_kappa", "transmission_eps_p",
+        "efficiency_eps_p"])
+def test_observable_scales_must_be_finite_and_positive(call, name, bad):
+    # A NaN or infinite scale compares False against 0, so only a finite
+    # check refuses it rather than returning NaN, 0 or t_p = 1.
+    with pytest.raises(ol.InvalidParameterError, match=name):
+        call(bad)
 
 
 def test_spectrum_grid_validation(split_config):
