@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .config_io import load_config
 from .darkmode import (
-    _BRIGHT_TOL,
+    _dark_indices,
+    _dark_mode_broken,
     adiabatic_elimination,
-    dark_mode_broken,
     hybridize_two_mode,
     predict_linewidth,
 )
@@ -155,8 +155,9 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     steady = solve_steady_state(config)
     try:
-        hybrid = asdict(hybridize_two_mode(config, steady))
-        broken, ratio = dark_mode_broken(config, steady)
+        report = hybridize_two_mode(config, steady)
+        hybrid = asdict(report)
+        broken, ratio = _dark_mode_broken(report)
         hybrid_skipped = None
     except UnsupportedTopologyError as exc:
         hybrid = broken = ratio = None
@@ -202,17 +203,13 @@ def _cmd_nmode(args: argparse.Namespace) -> int:
     if args.basis:
         steady = solve_steady_state(config)
         basis = build_normal_modes(config, steady)
-        # Dark as dark_mode_broken counts it: relative to g_+ = ||c||.
-        bright = _BRIGHT_TOL * float(np.linalg.norm(basis.couplings))
-        dark = [k + 1 for k, c in enumerate(basis.couplings)
-                if abs(c) <= bright]
         _emit_json({
             "n": basis.n,
             "frequencies_rad_s": basis.frequencies,
             "damping_rad_s": basis.damping,
             "phases_rad": basis.phases,
             "couplings_rad_s": [complex(c) for c in basis.couplings],
-            "dark_mode_indices": dark,
+            "dark_mode_indices": _dark_indices(basis.couplings),
         }, args.out)
         return 0
     spectrum = compute_spectrum(config, include_second_order=False,

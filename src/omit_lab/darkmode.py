@@ -224,12 +224,24 @@ def dark_mode_broken(config: SystemConfig,
     integer multiple of pi; detuned modes or unequal couplings can keep
     both normal modes coupled at ``theta = 0`` too.
     """
-    report = hybridize_two_mode(config, steady)
+    return _dark_mode_broken(hybridize_two_mode(config, steady))
+
+
+def _dark_mode_broken(report: HybridModeReport) -> tuple[bool, float]:
+    """:func:`dark_mode_broken` from a report already built."""
     if report.g_plus == 0.0:
         return False, 0.0
     ratio = min(abs(report.g_tilde_plus), abs(report.g_tilde_minus))
     ratio /= report.g_plus
     return bool(ratio > _BRIGHT_TOL), float(ratio)
+
+
+def _dark_indices(couplings: np.ndarray) -> list[int]:
+    """1-based indices of the normal modes that are dark as
+    :func:`dark_mode_broken` counts it: coupled at most ``_BRIGHT_TOL``
+    times the bright-mode coupling ``g_plus = ||couplings||``."""
+    bright = _BRIGHT_TOL * float(np.linalg.norm(couplings))
+    return [k + 1 for k, c in enumerate(couplings) if abs(c) <= bright]
 
 
 def optical_damping_rate(g_lin: float, kappa: float, delta: float,

@@ -9,19 +9,21 @@ hierarchy of linear systems:
 
 * order 1: a linear system in ``A1m``, ``conj(A1p)`` and the mechanical
   pairs, driven by the probe amplitude.  Each mechanical sideband is a
-  tridiagonal chain that sees the cavity through one scalar, so one
-  Thomas sweep per chain eliminates the mechanics (``O(n)`` per
-  frequency), leaving a 2x2 cavity solve; a chain without hopping (the
-  normal-mode basis, ``eta = 0`` on every link, one mode) is diagonal and
-  takes one division instead of the sweep.  The mechanical amplitudes
-  follow by back-substitution, formed only for callers that read them;
+  tridiagonal chain that sees the cavity through one scalar, and the
+  upper sideband's chain is the lower one's at ``-Omega``, conjugated, so
+  one Thomas sweep over the detunings ``(Omega, -Omega)`` eliminates the
+  mechanics (``O(n)`` per frequency), leaving a 2x2 cavity solve; a
+  chain without hopping (the normal-mode basis, ``eta = 0`` on every
+  link, one mode) is diagonal and takes a division per site instead of
+  the sweep.  The mechanical amplitudes follow by back-substitution,
+  formed only for callers that read them;
 * order 2: the same operator evaluated at ``2*Omega``, driven on the
   cavity and on the mechanics by products of the first order's cavity
   amplitudes, whose ``conj(A1p)`` row fixes the mechanical back-action
   sum.  The mechanical drive ``i g conj(A1p) A1m`` is parallel to the
   coupling column ``g |alpha|``, so it folds into the cavity drive and the
   back-substitution as one weight per frequency, and the second order
-  solves the same single column per chain as the first.
+  solves the same single column as the first.
 
 Both orders go through the same solve, so both hold for any number of
 modes and return the same :class:`SidebandAmplitudes` layout.
@@ -260,36 +262,36 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Response solve (any number of modes, any mechanical basis)
 
 
-def _chain_solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                 rhs: np.ndarray) -> None:
-    """Solve one tridiagonal chain per grid point, in place.
+def _chain_solve(damping: np.ndarray, frequencies: np.ndarray, v: np.ndarray,
+                 upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> None:
+    """Solve ``(gamma + i(H - v)) z = x`` at each detuning ``v``, in place.
 
-    ``diag`` and ``rhs`` are ``(N, K)``; the chains share the
-    off-diagonals ``upper`` and ``lower`` (length ``N - 1``); ``rhs`` is
-    overwritten with the solution; ``diag`` is left as it was.  When every
-    off-diagonal is zero -- the normal-mode (star) basis, a site chain
-    with ``eta = 0`` on every link, a single mode -- the chain is diagonal
-    and ``rhs`` is divided by ``diag`` in one step; any other chain takes
-    a Thomas sweep.  Every chain is ``gamma*I + i*(Hermitian)``, so each
-    pivot has a real part of at least ``min(gamma) > 0``: the sweep needs
-    no pivoting and no singularity check.  Without hops each pivot is its
-    row of ``diag`` and every update subtracts a zero, so the division
-    gives the sweep's bits, up to the sign of an exact zero.
+    ``x`` is ``(N, K)``, ``v`` is ``(K,)``; ``H`` has ``frequencies`` on
+    its diagonal, ``upper`` above and ``lower`` below it.  One Thomas
+    sweep forms each site's diagonal row when it reaches that site.  Each
+    pivot of ``gamma*I + i*(Hermitian)`` has a real part of at least
+    ``min(gamma) > 0``, so the sweep needs no pivoting and no singularity
+    check.  Without hops (the star basis, ``eta = 0`` on every link, one
+    mode) the pivots are the diagonal rows and the updates would subtract
+    zeros, so they are skipped and each row of ``x`` is only divided: the
+    same bits, up to the sign of an exact zero.
     """
-    x = rhs
-    if not (upper.any() or lower.any()):
-        x /= diag
-        return
-    ratio = np.empty((len(upper),) + diag.shape[1:], dtype=complex)
-    pivot = diag[0]
-    x[0] /= pivot
-    for l in range(1, len(diag)):
-        ratio[l - 1] = upper[l - 1] / pivot
-        pivot = diag[l] - lower[l - 1] * ratio[l - 1]
-        x[l] -= lower[l - 1] * x[l - 1]
+    hops = upper.any() or lower.any()
+    pivot = np.empty(x.shape[1:], dtype=complex)
+    if hops:
+        ratio = np.empty((len(upper),) + x.shape[1:], dtype=complex)
+    for l in range(len(x)):
+        pivot.real = damping[l]
+        np.subtract(frequencies[l], v, out=pivot.imag)
+        if hops and l > 0:
+            pivot -= lower[l - 1] * ratio[l - 1]
+            x[l] -= lower[l - 1] * x[l - 1]
         x[l] /= pivot
-    for l in range(len(diag) - 2, -1, -1):
-        x[l] -= ratio[l] * x[l + 1]
+        if hops and l < len(upper):
+            np.divide(upper[l], pivot, out=ratio[l])
+    if hops:
+        for l in range(len(x) - 2, -1, -1):
+            x[l] -= ratio[l] * x[l + 1]
 
 
 def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
@@ -307,16 +309,19 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
     ``u``, with one weight ``m`` per grid point, enters as a shift of
     ``X``.  The mechanical sidebands obey the chains ::
 
-        M- B- = -i u (X + m),              M- = gamma + i(H - v)
-        M+ conj(B+) = i conj(u) (X + m),   M+ = gamma - i(conj(H) + v)
+        M- B- = -i u (X + m),              M-(v) = gamma + i(H - v)
+        M+ conj(B+) = i conj(u) (X + m),   M+(v) = gamma - i(conj(H) + v)
 
     where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
-    ``hop`` above it).  One :func:`_chain_solve` per chain (a division
-    when ``hop`` is all zero) of the single column ``u`` gives ``y- =
-    M-^-1 u``, ``y+ = M+^-1 conj(u)`` and the self-energy ``sigma = u^T
-    y+ - u^H y-``, which leaves a 2x2 cavity system per grid point.
-    ``cavity_rhs`` drives ``(A-, conj(A+))``; the optional ``(K,)`` weight
-    ``m`` adds ``(p m sigma, -conj(p) m sigma)`` to it.
+    ``hop`` above it).  As ``conj(M+(v)) = M-(-v)``, one
+    :func:`_chain_solve` of ``M-`` over the detunings ``(v, -v)``, with
+    ``u`` in every column, holds ``y- = M-^-1 u`` in its first half and
+    ``conj(y+)``, ``y+ = M+^-1 conj(u)``, in its second.  ``sigma = u^T y+
+    - u^H y-`` is two products, one per half: one product over both
+    halves sums in another order and moves the last bits.  That leaves a
+    2x2 cavity system per grid point.  ``cavity_rhs`` drives ``(A-,
+    conj(A+))``; the optional ``(K,)`` weight ``m`` adds ``(p m sigma,
+    -conj(p) m sigma)`` to it.
 
     Returns ``(A-, conj(A+), chains)``.  The mechanical amplitudes are not
     formed here: a caller that reads them passes the whole triple to
@@ -329,28 +334,18 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         finite at some grid point.
     """
     v = order * w
-    shape = (len(frequencies), len(w))
-    y_m = np.empty(shape, dtype=complex)
-    y_p = np.empty(shape, dtype=complex)
-    y_m[...] = coupling[:, None]
-    y_p[...] = np.conj(coupling)[:, None]
-    # Both chains share one diagonal buffer, gamma + i(omega - v) and then
-    # gamma - i(omega + v), its imaginary part formed as 0 - (omega + v) so
-    # that an exact zero comes out +0, as complex subtraction gives it.
-    diag = np.empty(shape, dtype=complex)
-    diag.real = damping[:, None]
+    k = len(w)
+    y = np.empty((len(frequencies), 2 * k), dtype=complex)
+    y[...] = coupling[:, None]
+    uc = np.conj(coupling)
     d0 = kappa + 1j * (delta - v)
     d1 = kappa - 1j * (delta + v)
     # Overflow and a zero cavity determinant both end in non-finite
     # amplitudes, reported once below.
     with np.errstate(all="ignore"):
-        np.subtract(frequencies[:, None], v, out=diag.imag)
-        _chain_solve(diag, 1j * hop, 1j * np.conj(hop), y_m)
-        np.add(frequencies[:, None], v, out=diag.imag)
-        np.subtract(0.0, diag.imag, out=diag.imag)
-        _chain_solve(diag, -1j * np.conj(hop), -1j * hop, y_p)
-        del diag  # freed before the cavity solve's temporaries
-        sigma = coupling @ y_p - np.conj(coupling) @ y_m
+        _chain_solve(damping, frequencies, np.concatenate((v, -v)),
+                     1j * hop, 1j * np.conj(hop), y)
+        sigma = np.conj(uc @ y[:, k:]) - uc @ y[:, :k]
         f0, f1 = cavity_rhs
         if m is not None:
             m_sigma = m * sigma
@@ -365,7 +360,7 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         # signed zeros of the first order's mechanics.
         ix = 1j * (x if m is None else x + m)
         _require_finite(np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
-    return a_minus, a_plus_conj, (w, ix, y_m, y_p)
+    return a_minus, a_plus_conj, (w, ix, y)
 
 
 def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
@@ -374,18 +369,22 @@ def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
 
     Raises SingularSystemError where a mechanical amplitude is not finite.
     """
-    a_minus, a_plus_conj, (w, ix, y_m, y_p) = response
+    a_minus, a_plus_conj, (w, ix, y) = response
+    k = len(w)
+    y_m, y_p = y[:, :k], y[:, k:]
     # B- = 0 - (i (X + m)) y- and conj(B+) = 0 + (i (X + m)) y+, formed
-    # over y.  The zero terms keep the signs of exact zeros, and the
-    # operand order (i X) * y matters: complex products do not commute bit
-    # for bit, and ``y *= ix`` rounds differently.
+    # over y once its second half, conj(y+), is conjugated.  The zero terms
+    # keep the signs of exact zeros, and the operand order (i X) * y
+    # matters: complex products do not commute bit for bit, and ``y *=
+    # ix`` rounds differently.
     with np.errstate(all="ignore"):
+        np.conj(y_p, out=y_p)
         b_minus = np.multiply(ix, y_m, out=y_m)
         np.subtract(0.0, b_minus, out=b_minus)
         b_plus_conj = np.multiply(ix, y_p, out=y_p)
         np.add(0.0, b_plus_conj, out=b_plus_conj)
-    _require_finite(np.isfinite(b_minus).all(axis=0)
-                    & np.isfinite(b_plus_conj).all(axis=0), w)
+    ok = np.isfinite(y).all(axis=0)
+    _require_finite(ok[:k] & ok[k:], w)
     return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
 
 

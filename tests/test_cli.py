@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import omit_lab as ol
-from omit_lab import cli
+from omit_lab import cli, darkmode
 from omit_lab.sweep import CSV_COLUMNS, _spectrum_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -82,8 +82,19 @@ def test_numerical_failure_exits_3(config_file, monkeypatch, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_darkmode_report(config_file, capsys):
+def test_darkmode_report(config_file, capsys, monkeypatch):
+    # The dark-mode verdict is read from the one hybrid report the
+    # command builds.
+    builds = []
+    build = darkmode.hybridize_two_mode
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+    monkeypatch.setattr(cli, "hybridize_two_mode", counted)
+    monkeypatch.setattr(darkmode, "hybridize_two_mode", counted)
     assert cli.main(["darkmode", "--config", config_file]) == 0
+    assert len(builds) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["dark_mode_broken"] is True
     assert data["hybrid_skipped"] is None

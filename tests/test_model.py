@@ -116,6 +116,49 @@ def test_parameter_validation():
         ol.pump_frequency(unknown)
 
 
+_CAVITY = {"kappa": 1e6, "delta_c": 0.0}
+_MODE = {"omega": 1e6, "gamma": 1.0, "g": 1.0}
+_COUPLING = (589e-9, 0.025, 1.45e-10, 6e6)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ol.CavityParams(**{**_CAVITY, "delta_c": math.nan}), "delta_c"),
+    (lambda: ol.CavityParams(**_CAVITY, wavelength=0.0), "wavelength"),
+    (lambda: ol.CavityParams(**_CAVITY, cavity_length=-1.0), "cavity_length"),
+    (lambda: ol.MechanicalMode(**{**_MODE, "omega": math.inf}), "omega"),
+    (lambda: ol.MechanicalMode(**{**_MODE, "g": -1.0}), "g"),
+    (lambda: ol.MechanicalMode(**_MODE, mass=0.0), "mass"),
+    (lambda: ol.PhononCoupling(eta=1.0, theta=math.nan), "theta"),
+    (lambda: ol.DriveSpec(power_pump=1e-3, probe_ratio=-0.01), "probe_ratio"),
+    (lambda: ol.DriveSpec(power_pump=1e-3, probe_ratio=None,
+                          power_probe=math.inf), "power_probe"),
+    (lambda: ol.DriveSpec(power_pump=1e-3, omega_pump=0.0), "omega_pump"),
+    (lambda: ol.drive_amplitude(-1.0, 1e6, 1e15), "power"),
+    (lambda: ol.drive_amplitude(1e-3, math.nan, 1e15), "kappa"),
+    (lambda: ol.drive_amplitude(1e-3, 1e6, 0.0), "omega"),
+    (lambda: ol.derive_single_photon_coupling(0.0, *_COUPLING[1:]),
+     "wavelength"),
+    (lambda: ol.derive_single_photon_coupling(
+        _COUPLING[0], math.inf, *_COUPLING[2:]), "cavity_length"),
+    (lambda: ol.derive_single_photon_coupling(
+        *_COUPLING[:2], -1.0, _COUPLING[3]), "mass"),
+    (lambda: ol.derive_single_photon_coupling(*_COUPLING[:3], math.nan),
+     "omega_m"),
+    (lambda: ol.lock_effective_detuning(ol.standard_setup(1), math.inf),
+     "delta_target"),
+], ids=["cavity_delta_c", "cavity_wavelength", "cavity_length",
+        "mode_omega", "mode_g", "mode_mass", "link_theta",
+        "drive_probe_ratio", "drive_power_probe", "drive_omega_pump",
+        "amplitude_power", "amplitude_kappa", "amplitude_omega",
+        "g_wavelength", "g_cavity_length", "g_mass", "g_omega_m",
+        "lock_delta_target"])
+def test_scalar_inputs_refused_where_checked(call, name):
+    # One out-of-range value at each call of model's shared scalar checks
+    # that no other test refuses; tests/run_reach.py counts each call.
+    with pytest.raises(ol.InvalidParameterError, match=rf"^{name} must be"):
+        call()
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: ol.standard_setup(0), "n_modes must be >= 1",
                  id="no_modes"),

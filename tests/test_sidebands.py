@@ -23,7 +23,9 @@ from conftest import (
     FROZEN_TP,
     FROZEN_TRANSMISSION,
     TWO_PI,
+    random_config,
     random_working_point,
+    synthetic_steady,
 )
 
 
@@ -455,6 +457,76 @@ def test_chain_elimination_matches_dense_solve():
                                 dense_first + dense_second, w)
 
 
+def _site_chain(config, steady):
+    """The builder's arguments for the site chain, as ``_site_response``
+    forms them."""
+    view = sb._view(config, steady)
+    return (view.kappa, view.delta, view.gamma, view.omega,
+            view.eta * np.exp(1j * view.theta), view.g * abs(view.alpha),
+            sb._pump_phase(view.alpha))
+
+
+def _star_chain(config, steady):
+    """The builder's arguments for the normal-mode star basis, as
+    ``transmission_via_normal_modes`` forms them."""
+    basis = ol.build_normal_modes(config, steady)
+    return (config.cavity.kappa, steady.delta_eff, basis.damping,
+            basis.frequencies, np.zeros(basis.n - 1), basis.couplings,
+            sb._pump_phase(steady.alpha))
+
+
+def test_stacked_chain_solve_equals_both_chains(monkeypatch):
+    # The builder solves M- = gamma + i(H - v) once, over the detunings
+    # (v, -v): as conj(M+(v)) = M-(-v), the halves must hold y- and
+    # conj(y+) with the bits of solving M- and M+ = gamma - i(conj(H) + v)
+    # apart.  Only the sign of an exact zero may differ, and the builder's
+    # back-substitution adds 0 to clear it: where M+'s diagonal has a zero
+    # imaginary part (v = -omega; each grid holds such points), the
+    # stacked row's is omega - (-v) = +0, whose conjugate is -0, not M+'s
+    # +0; and with the pump off the direct solve's right-hand side
+    # conj(u) is 0 - 0j.
+    rng = np.random.default_rng(33)
+    chains = []
+    for n in range(1, 9):
+        for hopping in (True, False):
+            chains.append((*random_working_point(rng, n, hopping=hopping,
+                                                points=16), _site_chain))
+    for n, theta in ((2, 0.37 * math.pi), (3, 0.0), (6, math.pi / 2)):
+        cfg = ol.standard_setup(n, eta_frac=0.05, theta=theta)
+        chains.append((cfg, ol.solve_steady_state(cfg), None, _star_chain))
+    cfg = random_config(rng, 3)
+    chains.append((cfg, synthetic_steady(0.0, cfg.cavity.delta_c, 3), None,
+                   _site_chain))
+
+    solve = sb._chain_solve
+    calls = []
+    monkeypatch.setattr(sb, "_chain_solve",
+                        lambda *args: calls.append(1) or solve(*args))
+    for cfg, steady, w, chain in chains:
+        args = chain(cfg, steady)
+        _, _, damping, frequencies, hop, coupling, _ = args
+        ref = cfg.omega_ref
+        if w is None:
+            w = np.linspace(-1.5, 1.5, 31) * ref
+        w = np.concatenate((w, [0.0, -ref, -ref / 2]))
+        for order in (1, 2):
+            calls.clear()
+            y = sb._sideband_response(
+                *args, w, order, (np.ones_like(w), np.zeros_like(w)))[2][2]
+            assert len(calls) == 1
+            v = order * w
+            y_m = np.empty((len(coupling), len(w)), dtype=complex)
+            y_p = np.empty_like(y_m)
+            y_m[...] = coupling[:, None]
+            y_p[...] = np.conj(coupling)[:, None]
+            solve(damping, frequencies, v, 1j * hop, 1j * np.conj(hop), y_m)
+            solve(damping, -frequencies, v, -1j * np.conj(hop), -1j * hop,
+                  y_p)
+            assert y[:, :len(w)].tobytes() == y_m.tobytes()
+            assert ((np.conj(y[:, len(w):]) + 0.0).tobytes()
+                    == (y_p + 0.0).tobytes())
+
+
 @pytest.mark.parametrize("n, chain", [
     (1, {}),
     (3, {"eta_frac": 0.05, "theta": 0.37 * math.pi}),
@@ -522,21 +594,23 @@ def _traced_peak_mb(fn) -> float:
 
 
 def test_response_builder_working_memory():
-    # The chain solves work in place over the coupling column, so a
-    # spectrum holds about 4.2 (N, K) complex arrays at its peak with the
-    # first order (8.52 MB at N = 32, K = 4001; one array is 2.05 MB) and
-    # 4.4 with the second order (9.07 MB), whose mechanical drive folds
-    # into that column and which reads only the first order's cavity
-    # amplitudes; forming the first order's mechanics to drive it read
-    # 6.5 arrays (13.23 MB).  The bounds leave 10 % and 16 % of margin.
-    # Solving the drive as a second column of each chain's block read
-    # 19.82 MB; solving the first order on a copy of the blocks 10.57 MB,
-    # and a builder that keeps its temporaries 19.28 MB.  A hop-free
-    # chain (the star basis, a dark chain) is solved by one division,
-    # without the sweep's (N - 1, K) ratio buffer, and its cavity-only
-    # callers form no mechanical amplitudes: 6.42 MB for the star route
-    # and 6.44 MB for the dark first order, against 8.50 and 8.52 MB with
-    # the sweep; the 7.1 MB bound sits between.
+    # One chain solve per order works in place over the coupling column,
+    # stacked for the detunings (v, -v), and forms each site's diagonal
+    # row as it goes, so a spectrum holds about 4.2 (N, K) complex arrays
+    # at its peak with the first order (8.58 MB at N = 32, K = 4001; one
+    # array is 2.05 MB): the stacked solution and the sweep's (N - 1, 2K)
+    # ratio buffer.  With the second order it is 4.5 (9.13 MB); its
+    # mechanical drive folds into that column and it reads only the first
+    # order's cavity amplitudes; forming the first order's mechanics to
+    # drive it read 6.5 arrays (13.23 MB).  The bounds leave 10 % and 15 %
+    # of margin.  Solving the drive as a second column of each chain's
+    # block read 19.82 MB; solving the first order on a copy of the blocks
+    # 10.57 MB, and a builder that keeps its temporaries 19.28 MB.  A
+    # hop-free chain (the star basis, a dark chain) is divided row by row,
+    # without the ratio buffer, and its cavity-only callers form no
+    # mechanical amplitudes: 4.73 MB for the star route and 4.74 MB for
+    # the dark first order.  Each read 6.4 MB while the two sideband
+    # chains shared an (N, K) diagonal buffer, and 8.5 MB with the sweep.
     cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
     steady = ol.solve_steady_state(cfg)
     w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
