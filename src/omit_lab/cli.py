@@ -13,6 +13,8 @@ Subcommands::
 Exit codes: 0 success; 2 configuration or argument problems; 3 numerical
 failures (non-convergence, instability, singular systems); 4 requests
 outside a method's domain (unsupported layout, regime, degenerate point).
+The darkmode report skips a section, with its reason, for exactly the
+errors of exit code 4; any other error ends it with that error's code.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     DegeneratePointError,
     InvalidParameterError,
     NonConvergentError,
-    OmitLabError,
     RegimeViolationError,
     SingularSystemError,
     UnstableIntegrationError,
@@ -60,6 +61,8 @@ from .sweep import (
 _EXIT_BAD_INPUT = 2
 _EXIT_NUMERICAL = 3
 _EXIT_UNSUPPORTED = 4
+_OUT_OF_DOMAIN = (UnsupportedTopologyError, RegimeViolationError,
+                  DegeneratePointError)
 
 
 def _parse_lo_hi_count(flag: str, text: str) -> tuple[float, float, int]:
@@ -151,18 +154,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unless_out_of_domain(compute, *args) -> tuple:
+    """``(compute(*args), None)``, or ``(None, reason)`` where ``compute``
+    refuses the request as outside its domain (exit code 4)."""
+    try:
+        return compute(*args), None
+    except _OUT_OF_DOMAIN as exc:
+        return None, str(exc)
+
+
 def _cmd_darkmode(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     steady = solve_steady_state(config)
-    try:
-        report = hybridize_two_mode(config, steady)
-        hybrid = asdict(report)
-        broken, ratio = _dark_mode_broken(report)
-        hybrid_skipped = None
-    except UnsupportedTopologyError as exc:
-        hybrid = broken = ratio = None
-        hybrid_skipped = str(exc)
-    payload = {
+    report, hybrid_skipped = _unless_out_of_domain(hybridize_two_mode,
+                                                   config, steady)
+    broken, ratio = ((None, None) if report is None
+                     else _dark_mode_broken(report))
+    adiabatic, adiabatic_skipped = _unless_out_of_domain(
+        adiabatic_elimination, config, steady)
+    linewidth, prediction_skipped = _unless_out_of_domain(
+        predict_linewidth, config, steady)
+    _emit_json({
         "steady": {
             "alpha": complex(steady.alpha),
             "photon_number": steady.photon_number,
@@ -173,25 +185,15 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
             "branch_index": steady.branch_index,
             "stability_margin_per_s": steady.margin,
         },
-        "hybrid": hybrid,
+        "hybrid": None if report is None else asdict(report),
         "hybrid_skipped": hybrid_skipped,
         "dark_mode_broken": broken,
         "coupling_ratio": ratio,
-    }
-    try:
-        payload["adiabatic"] = asdict(adiabatic_elimination(config, steady))
-        payload["adiabatic_skipped"] = None
-    except OmitLabError as exc:
-        payload["adiabatic"] = None
-        payload["adiabatic_skipped"] = str(exc)
-    try:
-        payload["predicted_linewidth_rad_s"] = predict_linewidth(config,
-                                                                 steady)
-        payload["prediction_skipped"] = None
-    except OmitLabError as exc:
-        payload["predicted_linewidth_rad_s"] = None
-        payload["prediction_skipped"] = str(exc)
-    _emit_json(payload, args.out)
+        "adiabatic": None if adiabatic is None else asdict(adiabatic),
+        "adiabatic_skipped": adiabatic_skipped,
+        "predicted_linewidth_rad_s": linewidth,
+        "prediction_skipped": prediction_skipped,
+    }, args.out)
     return 0
 
 
@@ -338,8 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             SingularSystemError) as exc:
         print(f"omit-lab: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (UnsupportedTopologyError, RegimeViolationError,
-            DegeneratePointError) as exc:
+    except _OUT_OF_DOMAIN as exc:
         print(f"omit-lab: unsupported request: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
 

@@ -53,6 +53,7 @@ from .model import (
     MechanicalMode,
     PhononCoupling,
     SystemConfig,
+    _require_positive,
     derive_single_photon_coupling,
 )
 
@@ -152,9 +153,9 @@ def _load_section(parser: configparser.ConfigParser, section: str, cls,
         if keys[key][1] is not None:
             fields.update(_field_changes(kind, key, value))
     if "q_factor" in given:
-        if given["q_factor"] <= 0.0:
-            raise ConfigError(f"[{section}] q_factor must be > 0")
-        fields["gamma"] = math.tau * (given["omega_hz"] / given["q_factor"])
+        q_factor = _require_positive(f"[{section}] q_factor",
+                                     given["q_factor"])
+        fields["gamma"] = math.tau * (given["omega_hz"] / q_factor)
     if "mass_kg" in given:
         if cavity.wavelength is None or cavity.cavity_length is None:
             raise ConfigError(

@@ -84,16 +84,18 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value <= 0.0:
-        raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(
+            f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 
 def _require_nonnegative(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value < 0.0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise InvalidParameterError(
+            f"{name} must be >= 0 and finite, got {value!r}")
     return value
 
 

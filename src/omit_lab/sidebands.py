@@ -356,10 +356,9 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         a_plus_conj = ((d0 - sigma) * f1
                        - sigma * np.conj(phase) ** 2 * f0) / det
         x = np.conj(phase) * a_minus + phase * a_plus_conj
-        # Without a drive X stays as it is: adding a zero m would turn the
-        # signed zeros of the first order's mechanics.
         ix = 1j * (x if m is None else x + m)
-        _require_finite(np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
+        _require_finite_response(
+            np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
     return a_minus, a_plus_conj, (w, ix, y)
 
 
@@ -372,23 +371,20 @@ def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
     a_minus, a_plus_conj, (w, ix, y) = response
     k = len(w)
     y_m, y_p = y[:, :k], y[:, k:]
-    # B- = 0 - (i (X + m)) y- and conj(B+) = 0 + (i (X + m)) y+, formed
-    # over y once its second half, conj(y+), is conjugated.  The zero terms
-    # keep the signs of exact zeros, and the operand order (i X) * y
-    # matters: complex products do not commute bit for bit, and ``y *=
-    # ix`` rounds differently.
+    # B- = -(i (X + m)) y- and conj(B+) = (i (X + m)) y+, formed over y
+    # once its second half, conj(y+), is conjugated.  The operand order
+    # (i X) * y matters: complex products do not commute bit for bit, and
+    # ``y *= ix`` rounds differently.
     with np.errstate(all="ignore"):
         np.conj(y_p, out=y_p)
-        b_minus = np.multiply(ix, y_m, out=y_m)
-        np.subtract(0.0, b_minus, out=b_minus)
+        b_minus = np.negative(np.multiply(ix, y_m, out=y_m), out=y_m)
         b_plus_conj = np.multiply(ix, y_p, out=y_p)
-        np.add(0.0, b_plus_conj, out=b_plus_conj)
     ok = np.isfinite(y).all(axis=0)
-    _require_finite(ok[:k] & ok[k:], w)
+    _require_finite_response(ok[:k] & ok[k:], w)
     return a_minus, a_plus_conj, b_minus.T, b_plus_conj.T
 
 
-def _require_finite(ok: np.ndarray, w: np.ndarray) -> None:
+def _require_finite_response(ok: np.ndarray, w: np.ndarray) -> None:
     if not ok.all():
         raise SingularSystemError(
             "sideband response matrix is singular near omega = "
@@ -670,9 +666,7 @@ def compute_spectrum(config: SystemConfig,
     if steady is None:
         steady = solve_steady_state(config)
     view = _view(config, steady)
-    if view.eps_p <= 0.0:
-        raise InvalidParameterError(
-            "probe amplitude must be > 0 to compute a spectrum")
+    _require_positive("probe amplitude", view.eps_p)
 
     # The spectrum reads A1- and A2-, and the second order reads only the
     # first order's cavity amplitudes, so no mechanics are formed.

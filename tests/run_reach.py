@@ -13,6 +13,9 @@ functions of ``model.py``, raise for many callers, so their own ``raise``
 lines are replaced by each call of them from outside them: when a shared
 ``raise`` line runs, the tracer records the line of the frame that called
 into the shared checks, and that call must have refused at least once.
+That stands for every refusal of the call only while each shared check
+holds one ``raise``, so the script exits 2, before any test runs, if
+one holds more.
 It prints the count reached and each line that was not, and exits 1 if
 there is any (2 if pytest itself could not run).  pytest does not collect
 this file.
@@ -38,16 +41,15 @@ PACKAGE = ROOT / "src" / "omit_lab"
 MODEL = PACKAGE / "model.py"
 
 
-def shared_checks() -> tuple[set[str], set[int]]:
-    """Names of the ``_require_*`` functions of ``model.py``, and the lines
-    of the ``raise`` statements inside them."""
+def shared_checks() -> dict[str, list[int]]:
+    """Each ``_require_*`` function of ``model.py``, with the lines of the
+    ``raise`` statements inside it."""
     tree = ast.parse(MODEL.read_text(encoding="utf-8"), filename=str(MODEL))
-    checks = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef)
-              and node.name.startswith("_require_")]
-    return ({node.name for node in checks},
-            {raise_.lineno for node in checks for raise_ in ast.walk(node)
-             if isinstance(raise_, ast.Raise)})
+    return {node.name: [raise_.lineno for raise_ in ast.walk(node)
+                        if isinstance(raise_, ast.Raise)]
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_require_")}
 
 
 def refusal_lines(checks: set[str]) -> tuple[dict[tuple[str, int], str],
@@ -56,8 +58,7 @@ def refusal_lines(checks: set[str]) -> tuple[dict[tuple[str, int], str],
 
     The shared checks are left out of the first dict and stand in, in the
     second, by their calls from outside them: a call of one of ``checks``
-    in ``model.py``, or in a module that imports it from ``.model``
-    (``sidebands`` has a ``_require_finite`` of its own).
+    in ``model.py``, or in a module that imports it from ``.model``.
     """
     found, calls = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -133,7 +134,16 @@ def run_traced(pytest_args: list[str], checks: set[str], raises: set[int],
 
 
 def main(argv: list[str]) -> int:
-    checks, raises = shared_checks()
+    refusals = shared_checks()
+    several = sorted(name for name, found in refusals.items()
+                     if len(found) > 1)
+    if several:
+        print(f"reach: more than one raise in model.py's "
+              f"{', '.join(several)}; a call refused once would not show "
+              "that each of its refusals ran")
+        return 2
+    checks = set(refusals)
+    raises = {line for found in refusals.values() for line in found}
     lines, calls = refusal_lines(checks)
     code, seen, refused = run_traced(argv, checks, raises)
     if code not in (0, 1):

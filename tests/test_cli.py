@@ -148,10 +148,9 @@ def test_darkmode_report_beyond_two_modes(tmp_path, capsys, n):
         loaded, ol.solve_steady_state(loaded))
 
 
-def test_darkmode_hopping_chain_skips_hybrid(tmp_path, capsys, monkeypatch):
+def test_darkmode_hopping_chain_skips_hybrid(tmp_path, capsys):
     # A three-mode chain with hopping has neither a hybrid pair nor an
-    # adiabatic elimination, and is still reported; a numerical failure
-    # of the hybrid report is not a skip.
+    # adiabatic elimination, and is still reported.
     path = tmp_path / "chain3.cfg"
     ol.save_config(ol.standard_setup(3, eta_frac=0.05), path)
     assert cli.main(["darkmode", "--config", str(path)]) == 0
@@ -159,11 +158,24 @@ def test_darkmode_hopping_chain_skips_hybrid(tmp_path, capsys, monkeypatch):
     assert "two" in data["hybrid_skipped"]
     assert data["adiabatic"] is None and data["adiabatic_skipped"]
 
+
+@pytest.mark.parametrize("section", ["hybridize_two_mode",
+                                     "adiabatic_elimination",
+                                     "predict_linewidth"])
+def test_darkmode_numerical_failure_is_not_a_skip(tmp_path, capsys,
+                                                  monkeypatch, section):
+    # A section is skipped only for the errors of exit code 4; a
+    # numerical failure in any of them ends the command with exit code 3.
+    path = tmp_path / "plain.cfg"
+    ol.save_config(ol.standard_setup(2), path)
+
     def boom(*args):
-        raise ol.SingularSystemError("hybrid report failed")
-    monkeypatch.setattr(cli, "hybridize_two_mode", boom)
+        raise ol.SingularSystemError(f"{section} failed")
+    monkeypatch.setattr(cli, section, boom)
     assert cli.main(["darkmode", "--config", str(path)]) == 3
-    assert "hybrid report failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{section} failed" in captured.err
 
 
 def test_nmode_count_only(capsys):

@@ -138,8 +138,9 @@ def test_q_factor_sets_gamma():
                                              "q_factor = 6764.0"))
     mode = config.modes[0]
     assert mode.gamma == pytest.approx(mode.omega / 6764.0, rel=1e-15)
-    for q in ("0.0", "-6764.0"):
-        with pytest.raises(ol.ConfigError, match="q_factor must be > 0"):
+    for q in ("0.0", "-6764.0", "nan", "inf"):
+        with pytest.raises(ol.ConfigError,
+                           match=r"\[mode1\] q_factor must be > 0"):
             ol.loads_config(MINIMAL.replace("gamma_hz = 140.0",
                                             f"q_factor = {q}"))
 

@@ -159,6 +159,30 @@ def test_scalar_inputs_refused_where_checked(call, name):
         call()
 
 
+_BOUNDARY = (math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("check, accepted, condition", [
+    (model._require_finite, (-1.0, -0.0, 0.0, 5e-324, 1.0), "finite"),
+    (model._require_positive, (5e-324, 1.0), "> 0 and finite"),
+    (model._require_nonnegative, (-0.0, 0.0, 5e-324, 1.0),
+     ">= 0 and finite"),
+], ids=["finite", "positive", "nonnegative"])
+def test_shared_scalar_check_boundaries(check, accepted, condition):
+    # Each shared check is one comparison: it returns an accepted value as
+    # the same float, sign of zero included, and refuses every other value
+    # of the table naming the argument, the condition and the value.
+    for value in _BOUNDARY:
+        if value in accepted:
+            kept = check("x", value)
+            assert math.copysign(1.0, kept) == math.copysign(1.0, value)
+            assert kept == value
+        else:
+            with pytest.raises(ol.InvalidParameterError) as exc:
+                check("x", value)
+            assert str(exc.value) == f"x must be {condition}, got {value!r}"
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: ol.standard_setup(0), "n_modes must be >= 1",
                  id="no_modes"),

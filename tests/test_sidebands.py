@@ -479,8 +479,8 @@ def test_stacked_chain_solve_equals_both_chains(monkeypatch):
     # The builder solves M- = gamma + i(H - v) once, over the detunings
     # (v, -v): as conj(M+(v)) = M-(-v), the halves must hold y- and
     # conj(y+) with the bits of solving M- and M+ = gamma - i(conj(H) + v)
-    # apart.  Only the sign of an exact zero may differ, and the builder's
-    # back-substitution adds 0 to clear it: where M+'s diagonal has a zero
+    # apart.  Only the sign of an exact zero may differ, which the
+    # comparison clears by adding 0: where M+'s diagonal has a zero
     # imaginary part (v = -omega; each grid holds such points), the
     # stacked row's is omega - (-v) = +0, whose conjugate is -0, not M+'s
     # +0; and with the pump off the direct solve's right-hand side
