@@ -10,7 +10,8 @@ Subcommands::
     omit-lab oracle   --config sys.cfg --omega-frac 0.95
     omit-lab figure   fig3 --out-dir fig3_data
 
-Exit codes: 0 success; 2 configuration or argument problems; 3 numerical
+Exit codes: 0 success; 2 configuration or argument problems, a
+non-finite sweep value, or an output that cannot be written; 3 numerical
 failures (non-convergence, instability, singular systems); 4 requests
 outside a method's domain (unsupported layout, regime, degenerate point).
 The darkmode report skips a section, with its reason, for exactly the
@@ -20,14 +21,13 @@ errors of exit code 4; any other error ends it with that error's code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .config_io import load_config
+from .config_io import _write_text, load_config
 from .darkmode import (
     _dark_indices,
     _dark_mode_broken,
@@ -52,8 +52,8 @@ from .presets import figure_presets, run_figure_preset, standard_setup
 from .sidebands import compute_spectrum
 from .sweep import (
     SweepSpec,
+    _json_text,
     _spectrum_text,
-    json_safe,
     run_sweep,
     write_bundle,
 )
@@ -104,33 +104,19 @@ def _parse_range(text: str) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, count))
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit_json(payload, out: str | None) -> None:
-    _emit_text(json.dumps(json_safe(payload), indent=1, allow_nan=False)
-               + "\n", out)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> str:
     config = load_config(args.config)
     spectrum = compute_spectrum(
         config, include_second_order=not args.no_second_order,
         **_grid_kwargs(args))
-    _emit_text(_spectrum_text(spectrum, args.format), args.out)
-    return 0
+    return _spectrum_text(spectrum, args.format)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     config = load_config(args.config)
     if (args.values is None) == (args.range is None):
         raise InvalidParameterError(
@@ -146,12 +132,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        include_second_order=not args.no_second_order,
                        **_grid_kwargs(args))
     written = write_bundle(bundle, args.out_dir, fmt=args.format)
-    for path in written:
-        print(path)
     if bundle.n_failed:
         print(f"warning: {bundle.n_failed} point(s) failed; see bundle.json",
               file=sys.stderr)
-    return 0
+    return "".join(f"{path}\n" for path in written)
 
 
 def _unless_out_of_domain(compute, *args) -> tuple:
@@ -163,7 +147,7 @@ def _unless_out_of_domain(compute, *args) -> tuple:
         return None, str(exc)
 
 
-def _cmd_darkmode(args: argparse.Namespace) -> int:
+def _cmd_darkmode(args: argparse.Namespace) -> str:
     config = load_config(args.config)
     steady = solve_steady_state(config)
     report, hybrid_skipped = _unless_out_of_domain(hybridize_two_mode,
@@ -174,7 +158,7 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
         adiabatic_elimination, config, steady)
     linewidth, prediction_skipped = _unless_out_of_domain(
         predict_linewidth, config, steady)
-    _emit_json({
+    return _json_text({
         "steady": {
             "alpha": complex(steady.alpha),
             "photon_number": steady.photon_number,
@@ -193,11 +177,10 @@ def _cmd_darkmode(args: argparse.Namespace) -> int:
         "adiabatic_skipped": adiabatic_skipped,
         "predicted_linewidth_rad_s": linewidth,
         "prediction_skipped": prediction_skipped,
-    }, args.out)
-    return 0
+    })
 
 
-def _cmd_nmode(args: argparse.Namespace) -> int:
+def _cmd_nmode(args: argparse.Namespace) -> str:
     config = standard_setup(args.n, eta_frac=args.eta_frac,
                             theta=args.theta_pi * np.pi,
                             power_w=args.power_w,
@@ -205,38 +188,32 @@ def _cmd_nmode(args: argparse.Namespace) -> int:
     if args.basis:
         steady = solve_steady_state(config)
         basis = build_normal_modes(config, steady)
-        _emit_json({
+        return _json_text({
             "n": basis.n,
             "frequencies_rad_s": basis.frequencies,
             "damping_rad_s": basis.damping,
             "phases_rad": basis.phases,
             "couplings_rad_s": [complex(c) for c in basis.couplings],
             "dark_mode_indices": _dark_indices(basis.couplings),
-        }, args.out)
-        return 0
+        })
     spectrum = compute_spectrum(config, include_second_order=False,
                                 **_grid_kwargs(args))
     if args.count_only:
-        _emit_text(f"{count_windows(spectrum)}\n", args.out)
-        return 0
-    _emit_text(_spectrum_text(spectrum, args.format), args.out)
-    return 0
+        return f"{count_windows(spectrum)}\n"
+    return _spectrum_text(spectrum, args.format)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> str:
     config = load_config(args.config)
     omega = args.omega_frac * config.omega_ref
-    report = sideband_closure(config, omega, probe_ratio=args.probe_ratio)
-    _emit_json(asdict(report), args.out)
-    return 0
+    return _json_text(asdict(sideband_closure(
+        config, omega, probe_ratio=args.probe_ratio)))
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> str:
     out_dir = args.out_dir if args.out_dir is not None else f"{args.name}_data"
-    written = run_figure_preset(args.name, out_dir)
-    for path in written:
-        print(path)
-    return 0
+    return "".join(f"{path}\n"
+                   for path in run_figure_preset(args.name, out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.handler(args)
-    except (ConfigError, InvalidParameterError) as exc:
+        text = args.handler(args)
+        if out is None or out == "-":
+            sys.stdout.write(text)
+        else:
+            _write_text(out, text)
+    except (ConfigError, InvalidParameterError, OSError) as exc:
         print(f"omit-lab: error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
     except (NonConvergentError, UnstableIntegrationError,
@@ -343,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except _OUT_OF_DOMAIN as exc:
         print(f"omit-lab: unsupported request: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
+    return 0
 
 
 if __name__ == "__main__":

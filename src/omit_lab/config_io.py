@@ -43,8 +43,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import hashlib
 import math
 import os
+from pathlib import Path
 
 from .errors import ConfigError, InvalidParameterError
 from .model import (
@@ -251,6 +253,13 @@ def emit_config(config: SystemConfig) -> str:
 
 
 def save_config(config: SystemConfig, path: str | os.PathLike) -> None:
-    """Write :func:`emit_config` output to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_config(config))
+    """Write :func:`emit_config` output to ``path`` as UTF-8."""
+    _write_text(path, emit_config(config))
+
+
+def _write_text(path: str | os.PathLike, text: str) -> tuple[str, int]:
+    """Write ``text`` as UTF-8, the package's one text-file writer; return
+    the SHA-256 and size of its bytes.  An ``OSError`` reaches the caller."""
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest(), len(data)

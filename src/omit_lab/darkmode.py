@@ -309,6 +309,16 @@ def adiabatic_elimination(config: SystemConfig,
     )
 
 
+def _require_identical_modes(config: SystemConfig, what: str) -> tuple:
+    """``config.mode_arrays()``, once every mode has the same (omega,
+    gamma, g); ``what`` names the caller in the refusal."""
+    omega, gamma, g = arrays = config.mode_arrays()
+    if np.ptp(omega) != 0.0 or np.ptp(gamma) != 0.0 or np.ptp(g) != 0.0:
+        raise UnsupportedTopologyError(
+            f"{what} assumes identical mechanical modes")
+    return arrays
+
+
 def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
     """Effective decay rate ``gamma_eff = gamma_m + N * gamma_opt``.
 
@@ -332,10 +342,7 @@ def predict_linewidth(config: SystemConfig, steady: SteadyState) -> float:
         Modes are not identical.
     """
     gamma_opt = adiabatic_elimination(config, steady).gamma_opt
-    omega, gamma, g = config.mode_arrays()
-    if (np.ptp(omega) != 0.0 or np.ptp(gamma) != 0.0 or np.ptp(g) != 0.0):
-        raise UnsupportedTopologyError(
-            "linewidth prediction assumes identical mechanical modes")
+    _, gamma, _ = _require_identical_modes(config, "linewidth prediction")
     return float(gamma[0] + sum(gamma_opt))
 
 

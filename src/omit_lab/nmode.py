@@ -27,7 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkmode import fit_linewidth
+from .darkmode import (
+    _require_identical_modes,
+    fit_linewidth,
+    linearized_couplings,
+)
 from .errors import InvalidParameterError, UnsupportedTopologyError
 from .model import SteadyState, SystemConfig, probe_amplitude
 from .sidebands import (
@@ -70,21 +74,18 @@ class NormalModeBasis:
         return len(self.frequencies)
 
 
-def _uniform_chain(config: SystemConfig) -> tuple[float, float, float, float,
+def _uniform_chain(config: SystemConfig) -> tuple[float, float, float,
                                                   np.ndarray]:
-    """Validate uniformity and return (omega_m, gamma, g, eta, thetas)."""
+    """Validate uniformity and return (omega_m, gamma, eta, thetas)."""
     if config.n_modes < 2:
         raise UnsupportedTopologyError(
             "normal-mode analysis needs a chain of at least 2 modes")
-    omega, gamma, g = config.mode_arrays()
+    omega, gamma, _ = _require_identical_modes(config, "normal-mode analysis")
     eta, theta = config.coupling_arrays()
-    if np.ptp(omega) != 0.0 or np.ptp(gamma) != 0.0 or np.ptp(g) != 0.0:
-        raise UnsupportedTopologyError(
-            "normal-mode analysis assumes identical mechanical modes")
     if np.ptp(eta) != 0.0:
         raise UnsupportedTopologyError(
             "normal-mode analysis assumes a uniform hopping strength")
-    return float(omega[0]), float(gamma[0]), float(g[0]), float(eta[0]), theta
+    return float(omega[0]), float(gamma[0]), float(eta[0]), theta
 
 
 def build_normal_modes(config: SystemConfig,
@@ -98,8 +99,8 @@ def build_normal_modes(config: SystemConfig,
     optomechanical strength ``G = g |alpha|``.
     """
     n = config.n_modes
-    omega_m, gamma, g, eta, thetas = _uniform_chain(config)
-    g_lin = g * abs(steady.alpha)
+    omega_m, gamma, eta, thetas = _uniform_chain(config)
+    g_lin = linearized_couplings(config, steady)[0]
 
     k = np.arange(1, n + 1)
     frequencies = omega_m + 2.0 * eta * np.cos(k * math.pi / (n + 1))
@@ -141,7 +142,7 @@ def even_mode_coupling(config: SystemConfig, steady: SteadyState,
         A later link carries a nonzero phase.
     """
     n = config.n_modes
-    omega_m, gamma, g, eta, thetas = _uniform_chain(config)
+    omega_m, gamma, eta, thetas = _uniform_chain(config)
     if not 1 <= k <= n:
         raise InvalidParameterError(f"mode index k must be in 1..{n}, got {k}")
     if k % 2 != 0:
@@ -150,7 +151,7 @@ def even_mode_coupling(config: SystemConfig, steady: SteadyState,
     if len(thetas) > 1 and np.any(thetas[1:] != 0.0):
         raise UnsupportedTopologyError(
             "the closed form assumes all link phases after the first vanish")
-    g_lin = g * abs(steady.alpha)
+    g_lin = linearized_couplings(config, steady)[0]
     norm = math.sqrt((n + 1) / 2.0)
     theta1 = thetas[0]
     return complex(g_lin / norm * (1.0 - np.exp(1j * theta1))

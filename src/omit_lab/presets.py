@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config_io import _write_text
 from .darkmode import fit_linewidth, predict_linewidth
 from .errors import InvalidParameterError
 from .model import (
@@ -36,7 +37,6 @@ from .sidebands import Spectrum, compute_spectrum, group_delay
 from .sweep import (
     SweepSpec,
     _csv_table,
-    _write_text,
     run_sweep,
     write_spectrum_csv,
 )

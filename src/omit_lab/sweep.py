@@ -22,7 +22,6 @@ facts: there is no setting, and the bytes are the same either way.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config_io import _KEYS, _field_changes
+from .config_io import _KEYS, _field_changes, _write_text
 from .errors import InvalidParameterError, OmitLabError
 from .model import SystemConfig, _require_finite, lock_effective_detuning
 from .sidebands import (
@@ -114,8 +113,8 @@ class SweepSpec:
     ``lock_delta`` (rad/s), when set, re-locks the *effective* detuning to
     that value after each parameter change -- the usual experimental
     protocol when turning a knob that shifts the static displacements.
-    A non-finite ``lock_delta`` would fail every point alike, so it is
-    refused here.
+    A non-finite value or ``lock_delta`` cannot be computed or written
+    to ``bundle.json``, so each is refused here.
     """
 
     parameter: str
@@ -127,7 +126,8 @@ class SweepSpec:
         if self.parameter not in SWEEPABLE_PARAMETERS:
             raise InvalidParameterError(
                 f"unknown sweep parameter {self.parameter!r}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_require_finite("sweep value", v)
+                       for v in self.values)
         if len(values) == 0:
             raise InvalidParameterError("sweep needs at least one value")
         object.__setattr__(self, "values", values)
@@ -193,9 +193,11 @@ def run_sweep(config: SystemConfig, spec: SweepSpec, *,
 # File output
 
 
-def _columns(spectrum: Spectrum) -> dict[str, np.ndarray]:
-    return {name: getattr(spectrum, attr)
-            for name, attr in _COLUMN_SOURCES.items()}
+def _spectrum_dict(spectrum: Spectrum) -> dict:
+    """A spectrum's metadata and its columns as named arrays."""
+    return {"metadata": spectrum.metadata,
+            "columns": {name: getattr(spectrum, attr)
+                        for name, attr in _COLUMN_SOURCES.items()}}
 
 
 def _csv_table(columns, rows) -> str:
@@ -213,10 +215,9 @@ def _csv_table(columns, rows) -> str:
 def _spectrum_text(spectrum: Spectrum, fmt: str) -> str:
     """A spectrum as the text of a ``csv`` or ``json`` file."""
     if fmt == "csv":
-        return _csv_table(CSV_COLUMNS,
-                         np.column_stack(list(_columns(spectrum).values())))
-    return json.dumps(spectrum_to_dict(spectrum), indent=1,
-                      allow_nan=False) + "\n"
+        columns = _spectrum_dict(spectrum)["columns"]
+        return _csv_table(CSV_COLUMNS, np.column_stack(list(columns.values())))
+    return _json_text(_spectrum_dict(spectrum))
 
 
 def write_spectrum_csv(spectrum: Spectrum, path: str | os.PathLike) -> None:
@@ -227,7 +228,7 @@ def write_spectrum_csv(spectrum: Spectrum, path: str | os.PathLike) -> None:
     (efficiency with the second order switched off, the closed-form check
     beyond two modes, delay at grid edges) are written as ``nan``.
     """
-    _write_text(Path(path), _spectrum_text(spectrum, "csv"))
+    _write_text(path, _spectrum_text(spectrum, "csv"))
 
 
 def json_safe(value):
@@ -249,17 +250,15 @@ def json_safe(value):
     return value
 
 
+def _json_text(value) -> str:
+    """The text of every JSON file and report: ``value`` through
+    :func:`json_safe`, indented by one space, newline-terminated."""
+    return json.dumps(json_safe(value), indent=1, allow_nan=False) + "\n"
+
+
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
     """JSON-ready dict of a spectrum (columns as named arrays)."""
-    return json_safe({"metadata": spectrum.metadata,
-                      "columns": _columns(spectrum)})
-
-
-def _write_text(path: Path, text: str) -> tuple[str, int]:
-    """Write ``text`` as UTF-8; return the SHA-256 and size of its bytes."""
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest(), len(data)
+    return json_safe(_spectrum_dict(spectrum))
 
 
 def _write_point(spectrum: Spectrum, path: Path, fmt: str) -> tuple[str, int]:
@@ -350,7 +349,7 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
         entry: dict = {"value": value, "error": error, "file": None}
         if spectrum is not None:
             entry["file"] = f"point_{i:03d}.{fmt}"
-            entry["metadata"] = json_safe(spectrum.metadata)
+            entry["metadata"] = spectrum.metadata
             names.append(entry["file"])
             spectra.append(spectrum)
         points.append(entry)
@@ -366,13 +365,12 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
     index = {
         "parameter": bundle.spec.parameter,
         "index": bundle.spec.index,
-        "lock_delta": json_safe(bundle.spec.lock_delta),
+        "lock_delta": bundle.spec.lock_delta,
         "values": list(bundle.spec.values),
         "points": points,
     }
     index_path = out / "bundle.json"
-    digests[index_path.name] = _write_text(
-        index_path, json.dumps(index, indent=1, allow_nan=False) + "\n")
+    digests[index_path.name] = _write_text(index_path, _json_text(index))
     written.append(index_path)
     manifest = {
         "files": {
@@ -381,6 +379,6 @@ def write_bundle(bundle: ResultBundle, out_dir, *,
         }
     }
     manifest_path = out / "manifest.json"
-    _write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
+    _write_text(manifest_path, _json_text(manifest))
     written.append(manifest_path)
     return written

@@ -53,6 +53,15 @@ def test_spectrum_json_to_file(config_file, tmp_path, capsys):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert list(data["columns"]) == list(CSV_COLUMNS)
     assert len(data["columns"]["transmission"]) == 21
+    # One emit path: --out writes the bytes the command prints.
+    for argv in (["spectrum", "--config", config_file, "--omega-grid",
+                  "0.95:1.05:21", "--format", "json"],
+                 ["darkmode", "--config", config_file],
+                 ["nmode", "--n", "3", "--basis"],
+                 ["nmode", "--n", "3", "--count-only"]):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -254,6 +263,7 @@ def test_sweep_values_range_exclusive(config_file, tmp_path):
 @pytest.mark.parametrize("flag, text, message", [
     ("--values", "0,half", "--values expects comma-separated numbers"),
     ("--range", "0:1:0", "--range COUNT must be >= 1"),
+    ("--values", "nan,1.0", "sweep value must be finite, got nan"),
 ])
 def test_sweep_bad_values_exit_2(config_file, tmp_path, capsys, flag, text,
                                  message):
@@ -273,16 +283,40 @@ def test_sweep_out_of_range_index_exits_2(config_file, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_oracle_cli(config_file, tmp_path):
+def test_oracle_cli(config_file, tmp_path, capsys):
     out = tmp_path / "closure.json"
-    assert cli.main(["oracle", "--config", config_file,
-                     "--omega-frac", "0.95", "--out", str(out)]) == 0
+    argv = ["oracle", "--config", config_file, "--omega-frac", "0.95"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["reliable"] is True and report["reason"] == ""
     assert report["rel_err_first"] < 0.01
     assert report["iterations"] >= 1
     assert report["map_residual"] <= 1e-12
     assert 0.0 < report["multiplier"] < 1.0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "figure", "sweep"])
+def test_unwritable_output_exits_2(config_file, tmp_path, capsys, command):
+    # An output path that cannot be written is bad input: one error line,
+    # exit code 2, no traceback.
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    argv = {
+        "spectrum": ["spectrum", "--config", config_file, "--omega-grid",
+                     "0.9:1.1:11", "--out", str(tmp_path / "no" / "x.csv")],
+        "figure": ["figure", "fig3", "--out-dir", str(blocker)],
+        "sweep": ["sweep", "--config", config_file, "--param", "theta_rad",
+                  "--values", "0", "--omega-grid", "0.9:1.1:11",
+                  "--no-second-order", "--out-dir", str(blocker / "x")],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("omit-lab: error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_bad_tolerance_exits_2(config_file, capsys):

@@ -91,14 +91,19 @@ def test_sweep_spec_validation():
 def test_non_finite_lock_delta_refused_before_any_point(split_config,
                                                       monkeypatch):
     # A lock target that is not finite fails every point alike, so the
-    # spec refuses it, as run_sweep refuses a bad grid.
+    # spec refuses it, as run_sweep refuses a bad grid; a sweep value that
+    # is not finite cannot be computed or written to bundle.json.
     def no_point(*args, **kwargs):
         raise AssertionError("a point was computed")
     monkeypatch.setattr(ol.sweep, "compute_spectrum", no_point)
-    for lock in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ol.InvalidParameterError, match="lock_delta"):
             ol.run_sweep(split_config, ol.SweepSpec(
-                parameter="theta_rad", values=(0.0, 1.0), lock_delta=lock))
+                parameter="theta_rad", values=(0.0, 1.0), lock_delta=bad))
+        with pytest.raises(ol.InvalidParameterError,
+                           match=f"^sweep value must be finite, got {bad}"):
+            ol.run_sweep(split_config, ol.SweepSpec(
+                parameter="theta_rad", values=(1.0, bad)))
 
 
 def test_run_sweep_records_failures(split_config):
