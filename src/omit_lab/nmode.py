@@ -33,7 +33,12 @@ from .darkmode import (
     linearized_couplings,
 )
 from .errors import InvalidParameterError, UnsupportedTopologyError
-from .model import SteadyState, SystemConfig, probe_amplitude
+from .model import (
+    SteadyState,
+    SystemConfig,
+    _require_positive,
+    probe_amplitude,
+)
 from .sidebands import (
     Spectrum,
     _as_grid,
@@ -165,15 +170,18 @@ def count_windows(spectrum: Spectrum) -> int:
 
 def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
                                   omega: np.ndarray) -> np.ndarray:
-    """Probe transmission computed in the normal-mode (star) basis.
+    """Probe transmission amplitude ``t_p`` computed in the normal-mode
+    (star) basis.
 
     Solves the first-order sideband response of a cavity coupled to the
     ``N`` independent normal modes with their rotated couplings (a chain
     operator with no hopping), instead of the site-basis chain.  Both bases
-    go through the same Schur-complement response solve, where a chain
-    with no hopping is diagonal and takes one division per grid point and
-    mode; only the cavity amplitude is formed, not the normal-mode
-    amplitudes.  The result must match the transmission from
+    go through the same chain sweep and cavity solve of
+    :mod:`omit_lab.sidebands`; a chain with no hopping is diagonal, so
+    each mode adds ``|c_k|^2 / d_k`` to the back-action sum, one division
+    per grid point and mode.  Only the cavity amplitude is formed, not the
+    normal-mode amplitudes, so the working memory does not grow with
+    ``N``.  The complex ``t_p`` must match the one from
     :func:`omit_lab.sidebands.solve_first_order` to rounding error; any
     systematic gap means the basis transform is wrong.  Returns a 1-D
     array, also for a scalar ``omega``.
@@ -182,12 +190,13 @@ def transmission_via_normal_modes(config: SystemConfig, steady: SteadyState,
     ------
     InvalidParameterError
         ``omega`` is empty, not finite or more than 1-D, or the probe
-        amplitude is zero (transmission is undefined).
+        amplitude is zero (``t_p`` is undefined); both are refused before
+        the basis is built.
     """
     w, _ = _as_grid(omega)
+    eps_p = _require_positive("probe amplitude", probe_amplitude(config))
     basis = build_normal_modes(config, steady)
     kap = config.cavity.kappa
-    eps_p = probe_amplitude(config)
     # The rotated couplings c_k already carry the linearised magnitude
     # g*|alpha|; the solve only needs the pump's unit phase on top, or
     # the optomechanical strength would be counted twice.

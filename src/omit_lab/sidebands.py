@@ -9,14 +9,16 @@ hierarchy of linear systems:
 
 * order 1: a linear system in ``A1m``, ``conj(A1p)`` and the mechanical
   pairs, driven by the probe amplitude.  Each mechanical sideband is a
-  tridiagonal chain that sees the cavity through one scalar, and the
-  upper sideband's chain is the lower one's at ``-Omega``, conjugated, so
-  one Thomas sweep over the detunings ``(Omega, -Omega)`` eliminates the
-  mechanics (``O(n)`` per frequency), leaving a 2x2 cavity solve; a
-  chain without hopping (the normal-mode basis, ``eta = 0`` on every
-  link, one mode) is diagonal and takes a division per site instead of
-  the sweep.  The mechanical amplitudes follow by back-substitution,
-  formed only for callers that read them;
+  tridiagonal chain that sees the cavity through one number per
+  frequency, the back-action sum ``u^H M^-1 u`` of its coupling column
+  ``u``, and the upper sideband's chain is the lower one's at ``-Omega``,
+  conjugated.  So one forward sweep of the chain's LU factors over the
+  detunings ``(Omega, -Omega)`` accumulates both sums (``O(n)`` per
+  frequency, holding one site's rows at a time), leaving a 2x2 cavity
+  solve; a chain without hopping (the normal-mode basis, ``eta = 0`` on
+  every link, one mode) is diagonal and adds ``|u_l|^2 / d_l`` per site.
+  Only callers that read the mechanical amplitudes have the sweep keep
+  its rows and back-substitute them;
 * order 2: the same operator evaluated at ``2*Omega``, driven on the
   cavity and on the mechanics by products of the first order's cavity
   amplitudes, whose ``conj(A1p)`` row fixes the mechanical back-action
@@ -25,8 +27,10 @@ hierarchy of linear systems:
   back-substitution as one weight per frequency, and the second order
   solves the same single column as the first.
 
-Both orders go through the same solve, so both hold for any number of
-modes and return the same :class:`SidebandAmplitudes` layout.
+Both orders go through the same sweep, so both hold for any number of
+modes and return the same :class:`SidebandAmplitudes` layout.  A spectrum
+reads only the cavity amplitudes, so its working memory is ``O(K)`` at any
+mode count; the sweep is elementwise and makes no BLAS call.
 
 Two observables summarise the response:
 
@@ -262,36 +266,71 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Response solve (any number of modes, any mechanical basis)
 
 
-def _chain_solve(damping: np.ndarray, frequencies: np.ndarray, v: np.ndarray,
-                 upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> None:
-    """Solve ``(gamma + i(H - v)) z = x`` at each detuning ``v``, in place.
+def _chain_sweep(damping: np.ndarray, frequencies: np.ndarray,
+                 v: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                 u: np.ndarray, keep: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``s = u^H M^-1 u`` for ``M = gamma + i(H - v)`` at each detuning ``v``,
+    by one forward sweep; with ``keep`` also ``y = M^-1 u``, ``(N, len(v))``.
 
-    ``x`` is ``(N, K)``, ``v`` is ``(K,)``; ``H`` has ``frequencies`` on
-    its diagonal, ``upper`` above and ``lower`` below it.  One Thomas
-    sweep forms each site's diagonal row when it reaches that site.  Each
-    pivot of ``gamma*I + i*(Hermitian)`` has a real part of at least
-    ``min(gamma) > 0``, so the sweep needs no pivoting and no singularity
-    check.  Without hops (the star basis, ``eta = 0`` on every link, one
-    mode) the pivots are the diagonal rows and the updates would subtract
-    zeros, so they are skipped and each row of ``x`` is only divided: the
-    same bits, up to the sign of an exact zero.
+    ``H`` has ``frequencies`` on its diagonal, ``upper`` above and
+    ``lower`` below it.  With ``M = L U`` (``L`` unit lower bidiagonal,
+    ``U`` upper bidiagonal on the pivots ``d_l``), each site forms its
+    diagonal row and carries three rows over the grid: ``1 / d_l``, ``z =
+    L^-1 u`` and ``r = U^-T conj(u)``, adding ``r_l z_l`` to ``s``.  The
+    one division per site is the pivot's reciprocal; the multiplier and
+    ``r`` multiply by it.  Each pivot of ``gamma*I + i*(Hermitian)`` has a
+    real part of at least ``min(gamma) > 0``, so the sweep needs no
+    pivoting and no singularity check.  Only the current site's rows are
+    held, unless ``keep`` asks for ``y``: then every ``z`` and ``1 / d_l``
+    row is kept and ``y_l = (z_l - upper_l y_{l+1}) / d_l`` is
+    back-substituted over the ``z`` rows.  Without hops (the star basis,
+    ``eta = 0`` on every link, one mode) ``z = u`` and ``M`` is diagonal,
+    so each site adds ``|u_l|^2 / d_l`` and ``y_l = u_l / d_l``.
     """
+    n = len(u)
     hops = upper.any() or lower.any()
-    pivot = np.empty(x.shape[1:], dtype=complex)
-    if hops:
-        ratio = np.empty((len(upper),) + x.shape[1:], dtype=complex)
-    for l in range(len(x)):
-        pivot.real = damping[l]
-        np.subtract(frequencies[l], v, out=pivot.imag)
+    # With ``keep``, z and inv (1 / d) hold every site's row, site l in
+    # row l; else one row, the current site's.  ``l % len(z)`` picks it.
+    z = np.empty((n if keep else 1, len(v)), dtype=complex)
+    inv = np.empty((n if keep and hops else 1, len(v)), dtype=complex)
+    s, r, t = (np.empty(len(v), dtype=complex) for _ in range(3))
+    for l in range(n):
+        d, z_l = inv[l % len(inv)], z[l % len(z)]
         if hops and l > 0:
-            pivot -= lower[l - 1] * ratio[l - 1]
-            x[l] -= lower[l - 1] * x[l - 1]
-        x[l] /= pivot
-        if hops and l < len(upper):
-            np.divide(upper[l], pivot, out=ratio[l])
+            # The multiplier lower_{l-1} / d_{l-1}, read before d_l
+            # overwrites the one held row.
+            np.multiply(inv[(l - 1) % len(inv)], lower[l - 1], out=t)
+        d.real = damping[l]
+        np.subtract(frequencies[l], v, out=d.imag)
+        term = t if l else s
+        if not hops:
+            np.divide(u[l].real ** 2 + u[l].imag ** 2, d, out=term)
+            if keep:
+                np.divide(u[l], d, out=z_l)
+        else:
+            if l == 0:
+                z_l[...] = u[0]
+                r[...] = np.conj(u[0])
+            else:
+                np.multiply(t, z[(l - 1) % len(z)], out=z_l)
+                np.subtract(u[l], z_l, out=z_l)
+                d -= np.multiply(t, upper[l - 1], out=t)
+                np.multiply(r, upper[l - 1], out=r)
+                np.subtract(np.conj(u[l]), r, out=r)
+            np.divide(1.0, d, out=d)  # the row holds 1 / d_l from here
+            r *= d
+            np.multiply(r, z_l, out=term)
+        if l > 0:
+            s += t
+    if not keep:
+        return s, None
     if hops:
-        for l in range(len(x) - 2, -1, -1):
-            x[l] -= ratio[l] * x[l + 1]
+        z[-1] *= inv[-1]
+        for l in range(n - 2, -1, -1):
+            z[l] -= np.multiply(upper[l], z[l + 1], out=t)
+            z[l] *= inv[l]
+    return s, z
 
 
 def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
@@ -299,6 +338,7 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
                        coupling: np.ndarray, phase: complex, w: np.ndarray,
                        order: int, cavity_rhs: tuple,
                        m: np.ndarray | None = None,
+                       mechanics: bool = False,
                        ) -> tuple[np.ndarray, ...]:
     """Solve one order of the sideband hierarchy at ``v = order * w``.
 
@@ -313,39 +353,36 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         M+ conj(B+) = i conj(u) (X + m),   M+(v) = gamma - i(conj(H) + v)
 
     where ``H`` is Hermitian tridiagonal (``frequencies`` on the diagonal,
-    ``hop`` above it).  As ``conj(M+(v)) = M-(-v)``, one
-    :func:`_chain_solve` of ``M-`` over the detunings ``(v, -v)``, with
-    ``u`` in every column, holds ``y- = M-^-1 u`` in its first half and
-    ``conj(y+)``, ``y+ = M+^-1 conj(u)``, in its second.  ``sigma = u^T y+
-    - u^H y-`` is two products, one per half: one product over both
-    halves sums in another order and moves the last bits.  That leaves a
-    2x2 cavity system per grid point.  ``cavity_rhs`` drives ``(A-,
-    conj(A+))``; the optional ``(K,)`` weight ``m`` adds ``(p m sigma,
-    -conj(p) m sigma)`` to it.
+    ``hop`` above it).  The cavity sees them through one number per grid
+    point, ``sigma = u^T M+^-1 conj(u) - u^H M-^-1 u``.  As ``conj(M+(v))
+    = M-(-v)``, one :func:`_chain_sweep` of ``M-`` over the detunings
+    ``(v, -v)`` gives ``s = u^H M-^-1 u`` on both halves, and ``sigma =
+    conj(s[K:]) - s[:K]``.  That leaves a 2x2 cavity system per grid
+    point.  ``cavity_rhs`` drives ``(A-, conj(A+))``; the optional
+    ``(K,)`` weight ``m`` adds ``(p m sigma, -conj(p) m sigma)`` to it.
 
-    Returns ``(A-, conj(A+), chains)``.  The mechanical amplitudes are not
-    formed here: a caller that reads them passes the whole triple to
-    :func:`_with_mechanics`, which back-substitutes into ``chains``.
+    Returns ``(A-, conj(A+))``, and with ``mechanics`` also ``B-`` and
+    ``conj(B+)``, each ``(K, N)``: the same sweep then keeps its rows and
+    back-substitutes ``y = M-^-1 u`` over ``(v, -v)``, so that ``B- =
+    -i(X + m) y-`` and ``conj(B+) = i(X + m) conj(y(-v))``.  Without
+    ``mechanics`` the working memory does not grow with ``N``.
 
     Raises
     ------
     SingularSystemError
-        The cavity determinant vanishes or the cavity amplitudes are not
-        finite at some grid point.
+        The cavity determinant vanishes or the amplitudes are not finite
+        at some grid point.
     """
     v = order * w
     k = len(w)
-    y = np.empty((len(frequencies), 2 * k), dtype=complex)
-    y[...] = coupling[:, None]
-    uc = np.conj(coupling)
     d0 = kappa + 1j * (delta - v)
     d1 = kappa - 1j * (delta + v)
     # Overflow and a zero cavity determinant both end in non-finite
     # amplitudes, reported once below.
     with np.errstate(all="ignore"):
-        _chain_solve(damping, frequencies, np.concatenate((v, -v)),
-                     1j * hop, 1j * np.conj(hop), y)
-        sigma = np.conj(uc @ y[:, k:]) - uc @ y[:, :k]
+        s, y = _chain_sweep(damping, frequencies, np.concatenate((v, -v)),
+                            1j * hop, 1j * np.conj(hop), coupling, mechanics)
+        sigma = np.conj(s[k:]) - s[:k]
         f0, f1 = cavity_rhs
         if m is not None:
             m_sigma = m * sigma
@@ -355,27 +392,15 @@ def _sideband_response(kappa: float, delta: float, damping: np.ndarray,
         a_minus = (f0 * (d1 + sigma) + sigma * phase ** 2 * f1) / det
         a_plus_conj = ((d0 - sigma) * f1
                        - sigma * np.conj(phase) ** 2 * f0) / det
-        x = np.conj(phase) * a_minus + phase * a_plus_conj
-        ix = 1j * (x if m is None else x + m)
         _require_finite_response(
             np.isfinite(a_minus) & np.isfinite(a_plus_conj), w)
-    return a_minus, a_plus_conj, (w, ix, y)
-
-
-def _with_mechanics(response: tuple) -> tuple[np.ndarray, ...]:
-    """``(A-, conj(A+), B-, conj(B+))`` from a :func:`_sideband_response`
-    triple, the last two ``(K, N)``; overwrites its chain solutions.
-
-    Raises SingularSystemError where a mechanical amplitude is not finite.
-    """
-    a_minus, a_plus_conj, (w, ix, y) = response
-    k = len(w)
-    y_m, y_p = y[:, :k], y[:, k:]
-    # B- = -(i (X + m)) y- and conj(B+) = (i (X + m)) y+, formed over y
-    # once its second half, conj(y+), is conjugated.  The operand order
-    # (i X) * y matters: complex products do not commute bit for bit, and
-    # ``y *= ix`` rounds differently.
-    with np.errstate(all="ignore"):
+        if not mechanics:
+            return a_minus, a_plus_conj
+        x = np.conj(phase) * a_minus + phase * a_plus_conj
+        ix = 1j * (x if m is None else x + m)
+        # B- = -(i (X + m)) y- and conj(B+) = (i (X + m)) y+, formed over
+        # y once its second half, conj(y+), is conjugated.
+        y_m, y_p = y[:, :k], y[:, k:]
         np.conj(y_p, out=y_p)
         b_minus = np.negative(np.multiply(ix, y_m, out=y_m), out=y_m)
         b_plus_conj = np.multiply(ix, y_p, out=y_p)
@@ -398,20 +423,21 @@ def _pump_phase(alpha: complex) -> complex:
 
 
 def _site_response(view: _View, w: np.ndarray, order: int,
-                   cavity_rhs: tuple, m=None) -> tuple:
+                   cavity_rhs: tuple, m=None, mechanics=False) -> tuple:
     """:func:`_sideband_response` for the site-basis chain of ``view``."""
     return _sideband_response(
         view.kappa, view.delta, view.gamma, view.omega,
         view.eta * np.exp(1j * view.theta), view.g * abs(view.alpha),
-        _pump_phase(view.alpha), w, order, cavity_rhs, m)
+        _pump_phase(view.alpha), w, order, cavity_rhs, m, mechanics)
 
 
-def _first_order_raw(view: _View, w: np.ndarray) -> tuple:
-    return _site_response(view, w, 1, (view.eps_p, 0.0))
+def _first_order_raw(view: _View, w: np.ndarray,
+                     mechanics: bool = False) -> tuple:
+    return _site_response(view, w, 1, (view.eps_p, 0.0), None, mechanics)
 
 
 def _second_order_raw(view: _View, w: np.ndarray, a1m: np.ndarray,
-                      a1pc: np.ndarray) -> tuple:
+                      a1pc: np.ndarray, mechanics: bool = False) -> tuple:
     """Second-order :func:`_sideband_response` from A1- and conj(A1+)."""
     # The first order's conj(A+) row, (kappa - i(Delta + w)) conj(A1+) =
     # i conj(alpha) S1, gives S1 = sum_l g_l (B_l- + conj(B_l+)); the drive
@@ -422,7 +448,8 @@ def _second_order_raw(view: _View, w: np.ndarray, a1m: np.ndarray,
         s1 = (-1j * (view.kappa - 1j * (view.delta + w)) * a1pc
               / np.conj(view.alpha))
         m = a1pc * a1m / abs(view.alpha)
-    return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1), m)
+    return _site_response(view, w, 2, (-1j * a1m * s1, 1j * a1pc * s1), m,
+                          mechanics)
 
 
 def _amplitudes(parts: tuple[np.ndarray, ...],
@@ -452,7 +479,7 @@ def solve_first_order(config: SystemConfig, steady: SteadyState,
     """
     w, scalar = _as_grid(omega)
     return _amplitudes(
-        _with_mechanics(_first_order_raw(_view(config, steady), w)), scalar)
+        _first_order_raw(_view(config, steady), w, mechanics=True), scalar)
 
 
 def solve_second_order(config: SystemConfig, steady: SteadyState,
@@ -468,8 +495,8 @@ def solve_second_order(config: SystemConfig, steady: SteadyState,
     if len(a1m) != len(w):
         raise InvalidParameterError(
             "first-order amplitudes were computed on a different grid")
-    return _amplitudes(_with_mechanics(
-        _second_order_raw(_view(config, steady), w, a1m, a1pc)), scalar)
+    return _amplitudes(_second_order_raw(
+        _view(config, steady), w, a1m, a1pc, mechanics=True), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +697,7 @@ def compute_spectrum(config: SystemConfig,
 
     # The spectrum reads A1- and A2-, and the second order reads only the
     # first order's cavity amplitudes, so no mechanics are formed.
-    a1m, a1pc = _first_order_raw(view, w)[:2]
+    a1m, a1pc = _first_order_raw(view, w)
     t_p, _ = transmission(a1m, view.eps_p, view.kappa)
 
     discrepancy = np.full(len(w), np.nan)
@@ -679,7 +706,7 @@ def compute_spectrum(config: SystemConfig,
         fo_closed = _closed_first_arrays(view, w)
         discrepancy = _relative_gap(a1m, fo_closed[0])
     if include_second_order:
-        a2m = _second_order_raw(view, w, a1m, a1pc)[0]
+        a2m, _ = _second_order_raw(view, w, a1m, a1pc)
         efficiency = 100.0 * second_order_efficiency(
             a2m, view.eps_p, view.kappa)
         if config.n_modes == 2:

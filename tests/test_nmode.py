@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import omit_lab as ol
+from omit_lab import nmode
 
 from conftest import FROZEN_N3_C2, FROZEN_N3_FREQS, TWO_PI, synthetic_steady
 
@@ -184,19 +185,23 @@ def test_bases_agree_with_the_pump_off():
         assert np.all(amplitude == 0.0)
 
 
-@pytest.mark.parametrize("grid, probe_ratio", [
-    ([0.95, math.nan], None), ([], None), ([[0.95, 1.0], [1.0, 1.05]], None),
-    ([0.95, 1.05], 0.0),
+@pytest.mark.parametrize("grid, probe_ratio, match", [
+    ([0.95, math.nan], None, None), ([], None, None),
+    ([[0.95, 1.0], [1.0, 1.05]], None, None),
+    ([0.95, 1.05], 0.0, r"^probe amplitude must be > 0 and finite, got 0\.0$"),
 ], ids=["nan", "empty", "two_d", "no_probe"])
-def test_normal_mode_transmission_rejects_bad_input(grid, probe_ratio):
+def test_normal_mode_transmission_rejects_bad_input(grid, probe_ratio,
+                                                    match, monkeypatch):
     # Refused as InvalidParameterError (exit 2), like the site-basis solve:
     # no singular-system error for a NaN, no empty result, no numpy
-    # broadcast error, and no division by a zero probe amplitude.
+    # broadcast error, and a zero probe amplitude with compute_spectrum's
+    # message, before the basis is built.
     cfg = ol.standard_setup(4, eta_frac=0.05, theta=math.pi / 2,
                             probe_ratio=probe_ratio)
     st = ol.solve_steady_state(cfg)
     w = np.asarray(grid, dtype=float) * cfg.omega_ref
-    with pytest.raises(ol.InvalidParameterError):
+    monkeypatch.setattr(nmode, "build_normal_modes", None)
+    with pytest.raises(ol.InvalidParameterError, match=match):
         ol.transmission_via_normal_modes(cfg, st, w)
 
 

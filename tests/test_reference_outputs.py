@@ -15,10 +15,12 @@ entries, in the same change whose ``CHANGES.md`` line says why.
 The digests were recorded with the Python and numpy versions in
 ``RECORDED_WITH``; the message names both, because another version may
 format a float differently.  They also hold only in the numeric
-environment they were recorded in: OpenBLAS's kernel and thread count and
-numpy's SIMD dispatch can each move a result at rounding level.  The
-message prints the variables in ``NUMERIC_ENV``, which select those and
-were all unset when the digests were recorded.
+environment they were recorded in: OpenBLAS's kernel and numpy's SIMD
+dispatch can each move a result at rounding level.  The message prints
+the variables in ``NUMERIC_ENV``, which select those and the BLAS thread
+count, and were all unset when the digests were recorded.  The thread
+count moves no pin; ``test_pins_hold_with_one_blas_thread`` checks a
+subset with one thread.
 
 The θ sweep's ``manifest.json`` holds the digest of each point file and
 of ``bundle.json``, so pinning the manifest pins the bundle.  Only its CSV
@@ -29,11 +31,14 @@ the split spectrum's JSON, which is pinned.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,68 +60,68 @@ SPLIT = "demos/configs/split_window.cfg"
 CLI_PINS = {
     "omit-lab figure fig2": {
         "fig2_linewidth_vs_power.csv":
-            "9ce46cc5552e736e029fcd2107c24f82dd516071ce4f7188a4f293adc66ebf24",
+            "41994b498df060bfb6b1c4831e3bc90d819c329fa886c1446720f90b3f572f22",
         "fig2_spectrum_standard.csv":
-            "027b6298abe557e859d55a2645fbd596b1cef68673189b7e122227832aac8173",
+            "0dba6b8734c0c01994e9010cde01e071d1d727abe821ce1d25e6928af371419c",
         "fig2_spectrum_two_mode.csv":
-            "4b431dc9d6c8cb7f95ca7466f9b566b8f81caf6d0ef9728a355400372ad385c6",
+            "d48d4cabb9c4f3bfcc009be1b6b141b201b3f137e2010d25931f4164d4a5ae41",
     },
     "omit-lab figure fig3": {
         "fig3_unbroken.csv":
-            "4b431dc9d6c8cb7f95ca7466f9b566b8f81caf6d0ef9728a355400372ad385c6",
+            "d48d4cabb9c4f3bfcc009be1b6b141b201b3f137e2010d25931f4164d4a5ae41",
         "fig3_broken.csv":
-            "5035eaba6d3503a3d74e748b6a0b0369402c6b970e24dd2d7252f10bf0cb7780",
+            "20bfc839c0c19fe5dea305a50eabd7c3968110ea0500f838ff6b23b08ec9c38f",
     },
     "omit-lab figure fig4": {
         "fig4_theta_0p0pi.csv":
-            "48b8b64867dfcbcd2a2c8ff22f0c55b540968568c8fae77c7f6442c8154750a7",
+            "de82f8aec31f659665d9cfc3da90cc55fdc7aa9fa5d9edfa76c86c53584e4a91",
         "fig4_theta_0p5pi.csv":
-            "a4d099be845967e51aa4722b338fbee1e6233b9c8cfd32139d62bdbe0db68710",
+            "781241e0650e696028a1991a8e4ab1264da58ba0ae34de486062663d4214c9dd",
         "fig4_theta_1p0pi.csv":
-            "32787ab2f2bec61637e26f65f20dc1319e8970982498444ceac30e7d30bd1da8",
+            "00b1b7bdf25db08c1e5a714b9e894c3110df6d97d946ae7629086d4ce86ef21e",
         "fig4_windows_vs_theta.csv":
-            "85bd898d652cd9fa83f6e2e20901d5be339488bf4f0db3f51ff3f655321938cb",
+            "c56aff8fbaeb53466ac65f96b9bf159fab01f6db02704db099dfa1c772991a4f",
     },
     "omit-lab figure fig5": {
         "fig5_theta_0p0pi.csv":
-            "20d1c5a1cabbedc7013aff254813b639d1b0cee8c9edd3ace9f71f9dd4ae8f4f",
+            "489838e39a4c1609904eac57fcd3ad5224293df5fd4caafa23fb765daafd886a",
         "fig5_theta_1p0pi.csv":
-            "c25ba7b2de518b2d2328af946543662fe69b657013d237c1d8ce81c7a7abdd82",
+            "e6163b2bc29fb05217124af060a4231e25f792663da2fecff7980c59d640a1b4",
         "fig5_max_efficiency_vs_theta.csv":
-            "02cd7716ce8c07df9e7f3bdca75b573c43b324100e0523931f551d0aefd931c5",
+            "9cc3ae300ae6fdcb110a95cdfc91706781398b4726f3a662d2d2143b36b608d9",
     },
     "omit-lab figure fig6": {
         "fig6_spectrum_broken.csv":
-            "a4d099be845967e51aa4722b338fbee1e6233b9c8cfd32139d62bdbe0db68710",
+            "781241e0650e696028a1991a8e4ab1264da58ba0ae34de486062663d4214c9dd",
         "fig6_delay_vs_theta.csv":
-            "b5413a7e3004771cc6d34d902c8f25e7ef7c674d99915adba22fe2f63ea838b0",
+            "6169d7e00627e4b9d9572cf926c8cac10aae5657b3abb7d9a90275f465c107e3",
     },
     "omit-lab figure fig7": {
         "fig7_n3_broken.csv":
-            "7d19178f16e8498c72b18755014ace6ed351a1b2fc530c1e72351786428c2ef6",
+            "25b17f11c4aa83f1edb146aec448ef58eff581310e6f593b244b8880209c81b6",
         "fig7_n4_broken.csv":
-            "a495e62a7a1d814cc01101e3e25d1160a03b1ef211c33e97265b4022c5c7eb6e",
+            "4b73594791c86c68f2626c078052f0f2c290945ac24b0b9ddadb65467e31ec98",
         "fig7_n5_broken.csv":
-            "7e7257ad22e04d7036dec0ddfcb09330cda83f034fb728b3bd7e92868f4fb02c",
+            "0618c0d88632562027701c41f268b60c2c6924e46df3804f02f865a47289687d",
         "fig7_summary.csv":
-            "85eb9eddb353e8c3eec85aa038906bba729652d52bf49f799aa9bb8fca58c3b2",
+            "9b0afd4c0f357191bdb3346f57fd365d67185c1ca4d2d16d4b2faaa47cae6435",
     },
     f"omit-lab spectrum --config {SPLIT}": {
         "stdout":
-            "5035eaba6d3503a3d74e748b6a0b0369402c6b970e24dd2d7252f10bf0cb7780",
+            "20bfc839c0c19fe5dea305a50eabd7c3968110ea0500f838ff6b23b08ec9c38f",
     },
     f"omit-lab spectrum --config {SPLIT} --format json": {
         "stdout":
-            "5fcb94c11671d258b29045ea2b56b736cb9fc1343542de827e5b8f541d40e3e9",
+            "90fd25d0c47b8074b5be76fe8f5fd50f6880c29af4021afc173d235b97d0c4fb",
     },
     f"omit-lab sweep --config {SPLIT} --param theta_pi_units "
     "--range 0:2:61 --lock-delta 1.0": {
         "manifest.json":
-            "3a028023b2cf231a24b2213f761db4ad69e951c5a30749aba0f7e8d721e3f582",
+            "671311115b937f689fc5d0d71d88bfc4c7c6db2e63841485a20a8d694f0c5cfc",
     },
     f"omit-lab oracle --config {SPLIT} --omega-frac 0.95": {
         "stdout":
-            "efe88747ea6305c01d821dc5546ab2a0942b74f950ba28fa5fd68a5a743738c5",
+            "c59b69bb5d604e9fe0ac215eb4e64f16b740ac582f94bde80fd9028c40c0e2c9",
     },
 }
 
@@ -155,199 +160,199 @@ BROKEN = {"eta_frac": 0.05, "theta": math.pi / 2}
 ARRAY_PINS = {
     "N=1 dark": {
         "A1-":
-            "4f895367e1886f3272e0a545b9b9c51048794709236821f745b84b572ae30697",
+            "3acdec1ac5250a7e55514daa1c11ae663142ba3bf0589016e1af79a7fd30e254",
         "conj(A1+)":
-            "259d4163b5257070b70b671fa74fe926f724e995c1e0261bae5f27fc49e5688c",
+            "616791c10974b22253991462e416db4ad8e3044b74f2d5d0aed5f435e646e6f2",
         "B1-":
-            "d9ad0aec172f408ad04a7ab7a286c3586e38abbdb946b0898c3f1ce380c0dda6",
+            "92d18b5fdd29933b5b595ac8710083a7e8875280079fe65f62146c420167a052",
         "conj(B1+)":
-            "fde347c0f3dc5eb736356a33f2aff8dd8686a6e743e5b831d732cd9292894412",
+            "a67ecbcf69ae68beda31a9176eb0fe2f973db154ca5e8494833af9b2b605b8f6",
         "A2-":
-            "38aba72b814787210a6b03968792a21a59b52937d9c24136ee1f75402890df25",
+            "a64849722b6f2b0d268571d7fbbb507156434891c868a83e39b09d4fe2eac14c",
         "conj(A2+)":
-            "0a052d55076e09820ed077eeb59432f589c0d317f85ec2d2d6734f7fd04642ea",
+            "e10935e80e81494781e310a82660794e01cc58920db13a84ce792bf4ff62f660",
         "B2-":
-            "ea28c38ed60c55c75b8938ff6500f1026482e773b3060b5e6fdef76592d209a5",
+            "5c5b87e5fab20b9b7e2ddea459ea35e691331baf83ac961487b1d41a8c6d6078",
         "conj(B2+)":
-            "5e3d289048878385b3bba0dc58bd629f7ba36f5952d9054d42767afa601b6bed",
+            "21bba5767b1ea6023a847e16c1dd9a70602ca55db41229f08c17181a30f2cc20",
         "spectrum t_p":
-            "ba3a0cfb57518b5468d6f3eb5f012e311dffc357067e45ff980c295ff8dd8ae0",
+            "fee6b256ef8db58e4e1b56c499795b0d47a2538a4e3ed206be7759837e7c3886",
     },
     "N=2 dark": {
         "A1-":
-            "2221007b4377f48a417298ae8b79c5d7eb05f903f3135f6ef887769bc57d8c92",
+            "64d50dd660109908746bd8e725697e5ba645d4c416772eaf79d3491c239e7ab6",
         "conj(A1+)":
-            "691b1ebf9c6e11741764b84eeb62246b8c79375c934743e44ebd58c3055b56c3",
+            "bf3bc77e1bfdf3353716f2c52389eb59ba40dacb6b35bfa5bda6066b1e0e5ad9",
         "B1-":
-            "7f9568aa4b7235a0f9847d6f48f509a5229d1dd416e4e7715ea95daa28cda93d",
+            "236ab1a59dc6c017dd1b7006d60489bb6da32b3bc9100ac1ca34595ba1b197c2",
         "conj(B1+)":
-            "fd37cf3a1e05f98b27395abc16f9f3101b214a122a5f8103bade9e9d9bbda60b",
+            "2a7d8837d76de26cfe514ace2b988eba33ebbb3b4910d59a28419d04a305be00",
         "A2-":
-            "6407c2504573cacd56bc676287f738533b3ef6032ddd4069258825876929715a",
+            "c4fe3ff27f0b170ad9c9d9513515076bda6b7b05e996409bbb6ffe1afbfb91e2",
         "conj(A2+)":
-            "98da618f1276ffc47799a584df7f8d060d2a7cdf37459e18273dccf1bb641cff",
+            "1c7a1d80920e6980c7bb5a1cf5e73540fd693f695b17b4d53063a83ad6eb00eb",
         "B2-":
-            "156f3948d93d49d65fcf218563ff99e6e1b2b1dba2051117b801748c8c4e1b10",
+            "10532242ac177b55478cba8e77bf71fdf2832f6bbdd32aa992d73c83e71ad612",
         "conj(B2+)":
-            "b7a253892e4b2aeccf340376a4b12775e21f469ce7ea00c4537d974d84497fc6",
+            "d9912c2bf37c0e569f70b58700b276da6f59f0776e2c116735581503ed8667df",
         "spectrum t_p":
-            "77aaef633ef5b52257be5daf2ee4831e18f684f88b38f6145719314e43daebe9",
+            "accd1840e3f25baa6e37903aee524f1b9e671bbd49f8ec4f8fb2e8a834590a5c",
         "star t_p":
-            "ddb36efc29649b879b035ed61497a136f3af462bea0222c0f4e72727406ca550",
+            "af22f9f96b357ceb8d302343d2b320a0bbc635bbabdb35347a527c8818e32943",
     },
     "N=2 broken": {
         "A1-":
-            "691e4b21952e076afc8696b60914c0dd424f87e4cceeaadc14941fb88b30d227",
+            "07b88d0f0e78d7a4aa17b4f5c60f818c72b8a13069a562209baddc139f3dc2d4",
         "conj(A1+)":
-            "7637ef6d501d097755cbe82f68bb19ffb88129744ec131bb3450fdd2173bca47",
+            "5727627241ed959092935cf14d23b116d5c9e8b33b74b964a8ba6335a6234d24",
         "B1-":
-            "b9e03491960344cd9ef4f7ef3fbf3fe2c7b51eee2b5069a6c1d7e1a89188c9f9",
+            "0c32bf6b34bad5781caf81b3bd3c4d375699951e1d8423daf54a78908a4da691",
         "conj(B1+)":
-            "9d71acc1e426e82c76e6bec69b503aa67707f55ae415451f067f416836099d8a",
+            "8b367fab2d29ee3e79b13fe5edda8cdd06d62d5abd1457b87d00c8b8a618e6c1",
         "A2-":
-            "6fe8f39ccf552390a90b1b4d4bd016e847cca9ce183f91660754d06330271c0c",
+            "9cd85d147209c5a627b2e29f78622cd26e638277e7b5662fd35a5d60fd98c314",
         "conj(A2+)":
-            "61cf84fe6a8aa83b7da71d54ce1c4aab3a004e885b2da2fe90d6f6c51ca30197",
+            "a6ff5aed04e5ce583075898ea377eb575d7042a1e931fe94e9f54e20ed33c527",
         "B2-":
-            "6e05fa7d27f030a03995ef153d1966b61af5248333db91f3b34f9d52862fc70a",
+            "f0fca0c7b1c63b6a78af15fb9b9c0569be69c7b1681a4269fc18ba0d5bb6674d",
         "conj(B2+)":
-            "d97b94ecf92e947bea1c5f447002bb1f9f459bdfdfbdde4449af3160fa7bb2f6",
+            "ad67d56c84b572f7d66078859c33b01758a2cdc5d61d805071dd9585eb1435e9",
         "spectrum t_p":
-            "7dad1b654ba41e62930c7755d4ea25d78225e6c035dd08555c041bc2ecb99c7e",
+            "905a9a94d5774bf799ea714d4b7d4e11b550f8649c69780ed0823ef5a0312ec0",
         "star t_p":
-            "0db13f9c81ca33bb1a447b5054dae02f981236b1709bd80419fac2bb717e88dc",
+            "4512bdc767e776a57915eba72c48279fa5334b9b5f4bac87ea3084d8f5acf9aa",
     },
     "N=4 dark": {
         "A1-":
-            "2f57f1dc807b41fa4179dde596a1e3ddf45b761eb26e858a0fc11e40c8138a89",
+            "5bd9af0d76e7a9751a6ee3a1767826ccb8e515fbcee38c68f5d37553ca9cf4c0",
         "conj(A1+)":
-            "32988f50d68024b06a2d752221e747b01ac8487fdc076dab771d6639146739dc",
+            "b0451993458fdb13c7e8767b58a71d057f2ec54b78eb46a05afdf79d90ba0988",
         "B1-":
-            "eaabab4a1d16520e7c8599496452c6994bd592ff4a2c5d5809e3c218910e4ebd",
+            "1426f2d37eefaeb866094bbb1cfb9549252c1751521d4ad96cfd3b2dabb668c2",
         "conj(B1+)":
-            "cf9b4de1d2133bdf348c07a87542551b47ad99b3c957610812cd73cde2912b12",
+            "b74541d70fb525b9faa5af01c831aee6e15dc59de19dea5bde9cc3438c8281fe",
         "A2-":
-            "64079ce92252163e0ed3ab8081ce405abdee0027915f03c7d1c80d859c968bfc",
+            "d8661a339433c5e2c3de348ba0ebaf10495543b49746e473ef8b044a619546d8",
         "conj(A2+)":
-            "7c40b874161debb981dd26a5c0cc0dfc7b6bfa4ac498f7a7f94ceecb7070dc99",
+            "fe6d6ec3fd13f6365201f6d15bd5535cf9214eccb70dd0ee75cdbb32ae7c2661",
         "B2-":
-            "597656c4a8955fd2d25cc19ad376a63cd7cb4985116b0af965cad9e5546b08e9",
+            "7020886578b2ab6d91d7d435eb6589c06ea3549d4a42e9070f195ddaea4544f2",
         "conj(B2+)":
-            "279df146581b4d383803ffe0bf8411d18f233a17b20c2a107133f1c55bed53e3",
+            "4658238128d819e23c1d8636a2cd2677f961e9085a0f88db5b84cca291773698",
         "spectrum t_p":
-            "3fae663d1910c2d985c31c2ce020b8d5440c4b163f6e898eaece148178a59902",
+            "cc307c4f5a5990600e5afda0c538f37462f8c6f3d3f45f96764f0d639da7d5f3",
         "star t_p":
-            "99433b06fc847ef91debdaddeb9e03f922cf2fcea58044bdcce894ab9414cb0f",
+            "f7b4138e793f58157258018e106fdb456f3f2a0aa21acde9812cdc122e28c5fd",
     },
     "N=4 broken": {
         "A1-":
-            "b6a9739b4d75a84236743b2917653436d3514e886919c0f41ab0313bc7c01984",
+            "988922160c5068788f66acbfb3d994ece151dec732329205255bece708049fab",
         "conj(A1+)":
-            "5a336926fd97399bedea56f0977448e816ebd8e711e69881d9377cc14526c5d1",
+            "19a56c0000a212ec40ad7fd61afd88e6683c504a93384eda98761ef27717a477",
         "B1-":
-            "19cb4528f4583cc4422d0e52d8e1c8cfb375ea15d44818c234d0000419150b69",
+            "b00a9c4ae1cd2dbe5e4fae59202f5b6b7515675d4960f274b88ab0acd64ff7dd",
         "conj(B1+)":
-            "92894b919d308c2094bdc1c74d0203ead161db80907e35cc558a10e59efe8072",
+            "05e0101c6c65c173f31fc4e2652f506c988f71d866023653aa7199e3092d3ce4",
         "A2-":
-            "083641144a9d93bbf164cd24fbbb6a7091772de003604788e2124759812bd411",
+            "be31a814bb1a51bbee625fb8ba624ea83e659707f4b1b57f3f80be3f796f6905",
         "conj(A2+)":
-            "a4e830fcd12755c7f09b16ca9060ea23154e96731b635b604765d7d4e321561a",
+            "923c9cbc179eca520d02a5633314e82a02fe8e23830452b7cf49d05a563a8a5d",
         "B2-":
-            "02517b1fa4c984dafd90be94fa4b419edc4eb1ef0e4d831d1d194cdb995bf36e",
+            "d13ab64a0bc62435ebb576b877a6e76e53776a01531dbeeb67660d9afa93baa4",
         "conj(B2+)":
-            "13f1daf407aaf0ea0d406fe45617c0760e7c44472956ae09e005514fba4c76f9",
+            "28d218d1cc79ce5bc09e2e1d8b2f578746186492d0ff72dff1d95b7faefbb9f2",
         "spectrum t_p":
-            "b9386a7caf0d04b86e184737b43565d246ce3c587bcd38f1a7a976863bf4c24a",
+            "2531c95c5fc11229cd7d0976a997fbc0f8cdb0dba740ce14bc4b56bf11369dac",
         "star t_p":
-            "01a863b3fee5cb2d7ecf901b592652c458e71011e94fcf8afa6e878dd8857441",
+            "caed3db4bb81463607932954ebd1df1f8c601aa1f751913dfe31545780ad2779",
     },
     "N=8 dark": {
         "A1-":
-            "006991e56449deacaf2857e3c4f1be93fe330e671a86b8ba781e9d60a35bca3d",
+            "3cb2b8be4b09f96cdd5692f543f337be5704dfadd8cba8b84ec08950b6353415",
         "conj(A1+)":
-            "31b6ce0be3722742a5e071116c0f41dbb2866ff90acf077261be098c4b596897",
+            "4c2e2491649f251ab6c55c5703729496738ee8105b7548205e9f454a3e51d962",
         "B1-":
-            "bc7e84b5733d411b11030b8dc8cf94510f9c1788121cc67fd7fee04bfa87af47",
+            "d3ee5dacbfd350832c9c2d429b5da57b7b0ffab2eba92fef404015574212fc47",
         "conj(B1+)":
-            "6308875de6e9e6b9c847220402e1bbadfb7de14fca3d988050d0616c34a39e38",
+            "df60f5b5e6da92cc0c4bf97c9002e1f214dcfe2d440518abb25de09b4af6608d",
         "A2-":
-            "d9000e57bc887cff156936ec581dafb89a4ba8473b4acbeee87be6d6ecf8cd4c",
+            "988ac2b527441dfb1c22432e35ca47a650a0022f310d5479847aca7ace3f15d2",
         "conj(A2+)":
-            "5583a1cf395fc7509073968e762c2c8a5f20d3af0cdc9f928c7453174a25a072",
+            "ae4bf3988e7d10c5bae0723ce0c9d1f6a9b224cdde642e21f3a729d1bda61d96",
         "B2-":
-            "099c7125b434bf9a1f128deb4997d162d6b9cd7547a5113b1d4d5034c46b1725",
+            "6700d5af5769136e5a7dd93bc5984b78752aa3a8af83d56430a445bb06030705",
         "conj(B2+)":
-            "c68eb63968d3822f60618f2ead963b7858bc81dae4e6073e3d6d8ee91236cde1",
+            "c9291ac419a27507cb2b81c70215b8d969c18f12b49f1ebfd251673c097bedc0",
         "spectrum t_p":
-            "83b2799b3c87741df921cc034c8f381534962188801cd1d189b47f1d926aac12",
+            "4569b9eb81d8591ddf576c1dca1d69a8e5ae24bcd1041bd4db8dab9afe8c398d",
         "star t_p":
-            "146b125ae9e6bc5add19068a8fa78e885f7b22928474c619dcaebe48e346c13d",
+            "e703676e2ebf588d5aadb8a88cb1f153f25b48e004b7f33a59c20c881e67e8aa",
     },
     "N=8 broken": {
         "A1-":
-            "fcfbc5d81cf2ac4e7eb8392186a8c19c1e20cec3b6ed8947b36b86458fb2b2f2",
+            "01c3a13365efc7ae454f50a45c7a72170766ff69653acc1547c7de91887fbefd",
         "conj(A1+)":
-            "515b5d83964131a66248989656a638a1d09d318ee9f3ca30246813e61b0f3bc7",
+            "4e938711982f0241af83f2c8acba6117b1db0f8364c3bc48927c394e0687d551",
         "B1-":
-            "40d5959cd6762e61abc428f5aa25be47752706ec0780e437716b32231f4a9b53",
+            "c5662182332f8f5003f6015d7b9db6bbc8398182fc1b84734aa99805e1dcc348",
         "conj(B1+)":
-            "29862e1c9739de01ade9f578a088201b1d321f46f48e991e817c42f4a3e4f06c",
+            "7d152cbbad33565b01ddbd083c6485028eeaccaf536197cbcf6abbd4c9f728b5",
         "A2-":
-            "a46a496d64342a4408ecdff0ca76d8c03298a8249d2a72b68095051504bacaec",
+            "0ebc664c5164726e804fe3b6a77fab50f12384fec68e3972f28c606c2119c56a",
         "conj(A2+)":
-            "2e7cb734700989d51353513ef51e577d531b6f9b06ad6a602c56bfe8fb319ac3",
+            "3205b87bbb443f64bad224a8fd150fa1f0974d847ebabecd910287d9bcd12baf",
         "B2-":
-            "833cb45a896f5a27e8fc91f1da690d8003f343f305b6609201ddd0eeae58e669",
+            "2271de66406e8156dd8b272488994500fd55373ca329fba45906778a422f5854",
         "conj(B2+)":
-            "a67ca68392d28aa6c5e3a97f9d88aa0fcb8d4b3ddd471faa26e6de38341f2426",
+            "3ab0fcaa7d1988d44f9bc5f1b175a2b69c5b9dc3292e87504e8b3580cf3c2e51",
         "spectrum t_p":
-            "729bd3d21b7c21be99558d840bfd038942fb0671f7cc59c3e9adf2d17efeadb0",
+            "c693bf54e88c7cc01156e863369ecb5d59f6cec7a32fe26ed23309203f907f77",
         "star t_p":
-            "b375d1a2f13e348cecfd7d2d2a6ad3a13612a145b2d4b29927226fc3b416d709",
+            "c5caf225751025c5b6af2bfb5955b32cc8b7f975fa73baf80892fa1fdd7fd2b2",
     },
     "N=32 dark": {
         "A1-":
-            "00df25fd1d3d26c72d2e9ed68c57c7caaaf99d8de6ce4b3fc9e476693078d8a6",
+            "1a5f8cb89f64f5c9d9fa672aeb9ceffee846c52f53731b4870292c9a41b714ef",
         "conj(A1+)":
-            "a2956234a33f5885cb9a94711321e6a15a2d475cce909ce2a2720e4c8e8e9d4b",
+            "84c31db23283a3837bc452fe7349483186870070ee115731b0fa61b233ba8440",
         "B1-":
-            "f768cd09544082a61805511ed1bd91080b085ac39a8eafac72a9aa159728fee5",
+            "d8087288d5afd7358d69599370fc319cc0e309a226bf2477e31038620f04a806",
         "conj(B1+)":
-            "fe3bf205e2c576f58e79231e5017d8e8f7906e5fca22961b7c4b544d1a85098a",
+            "8f52f158f8d5825f8353b2c1785607cb09c3438faa6c63be12c9b4bd57f791a1",
         "A2-":
-            "0e53433d900ce8fef1a31e3d0810523a8c8f8c3221224f542ce4e5d2217dbbcb",
+            "1fd7214e5e5cd990f5474b0daac13f58b25ce968d68c5b19347abd38e1d27095",
         "conj(A2+)":
-            "b2ebc72d79d4805458b58ad51e48e71b80c9d29a0fc4b6f86bddd33c4db03289",
+            "5b2e5b7a7df8fa171d3f2403afc073849599c1d0f3f5f142d24ea598690d1900",
         "B2-":
-            "0be577341896dab86c70ac39946bbaa99bdc2aa25ba85a7f21affb3d39c497b3",
+            "41665326203d30f824c4f750ffa823625373fb343ac6a0687402a09e42d33361",
         "conj(B2+)":
-            "dc849006658718600d957481eced0b120d51a3078f18dcc98e0ac5f02088ab3f",
+            "c0df72564393223ca15850dde6a81e1432d34bb17a450ab3aa9286cfabe8aeff",
         "spectrum t_p":
-            "e95ccbb6fc35fed21278dd87b24e73b79f75268c2ac4e4cd8b195b983cde8c48",
+            "5316a0f5ff86c4487980d599b09ea6b7190abd274cb7001ce0d9e6b476e83dba",
         "star t_p":
-            "ad50789635ffc03bf37b3723326e0071d21fd2034f860700876dcce81e458a3a",
+            "cbb3478d26a36fbf2279954c3d3f3ac97461a9907e7c538fc148553447534d4f",
     },
     "N=32 broken": {
         "A1-":
-            "614333b7dd66fe83f86e6c52b91ce48584c7c8963e25573bb98ddc96a2305b24",
+            "5b0bda19fa498f6c458eb55d0b799311bea1e437dda2df01b907c5272a460f4f",
         "conj(A1+)":
-            "71415e7c05de466722dc73877ec616e7f526693cb7c91becebe61925f942c8d7",
+            "4f42a705255b7d13b58795a2a79cd6fe708b09c35254e934636e7ef301dcfbd0",
         "B1-":
-            "7c6e0c4e56290f3d16c120c32ae081aa695e291ff017cddf0db3375aa5e2e72b",
+            "71426d892fd5c3167a1c8e6d9bd85a48c6a6a7ec49865c5e5039bdfb46727339",
         "conj(B1+)":
-            "99c4e4fb898dd318240c07f21268768d0d21a2d49ac6572698f8f325fb4ac27a",
+            "7c13436d321e8d171973691bb35862048055491ac56156d92b8dea420509a4f2",
         "A2-":
-            "dd2b87d0c1f3e9ba353941d44f54484dcc5bc36aa7123455a62a6da60322a22f",
+            "1d0344aed0ff5b3e20c28f9bbc993fcc9ea6fbc023de16a17f928dd12406c466",
         "conj(A2+)":
-            "4a509ba4cae52c95020e1c0b58b0b5c6c13efa3106041e55198f0753329a3524",
+            "c13d4948220d084f2227e21000be3ec0e42ede8c04a759857fd6d103ac017226",
         "B2-":
-            "4ff7f678ed0a30ea1ab32e91ded93ae8125f8920bef4d0104768a699116be26c",
+            "b8e9e7890b8c57dfdff7f0bfa93ee91e960db7385ec2a117ef478380880998bb",
         "conj(B2+)":
-            "e5e24d97b525b3bc8dc9873ecf2a40911a6158e58f3f0723e66c0fac4e2352e4",
+            "12c6360df50b6715e211ed676bf19989bd847c5eedb38d9a7631f5741eec5686",
         "spectrum t_p":
-            "fcd869bc2fa0a900f0cd3f824e68e634bdd0f83e06c2b1c37be12403e48e40cf",
+            "b6bc3a47653f48943e6e9f2ba61284a12026ec32d96007b7484473febe26f727",
         "star t_p":
-            "ddb0209c7d8e8279a019688102210b881a611dd7e6ea7e03c936f0b1be59016e",
+            "5501e25f96e1bd153c1c00aa05c3a1285ee487a6334ca14ad4da79a05fab9699",
     },
 }
 
@@ -356,7 +361,7 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli_digests(command: str, out: Path, capsys) -> dict[str, str]:
+def _cli_digests(command: str, out: Path) -> dict[str, str]:
     """Run ``command`` in this process; the digest of each file it wrote.
 
     A figure or sweep command prints exactly the paths it wrote; a command
@@ -368,21 +373,22 @@ def _cli_digests(command: str, out: Path, capsys) -> dict[str, str]:
     else:
         argv += ["--out", str(out / "stdout")]
     out.mkdir()
-    assert cli.main(argv) == 0, command
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(argv) == 0, command
     wrote = [str(p) for p in out.iterdir()] if lists_files else []
-    assert sorted(capsys.readouterr().out.splitlines()) == sorted(wrote), \
-        command
+    assert sorted(printed.getvalue().splitlines()) == sorted(wrote), command
     return {p.name: _digest(p.read_bytes()) for p in out.iterdir()}
 
 
 def test_reference_outputs_keep_their_bytes(split_config, tmp_path,
-                                            monkeypatch, capsys):
+                                            monkeypatch):
     monkeypatch.chdir(ROOT)
     # Sweeps are serial: the former worker-count variable is ignored.
     monkeypatch.setenv("OMIT_LAB_JOBS", "many")
     produced = {}
     for i, command in enumerate(CLI_PINS):
-        produced[command] = _cli_digests(command, tmp_path / str(i), capsys)
+        produced[command] = _cli_digests(command, tmp_path / str(i))
     produced["emit_config"] = {
         key: _digest(ol.emit_config(
             split_config if key == "split_config"
@@ -414,12 +420,48 @@ def _array_digests(n: int, chain: str) -> dict[str, str]:
     return {name: _digest(a.tobytes()) for name, a in arrays.items()}
 
 
-def test_solver_arrays_keep_their_bytes():
+def _solver_digests() -> dict[str, dict[str, str]]:
     produced = {}
     for label in ARRAY_PINS:
         n, chain = label.removeprefix("N=").split()
         produced[label] = _array_digests(int(n), chain)
-    _assert_pinned(ARRAY_PINS.items(), produced)
+    return produced
+
+
+def test_solver_arrays_keep_their_bytes():
+    _assert_pinned(ARRAY_PINS.items(), _solver_digests())
+
+
+# The pins re-made in a child process with one OpenBLAS thread.
+ONE_THREAD_COMMANDS = ("omit-lab figure fig3",
+                       f"omit-lab spectrum --config {SPLIT}")
+_ONE_THREAD_CHILD = """
+import json, sys
+from pathlib import Path
+import test_reference_outputs as pins
+out = Path(sys.argv[1])
+produced = pins._solver_digests()
+for i, command in enumerate(pins.ONE_THREAD_COMMANDS):
+    produced[command] = pins._cli_digests(command, out / str(i))
+print(json.dumps(produced))
+"""
+
+
+def test_pins_hold_with_one_blas_thread(tmp_path):
+    # The spectra make no BLAS call whose bits depend on the thread
+    # count, so one OpenBLAS thread gives the pinned bytes.  The variable
+    # is read when numpy loads, hence the child process.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                          str(ROOT / "tests")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_CHILD, str(tmp_path)], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    tables = [*ARRAY_PINS.items(),
+              *((command, CLI_PINS[command])
+                for command in ONE_THREAD_COMMANDS)]
+    _assert_pinned(tables, json.loads(child.stdout))
 
 
 def _assert_pinned(tables, produced) -> None:

@@ -438,10 +438,11 @@ def _assert_close_per_point(got, want, w: np.ndarray) -> None:
 
 
 def test_chain_elimination_matches_dense_solve():
-    # The Schur-complement solve against a dense (2N+2)x(2N+2) solve of
-    # the same sideband system, for the first- and second-order
-    # right-hand sides.  The hop-free draws (eta = 0 on every link) take
-    # the chain solve's one-division path beyond N = 1.
+    # The chain sweep and cavity solve against a dense (2N+2)x(2N+2)
+    # solve of the same sideband system, for the first- and second-order
+    # right-hand sides, with the mechanics back-substituted and on the
+    # cavity-only path that keeps no rows.  The hop-free draws (eta = 0 on
+    # every link) take the sweep's one-division path beyond N = 1.
     rng = np.random.default_rng(2026)
     draws = [(n, True) for n in (1, 2, 3, 8, 16) for _ in range(4)]
     draws += [(n, False) for n in (3, 8) for _ in range(4)]
@@ -449,12 +450,16 @@ def test_chain_elimination_matches_dense_solve():
         cfg, steady, w = random_working_point(rng, n, hopping=hopping,
                                              points=64)
         view = sb._view(cfg, steady)
-        first = sb._with_mechanics(sb._first_order_raw(view, w))
         dense_first, dense_second = _dense_orders(view, w)
-        second = sb._with_mechanics(
-            sb._second_order_raw(view, w, *dense_first[:2]))
+        first = sb._first_order_raw(view, w, mechanics=True)
+        second = sb._second_order_raw(view, w, *dense_first[:2],
+                                      mechanics=True)
         _assert_close_per_point(first + second,
                                 dense_first + dense_second, w)
+        cavity = (sb._first_order_raw(view, w)
+                  + sb._second_order_raw(view, w, *dense_first[:2]))
+        _assert_close_per_point(cavity,
+                                dense_first[:2] + dense_second[:2], w)
 
 
 def _site_chain(config, steady):
@@ -476,15 +481,18 @@ def _star_chain(config, steady):
 
 
 def test_stacked_chain_solve_equals_both_chains(monkeypatch):
-    # The builder solves M- = gamma + i(H - v) once, over the detunings
-    # (v, -v): as conj(M+(v)) = M-(-v), the halves must hold y- and
-    # conj(y+) with the bits of solving M- and M+ = gamma - i(conj(H) + v)
-    # apart.  Only the sign of an exact zero may differ, which the
+    # The builder sweeps M- = gamma + i(H - v) once, over the detunings
+    # (v, -v): as conj(M+(v)) = M-(-v), the halves of its sum s = u^H
+    # M-^-1 u must hold s- and conj(s+), s+ = u^T M+^-1 conj(u), and so
+    # sigma = s+ - s-, with the bits of sweeping M- and M+ = gamma -
+    # i(conj(H) + v) apart, and so must the back-substituted y- and
+    # conj(y+); the cavity-only sweep, which keeps no rows, must give the
+    # same s.  Only the sign of an exact zero may differ, which the
     # comparison clears by adding 0: where M+'s diagonal has a zero
     # imaginary part (v = -omega; each grid holds such points), the
     # stacked row's is omega - (-v) = +0, whose conjugate is -0, not M+'s
-    # +0; and with the pump off the direct solve's right-hand side
-    # conj(u) is 0 - 0j.
+    # +0; and with the pump off the direct sweep's column conj(u) is
+    # 0 - 0j.
     rng = np.random.default_rng(33)
     chains = []
     for n in range(1, 9):
@@ -498,10 +506,15 @@ def test_stacked_chain_solve_equals_both_chains(monkeypatch):
     chains.append((cfg, synthetic_steady(0.0, cfg.cavity.delta_c, 3), None,
                    _site_chain))
 
-    solve = sb._chain_solve
+    sweep = sb._chain_sweep
     calls = []
-    monkeypatch.setattr(sb, "_chain_solve",
-                        lambda *args: calls.append(1) or solve(*args))
+
+    def recorded(*args):
+        s, y = sweep(*args)
+        calls.append((s.copy(), None if y is None else y.copy()))
+        return s, y
+
+    monkeypatch.setattr(sb, "_chain_sweep", recorded)
     for cfg, steady, w, chain in chains:
         args = chain(cfg, steady)
         _, _, damping, frequencies, hop, coupling, _ = args
@@ -509,21 +522,26 @@ def test_stacked_chain_solve_equals_both_chains(monkeypatch):
         if w is None:
             w = np.linspace(-1.5, 1.5, 31) * ref
         w = np.concatenate((w, [0.0, -ref, -ref / 2]))
+        k = len(w)
+        rhs = (np.ones_like(w), np.zeros_like(w))
         for order in (1, 2):
             calls.clear()
-            y = sb._sideband_response(
-                *args, w, order, (np.ones_like(w), np.zeros_like(w)))[2][2]
-            assert len(calls) == 1
+            sb._sideband_response(*args, w, order, rhs)
+            sb._sideband_response(*args, w, order, rhs, mechanics=True)
+            assert len(calls) == 2
+            (s, no_rows), (s_kept, y) = calls
+            assert no_rows is None and s.tobytes() == s_kept.tobytes()
             v = order * w
-            y_m = np.empty((len(coupling), len(w)), dtype=complex)
-            y_p = np.empty_like(y_m)
-            y_m[...] = coupling[:, None]
-            y_p[...] = np.conj(coupling)[:, None]
-            solve(damping, frequencies, v, 1j * hop, 1j * np.conj(hop), y_m)
-            solve(damping, -frequencies, v, -1j * np.conj(hop), -1j * hop,
-                  y_p)
-            assert y[:, :len(w)].tobytes() == y_m.tobytes()
-            assert ((np.conj(y[:, len(w):]) + 0.0).tobytes()
+            s_m, y_m = sweep(damping, frequencies, v, 1j * hop,
+                             1j * np.conj(hop), coupling, True)
+            s_p, y_p = sweep(damping, -frequencies, v, -1j * np.conj(hop),
+                             -1j * hop, np.conj(coupling), True)
+            assert s[:k].tobytes() == s_m.tobytes()
+            assert (np.conj(s[k:]) + 0.0).tobytes() == (s_p + 0.0).tobytes()
+            assert ((np.conj(s[k:]) - s[:k] + 0.0).tobytes()
+                    == (s_p - s_m + 0.0).tobytes())
+            assert y[:, :k].tobytes() == y_m.tobytes()
+            assert ((np.conj(y[:, k:]) + 0.0).tobytes()
                     == (y_p + 0.0).tobytes())
 
 
@@ -561,7 +579,8 @@ def test_zero_cavity_determinant_raises_typed_error():
     # vanishes where the sideband frequency meets the detuning.  The
     # builder checks the cavity amplitudes itself, so a caller that reads
     # only them gets the typed error without forming the mechanics; n = 1
-    # takes the chain solve's division, n = 3 with hopping its sweep.
+    # takes the sweep's hop-free division, n = 3 with hopping its
+    # recurrences.
     w = np.linspace(0.5, 1.5, 11)
     singular = r"omega = 1\.000000e\+00"
     for n in (1, 3):
@@ -574,13 +593,13 @@ def test_zero_cavity_determinant_raises_typed_error():
     # with 1e40 at its resonance v = 1, so B- overflows there (1e320)
     # while A- stays at the drive, 1e280: the cavity-only call returns,
     # and forming the mechanics raises.
-    response = sb._sideband_response(
-        1.0, 1.0, np.array([1e-100]), np.ones(1), np.zeros(0, dtype=complex),
-        np.array([1e-60 + 0.0j]), 1.0, w, 1,
-        (np.full_like(w, 1e280), np.zeros_like(w)))
-    assert np.isfinite(response[0]).all() and np.isfinite(response[1]).all()
+    args = (1.0, 1.0, np.array([1e-100]), np.ones(1),
+            np.zeros(0, dtype=complex), np.array([1e-60 + 0.0j]), 1.0, w, 1,
+            (np.full_like(w, 1e280), np.zeros_like(w)))
+    a_minus, a_plus_conj = sb._sideband_response(*args)
+    assert np.isfinite(a_minus).all() and np.isfinite(a_plus_conj).all()
     with pytest.raises(ol.SingularSystemError, match=singular):
-        sb._with_mechanics(response)
+        sb._sideband_response(*args, mechanics=True)
 
 
 def _traced_peak_mb(fn) -> float:
@@ -594,35 +613,33 @@ def _traced_peak_mb(fn) -> float:
 
 
 def test_response_builder_working_memory():
-    # One chain solve per order works in place over the coupling column,
-    # stacked for the detunings (v, -v), and forms each site's diagonal
-    # row as it goes, so a spectrum holds about 4.2 (N, K) complex arrays
-    # at its peak with the first order (8.58 MB at N = 32, K = 4001; one
-    # array is 2.05 MB): the stacked solution and the sweep's (N - 1, 2K)
-    # ratio buffer.  With the second order it is 4.5 (9.13 MB); its
-    # mechanical drive folds into that column and it reads only the first
-    # order's cavity amplitudes; forming the first order's mechanics to
-    # drive it read 6.5 arrays (13.23 MB).  The bounds leave 10 % and 15 %
-    # of margin.  Solving the drive as a second column of each chain's
-    # block read 19.82 MB; solving the first order on a copy of the blocks
-    # 10.57 MB, and a builder that keeps its temporaries 19.28 MB.  A
-    # hop-free chain (the star basis, a dark chain) is divided row by row,
-    # without the ratio buffer, and its cavity-only callers form no
-    # mechanical amplitudes: 4.73 MB for the star route and 4.74 MB for
-    # the dark first order.  Each read 6.4 MB while the two sideband
-    # chains shared an (N, K) diagonal buffer, and 8.5 MB with the sweep.
-    cfg = ol.standard_setup(32, eta_frac=0.05, theta=math.pi / 2)
-    steady = ol.solve_steady_state(cfg)
-    w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
-    first = _traced_peak_mb(lambda: ol.compute_spectrum(
-        cfg, w, include_second_order=False, steady=steady))
-    both = _traced_peak_mb(lambda: ol.compute_spectrum(
-        cfg, w, include_second_order=True, steady=steady))
-    assert first <= 9.4 and both <= 10.5, (first, both)
-    star = _traced_peak_mb(lambda: ol.transmission_via_normal_modes(
-        cfg, steady, w))
-    dark = ol.standard_setup(32)
-    dark_steady = ol.solve_steady_state(dark)
-    dark_first = _traced_peak_mb(lambda: ol.compute_spectrum(
-        dark, w, include_second_order=False, steady=dark_steady))
-    assert star <= 7.1 and dark_first <= 7.1, (star, dark_first)
+    # A spectrum reads only sigma = u^T M+^-1 conj(u) - u^H M-^-1 u per
+    # grid point, which one forward sweep over the stacked detunings
+    # (v, -v) accumulates while it holds the current site's 1 / d, z and
+    # r rows, the sum and one scratch row: five (2K,) complex rows, 0.64
+    # MB at K = 4001, whatever N.  At N = 8, 32 and 64 a broken chain's
+    # spectrum then peaks at 0.90 MB with the first order and 1.45 MB
+    # with the second (the cavity solve's (K,) rows and the first order's
+    # amplitudes that drive the second), a dark chain's first order at
+    # 0.90 MB, and the star route at 0.87-0.94 MB, its N x N basis
+    # included.  The bounds leave about 15 % of margin; each peak stays
+    # within 10 % of its N = 8 value.
+    peaks = []
+    for n in (8, 32, 64):
+        lock = {"lock_delta_frac": None} if n == 64 else {}
+        cfg = ol.standard_setup(n, eta_frac=0.05, theta=math.pi / 2, **lock)
+        dark = ol.standard_setup(n, **lock)
+        steady, dark_steady = map(ol.solve_steady_state, (cfg, dark))
+        w = np.linspace(0.8, 1.2, 4001) * cfg.omega_ref
+        peaks.append([
+            _traced_peak_mb(lambda: ol.compute_spectrum(
+                cfg, w, include_second_order=False, steady=steady)),
+            _traced_peak_mb(lambda: ol.compute_spectrum(
+                cfg, w, include_second_order=True, steady=steady)),
+            _traced_peak_mb(lambda: ol.compute_spectrum(
+                dark, w, include_second_order=False, steady=dark_steady)),
+            _traced_peak_mb(lambda: ol.transmission_via_normal_modes(
+                cfg, steady, w))])
+    peaks = np.array(peaks)
+    assert np.all(peaks <= [1.05, 1.7, 1.05, 1.1]), peaks
+    assert np.all(peaks <= 1.1 * peaks[0]), peaks
